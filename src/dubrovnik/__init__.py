@@ -11,7 +11,7 @@ from .ring import (Constants, DivisionFailure, LaurentPoly, QLaurent,
                    RingElem, constants, normalize, parse_ring_text,
                    qlaurent_text, ring_sum, specialize_soN, to_canonical_text)
 from .maps import (InvalidMap, MapBuilder, NonPlanar, PlanarMap, Surgery,
-                   canonical_signature, component_signature, signature_bytes)
+                   canonical_signature)
 from .diagrams import (BadEdge, BadIncidence, BraidWord, LinkDiagram,
                        OddVertexCount, ParseError, PlanarTrivalentGraph,
                        RangeError, REGraphDiagram, StateRecord, Tangle,

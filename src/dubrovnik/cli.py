@@ -10,17 +10,25 @@ Subcommands:
 
 Exit codes: 0 success, 1 computation error, 2 verification failure.
 
-The optional cache is a JSON-lines file; every row is
-``{"signature": <base64 key>, "value": <canonical polynomial text>}``.
-Rows keyed by a graph signature persist the reduction memo; rows keyed by a
-(diagram, resolution) pair persist per-state values, which is what makes a
-repeated run on the same input fast.
+The optional cache is a JSON-lines file.  Its first line names the file
+format and the signature scheme; a file whose first line is missing or
+different is reported and ignored, and the next store replaces it.  Every
+further row is one of
+
+    {"memo": <signature>, "value": <canonical polynomial text>}
+    {"diagram": <diagram key>, "value": <canonical polynomial text>}
+
+A memo row persists one entry of the reduction memo; its signature is the
+canonical signature written as nested lists.  A diagram row persists the
+whole value of one literal diagram, keyed by `invariants.diagram_job_key`,
+which is what makes a repeated run on the same input skip the state sum.
+Stores write a temporary file and rename it over the old one, so a crash
+mid-store leaves the previous file intact.
 """
 
 from __future__ import annotations
 
 import argparse
-import base64
 import json
 import os
 import sys
@@ -32,7 +40,7 @@ from .diagrams import (BraidWord, ParseError, braid_to_link, mirror,
 from .fourvalent import kauffman_via_4valent
 from .invariants import (InvariantResult, kauffman_state_sum, n2_closed_form,
                          normalized)
-from .maps import InvalidMap, NonPlanar, PlanarMap
+from .maps import SIGNATURE_SCHEME, InvalidMap, NonPlanar, PlanarMap
 from .ring import (RingElem, parse_ring_text, qlaurent_text, specialize_soN,
                    to_canonical_text)
 from .skein import EvalContext
@@ -71,20 +79,18 @@ class JobSpec:
 
 # -- cache -----------------------------------------------------------------------
 
-def _sig_to_key(sig) -> str:
-    def enc(x):
-        if isinstance(x, tuple):
-            return ["t", [enc(v) for v in x]]
-        return x
-    return base64.b64encode(json.dumps(["memo", enc(sig)]).encode()).decode()
+CACHE_VERSION = json.dumps({"format": "dubrovnik-cache/2",
+                            "signature": SIGNATURE_SCHEME})
 
 
-def _state_to_key(job_key: str, choices) -> str:
-    payload = f"state|{job_key}|{''.join(choices)}"
-    return base64.b64encode(payload.encode()).decode()
+def _sig_of_json(x) -> tuple:
+    """Signature from its nested-list form [loops, [[[t, n, w], ...], ...]]."""
+    loops, encs = x
+    return (loops, tuple(tuple(tuple(e) for e in enc) for enc in encs))
 
 
 def cache_store(path: str, ctx: EvalContext) -> None:
+    """Write the memo and the whole-diagram results, replacing `path` atomically."""
     texts: dict[RingElem, str] = {}
 
     def text_of(value: RingElem) -> str:
@@ -93,40 +99,47 @@ def cache_store(path: str, ctx: EvalContext) -> None:
             t = texts[value] = to_canonical_text(value)
         return t
 
-    with open(path, "w") as f:
-        for sig, value in ctx.memo.items():
-            row = {"signature": _sig_to_key(sig), "value": text_of(value)}
-            f.write(json.dumps(row) + "\n")
-        for job_key, table in ctx.state_table.items():
-            for choices, value in table.items():
-                row = {"signature": _state_to_key(job_key, choices),
-                       "value": text_of(value)}
-                f.write(json.dumps(row) + "\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as f:
+            f.write(CACHE_VERSION + "\n")
+            for sig, value in ctx.memo.items():
+                f.write(json.dumps({"memo": sig, "value": text_of(value)})
+                        + "\n")
+            for key, value in ctx.results.items():
+                f.write(json.dumps({"diagram": key, "value": text_of(value)})
+                        + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def cache_load(path: str, ctx: EvalContext, verify: bool = False) -> int:
-    """Load cache rows into the context; a corrupt file is reported and ignored.
+    """Load cache rows into the context and return their number.
 
-    With verify=True (or DUBROVNIK_DEBUG=1 in the environment) memo rows are
-    loaded into the consistency checker instead of the memo, so every value
-    is recomputed and compared against its cached claim as it is reached.
+    A file with a missing or different version line, or a malformed row, is
+    reported and ignored as a whole.  With verify=True (or DUBROVNIK_DEBUG=1
+    in the environment) no row is served: memo and diagram rows go to the
+    consistency checker, so every value is recomputed and compared with its
+    cached claim as it is reached.
     """
-    def dec(x):
-        if isinstance(x, list) and len(x) == 2 and x[0] == "t":
-            return tuple(dec(v) for v in x[1])
-        return x
-
     try:
         with open(path) as f:
-            lines = f.readlines()
+            lines = f.read().splitlines()
     except FileNotFoundError:
         return 0
+    if not lines:
+        return 0
+    if lines[0] != CACHE_VERSION:
+        print(f"cache file {path} is stale or corrupt (first line is not "
+              f"{CACHE_VERSION}); ignoring it", file=sys.stderr)
+        return 0
     memo: dict = {}
-    table: dict = {}
+    results: dict = {}
     values: dict[str, RingElem] = {}
     try:
-        for line in lines:
-            line = line.strip()
+        for line in lines[1:]:
             if not line:
                 continue
             row = json.loads(line)
@@ -134,16 +147,13 @@ def cache_load(path: str, ctx: EvalContext, verify: bool = False) -> int:
             value = values.get(text)
             if value is None:
                 value = values[text] = parse_ring_text(text)
-            raw = base64.b64decode(row["signature"]).decode()
-            if raw.startswith("state|"):
-                _, job_key, choices = raw.split("|")
-                table.setdefault(job_key, {})[tuple(choices)] = value
+            if "memo" in row:
+                memo[_sig_of_json(row["memo"])] = value
+            elif "diagram" in row:
+                results[row["diagram"]] = value
             else:
-                payload = json.loads(raw)
-                if payload[0] != "memo":
-                    raise CacheCorrupt(f"unknown row kind {payload[0]!r}")
-                memo[dec(payload[1])] = value
-    except (ValueError, KeyError, IndexError) as e:
+                raise CacheCorrupt(f"unknown row kind {sorted(row)}")
+    except (ValueError, KeyError, TypeError) as e:
         print(f"cache file {path} is corrupt ({e}); ignoring it",
               file=sys.stderr)
         return 0
@@ -151,11 +161,11 @@ def cache_load(path: str, ctx: EvalContext, verify: bool = False) -> int:
         if ctx.consistency is None:
             ctx.consistency = {}
         ctx.consistency.update(memo)
-        return len(memo)
-    ctx.memo.update(memo)
-    for k, v in table.items():
-        ctx.state_table.setdefault(k, {}).update(v)
-    return len(memo) + sum(len(v) for v in table.values())
+        ctx.consistency.update(results)
+    else:
+        ctx.memo.update(memo)
+        ctx.results.update(results)
+    return len(memo) + len(results)
 
 
 # -- running jobs -----------------------------------------------------------------
@@ -227,7 +237,7 @@ def run(job: JobSpec, ctx: EvalContext | None = None) -> dict:
     if job.trace:
         doc["trace"] = ctx.trace
     if job.cache_path:
-        total = len(ctx.memo) + sum(len(t) for t in ctx.state_table.values())
+        total = len(ctx.memo) + len(ctx.results)
         if total != loaded:
             cache_store(job.cache_path, ctx)
     return doc

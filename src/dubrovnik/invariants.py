@@ -27,10 +27,10 @@ from .diagrams import (BraidWord, PlanarTrivalentGraph, StateRecord,
                        close_tangle, identity_tangle, resolve_state, stack,
                        states, t_tangle)
 from .maps import PlanarMap, signature_of_arrays
-from .ring import (QLaurent, RingElem, constants, qlaurent_mul, ring_sum,
-                   specialize_soN)
+from .ring import (LaurentPoly, QLaurent, RingElem, constants, qlaurent_mul,
+                   ring_sum, specialize_soN)
 from .skein import (EvalContext, apply_lollipop, apply_wide_digon,
-                    default_context, evaluate)
+                    check_claim, default_context, evaluate, store_memo)
 
 
 class MissingWrithe(ValueError):
@@ -60,45 +60,56 @@ def diagram_job_key(d: PlanarMap) -> str:
 def kauffman_state_sum(d: PlanarMap, ctx: EvalContext | None = None) -> InvariantResult:
     """Resolve every crossing and sum the weighted graph polynomials.
 
-    State values are memoized at two levels: per state graph under the
-    whole-state canonical signature (shared across isomorphic states and
-    across diagrams), and per (diagram, resolution choice) so that a repeat
-    run over the same input skips the resolution work entirely.
+    Each of the 3^c states is resolved and given its canonical signature,
+    and only counted: states with equal signatures share one weight
+    polynomial sum A^#A B^#B.  Each distinct signature is then evaluated
+    once, through the memo shared across diagrams, and the weighted values
+    are summed with a single normalization.
+
+    The whole-diagram value is kept in `ctx.results` under
+    `diagram_job_key(d)`; a repeat of the same diagram is served from there
+    without enumerating states, and its 3^c states count as
+    `ctx.stats["state_hits"]`.
     """
     ctx = ctx or default_context()
-    job = ctx.state_table.setdefault(diagram_job_key(d), {})
+    key = diagram_job_key(d)
+    c = len(d.crossing_nodes())
+    count = 3 ** c
+    hit = ctx.results.get(key)
+    if hit is not None:
+        ctx.stats["state_hits"] += count
+        return InvariantResult(hit, None, count, "stateSum")
     resolver = StateResolver(d)
-    c = len(resolver.cnodes)
-    alpha = constants().alpha
-    alpha_pows = [RingElem.one()]
-    terms = []
-    count = 0
+    weights: dict[tuple, dict[tuple[int, int, int], int]] = {}
+    shapes: dict[tuple, tuple] = {}
     for choices in itertools.product("ABW", repeat=c):
-        count += 1
-        weighted = job.get(choices)
-        if weighted is not None:
-            ctx.stats["state_hits"] += 1
-            terms.append(weighted)
-            continue
         twin, nxt, wide, loops, na, nb = resolver.resolve_arrays(choices)
-        if not twin:
-            while len(alpha_pows) < loops:
-                alpha_pows.append(alpha_pows[-1] * alpha)
-            value = alpha_pows[loops - 1] if loops else RingElem.one()
+        sig = signature_of_arrays(twin, nxt, wide, loops)
+        weight = weights.get(sig)
+        if weight is None:
+            weight = weights[sig] = {}
+            shapes[sig] = (twin, nxt, wide, loops)
+        mono = (0, na, nb)
+        weight[mono] = weight.get(mono, 0) + 1
+    terms = []
+    for sig, weight in weights.items():
+        value = ctx.memo.get(sig)
+        if value is None:
+            twin, nxt, wide, loops = shapes[sig]
+            g = PlanarTrivalentGraph(twin, nxt, wide, frozenset(), loops,
+                                     check=False)
+            value = evaluate(g, ctx)
+            store_memo(ctx, sig, value)
         else:
-            sig = signature_of_arrays(twin, nxt, wide, loops)
-            value = ctx.memo.get(sig)
-            if value is None:
-                g = PlanarTrivalentGraph(twin, nxt, wide, frozenset(), loops,
-                                         check=False)
-                value = evaluate(g, ctx)
-                ctx.memo[sig] = value
-            else:
-                ctx.stats["memo_hits"] += 1
-        weighted = RingElem.mono(0, na, nb) * value
-        job[choices] = weighted
-        terms.append(weighted)
-    return InvariantResult(ring_sum(terms), None, count, "stateSum")
+            ctx.stats["memo_hits"] += 1
+        # A weight has positive coefficients, so (A-B) does not divide it and
+        # the product with a canonical value is canonical.
+        terms.append(RingElem(LaurentPoly(weight) * value.num, value.dpow,
+                              _canonical=True))
+    value = ring_sum(terms)
+    check_claim(ctx, key, value)
+    ctx.results[key] = value
+    return InvariantResult(value, None, count, "stateSum")
 
 
 def regraph_invariant(d: PlanarMap, ctx: EvalContext | None = None) -> InvariantResult:

@@ -153,10 +153,6 @@ class PlanarMap:
     def degree(self, node_idx: int) -> int:
         return len(self.nodes()[node_idx])
 
-    def wide_partner(self, h: int) -> int:
-        """For a node's unique wide half-edge h, the node at the other end."""
-        return self.node_of(self.twin[h])
-
     def node_wide_slot(self, node_idx: int) -> int | None:
         for h in self.nodes()[node_idx]:
             if self.wide[h]:
@@ -228,6 +224,11 @@ def _encode_from(twin: list[int], nxt: list[int], wide: list[bool],
     return tuple(out)
 
 
+# Names the signature scheme below; persisted signatures (the CLI cache)
+# are valid only under the same name, so change it with the encoding.
+SIGNATURE_SCHEME = "wide-rooted-min/1"
+
+
 def signature_of_arrays(twin: list[int], nxt: list[int], wide: list[bool],
                         free_loops: int) -> tuple:
     """Canonical signature computed straight from the map arrays.
@@ -266,32 +267,12 @@ def signature_of_arrays(twin: list[int], nxt: list[int], wide: list[bool],
     return (free_loops, tuple(encs))
 
 
-def component_signature(g: PlanarMap, comp: list[int]) -> tuple:
-    """Minimum rooted encoding over the component's roots (wide when present)."""
-    n = g.n_half
-    idx = [-1] * n
-    roots = [h for h in comp if g.wide[h]] or comp
-    best = None
-    stamp = 0
-    for r in roots:
-        stamp += n + 1
-        enc = _encode_from(g.twin, g.nxt, g.wide, r, idx, stamp)
-        if best is None or enc < best:
-            best = enc
-    return best
-
-
 def canonical_signature(g: PlanarMap) -> tuple:
     """Isomorphism invariant of the map (relabeling, component order, loops).
 
     Preserves rotation orientation: reflections are *not* identified.
     """
     return signature_of_arrays(g.twin, g.nxt, g.wide, g.free_loops)
-
-
-def signature_bytes(g: PlanarMap) -> bytes:
-    """The canonical signature as a deterministic byte string."""
-    return repr(canonical_signature(g)).encode()
 
 
 # -- construction ---------------------------------------------------------------

@@ -137,15 +137,6 @@ def h_rotate(g: PlanarMap, w: int) -> tuple[PlanarTrivalentGraph, dict[int, int]
     return s.finish(cls=type(g))
 
 
-def strip_circles(g: PlanarMap) -> tuple[int, PlanarMap]:
-    """Split off the free loops: returns (count, graph without them)."""
-    k = g.free_loops
-    if k == 0:
-        return 0, g
-    g2 = type(g)(g.twin, g.nxt, g.wide, g.over, 0, check=False)
-    return k, g2
-
-
 def apply_lollipop(g: PlanarMap, face: tuple[int, ...]
                    ) -> tuple[PlanarTrivalentGraph, dict[int, int]]:
     """Remove a curl (1-gon, or 2-gon through a wide edge); factor beta."""
@@ -444,13 +435,23 @@ def alternating_walk_reduce(g: PlanarTrivalentGraph, max_nodes: int = 50000,
 
 @dataclass
 class EvalContext:
-    """Memo table plus strategy knobs for the reduction."""
+    """Memo tables plus strategy knobs for the reduction.
+
+    `memo` maps canonical signatures (of components and of whole states) to
+    values; `results` maps `invariants.diagram_job_key` of a literal diagram
+    to its whole state-sum value.  `consistency` holds values claimed by an
+    earlier run under either kind of key: each is compared with the value
+    recomputed here instead of being served.  In `stats`, "components"
+    counts components reduced, "memo_hits" memo lookups that found a value,
+    and "state_hits" the states whose value came from `results` (all 3^c of
+    a diagram found there).
+    """
 
     memo: dict = field(default_factory=dict)
     rng: object = None              # random.Random for randomized strategies
     trace: list | None = None       # reduction trace (rule, face) entries
-    consistency: dict | None = None # cross-run signature -> value checker
-    state_table: dict = field(default_factory=dict)
+    consistency: dict | None = None # cross-run key -> claimed value checker
+    results: dict = field(default_factory=dict)
     stats: dict = field(default_factory=lambda: {
         "components": 0, "memo_hits": 0, "state_hits": 0})
 
@@ -500,15 +501,20 @@ def evaluate(g: PlanarMap, ctx: EvalContext | None = None) -> RingElem:
     return value
 
 
-def _store(ctx: EvalContext, sig, value: RingElem) -> None:
+def check_claim(ctx: EvalContext, key, value: RingElem) -> None:
+    """Compare a computed value with the one an earlier run claimed for key."""
+    if ctx.consistency is not None:
+        prev = ctx.consistency.get(key)
+        if prev is not None and prev != value:
+            raise InternalError("cross-run inconsistency for one key")
+        ctx.consistency[key] = value
+
+
+def store_memo(ctx: EvalContext, sig, value: RingElem) -> None:
     prev = ctx.memo.get(sig)
     if prev is not None and prev != value:
         raise InternalError("memo collision: two values for one signature")
-    if ctx.consistency is not None:
-        prev = ctx.consistency.get(sig)
-        if prev is not None and prev != value:
-            raise InternalError("cross-run inconsistency for one signature")
-        ctx.consistency[sig] = value
+    check_claim(ctx, sig, value)
     ctx.memo[sig] = value
 
 
@@ -536,7 +542,7 @@ def _eval_component(g: PlanarTrivalentGraph, ctx: EvalContext) -> RingElem:
             else:
                 cur = mv.after
         value = value + evaluate(cur, ctx)
-        _store(ctx, sig, value)
+        store_memo(ctx, sig, value)
         return value
 
     if ctx.rng is not None:
@@ -551,5 +557,5 @@ def _eval_component(g: PlanarTrivalentGraph, ctx: EvalContext) -> RingElem:
         value = RingElem.zero()
         for coeff, piece, _ in apply_wide_digon(g, cfg.face):
             value = value + coeff * evaluate(piece, ctx)
-    _store(ctx, sig, value)
+    store_memo(ctx, sig, value)
     return value

@@ -2,13 +2,14 @@ import json
 
 import pytest
 
-from dubrovnik.cli import (CacheCorrupt, CeilingExceeded, JobSpec, cache_load,
-                           cache_store, main, run)
-from dubrovnik.diagrams import parse_regraph
+from dubrovnik.cli import (CACHE_VERSION, CacheCorrupt, CeilingExceeded,
+                           JobSpec, cache_load, cache_store, main, run)
+from dubrovnik.diagrams import braid_to_link, parse_braid, parse_regraph
+from dubrovnik.invariants import kauffman_state_sum
 from dubrovnik.maps import canonical_signature
 from dubrovnik.ring import (LaurentPoly, R_ONE, RingElem, constants,
                             parse_ring_text, to_canonical_text)
-from dubrovnik.skein import EvalContext
+from dubrovnik.skein import EvalContext, InternalError
 
 C = constants()
 
@@ -77,21 +78,40 @@ def test_cache_round_trip(tmp_path):
     assert path.exists()
     ctx2 = EvalContext()
     loaded = cache_load(str(path), ctx2)
-    assert loaded == len(ctx.memo) + sum(len(t) for t in ctx.state_table.values())
-    # memo entries survive the text round trip exactly
-    for sig, val in ctx.memo.items():
-        assert ctx2.memo[sig] == val
+    assert loaded == len(ctx.memo) + len(ctx.results)
+    # both tables survive the text round trip exactly
+    assert ctx2.memo == ctx.memo
+    assert ctx2.results == ctx.results
     doc2 = run(job, EvalContext())
     assert doc1["value"] == doc2["value"]
 
 
-def test_cache_hits_speed_repeat(tmp_path):
+def test_cache_hits_speed_repeat(tmp_path, monkeypatch):
+    import dubrovnik.diagrams as D
+    import dubrovnik.invariants as I
     path = tmp_path / "cache.jsonl"
     job = JobSpec("braid", "n=3; 1 2 1 2 1 2", cache_path=str(path))
     run(job, EvalContext())
+    calls = {"resolve_arrays": 0, "evaluate": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    monkeypatch.setattr(D.StateResolver, "resolve_arrays",
+                        counting("resolve_arrays",
+                                 D.StateResolver.resolve_arrays))
+    monkeypatch.setattr(I, "evaluate", counting("evaluate", I.evaluate))
     ctx = EvalContext()
-    run(job, ctx)
+    doc = run(job, ctx)
     assert ctx.stats["state_hits"] == 3 ** 6
+    assert doc["statesEvaluated"] == 3 ** 6
+    assert calls == {"resolve_arrays": 0, "evaluate": 0}
+    # the counters do see a cold run
+    run(JobSpec("braid", "n=3; 1 2 1 2"), EvalContext())
+    assert calls["resolve_arrays"] == 3 ** 4 and calls["evaluate"] > 0
 
 
 def test_cache_corrupt(tmp_path, capsys):
@@ -104,6 +124,87 @@ def test_cache_corrupt(tmp_path, capsys):
     # an empty cache file is all misses, not an error
     path.write_text("")
     assert cache_load(str(path), ctx) == 0
+
+
+def test_cache_rejects_old_format(tmp_path, capsys):
+    import base64
+    path = tmp_path / "cache.jsonl"
+
+    def b64(text):
+        return base64.b64encode(text.encode()).decode()
+
+    # the per-state format: no version line, base64 keys, state|... rows
+    path.write_text(
+        json.dumps({"signature": b64(json.dumps(["memo", [1, ["t", []]]])),
+                    "value": "1"}) + "\n"
+        + json.dumps({"signature": b64("state|0123456789abcdef01234567|AB"),
+                      "value": "A*B"}) + "\n")
+    ctx = EvalContext()
+    assert cache_load(str(path), ctx) == 0
+    assert "stale or corrupt" in capsys.readouterr().err
+    assert not ctx.memo and not ctx.results
+    job = JobSpec("braid", "1 1", cache_path=str(path))
+    doc = run(job, EvalContext())
+    assert "stale or corrupt" in capsys.readouterr().err
+    assert path.read_text().splitlines()[0] == CACHE_VERSION
+    ctx2 = EvalContext()
+    assert cache_load(str(path), ctx2) == len(ctx2.memo) + len(ctx2.results) > 0
+    assert capsys.readouterr().err == ""
+    assert run(job, ctx2)["value"] == doc["value"]
+    assert ctx2.stats["state_hits"] == 3 ** 2
+
+
+def test_cache_store_is_atomic(tmp_path, monkeypatch):
+    import dubrovnik.cli as cli
+    path = tmp_path / "cache.jsonl"
+    run(JobSpec("braid", "1 1", cache_path=str(path)), EvalContext())
+    before = path.read_text()
+    ctx = EvalContext()
+    run(JobSpec("braid", "n=3; 1 2 1 2"), ctx)
+    written = []
+
+    def failing(value):
+        if len(written) == 3:
+            raise RuntimeError("simulated crash during store")
+        written.append(value)
+        return to_canonical_text(value)
+
+    monkeypatch.setattr(cli, "to_canonical_text", failing)
+    with pytest.raises(RuntimeError):
+        cache_store(str(path), ctx)
+    assert path.read_text() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
+    monkeypatch.undo()
+    ctx2 = EvalContext()
+    assert cache_load(str(path), ctx2) > 0
+    assert ctx2.results
+
+
+def test_debug_mode_recomputes_diagram_rows(tmp_path, monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    job = JobSpec("braid", "n=3; 1 2 1 2", cache_path=str(path))
+    run(job, EvalContext())
+    rows = path.read_text().splitlines()
+    tampered = [json.dumps({"diagram": json.loads(r)["diagram"], "value": "7"})
+                if '"diagram"' in r else r for r in rows]
+    assert tampered != rows
+    path.write_text("\n".join(tampered) + "\n")
+    # outside debug mode the stored row is served as it is
+    assert run(job, EvalContext())["value"]["terms"] == [
+        {"coeff": 7, "expa": 0, "expA": 0, "expB": 0}]
+    # in debug mode it is recomputed and the mismatch is an internal error
+    monkeypatch.setenv("DUBROVNIK_DEBUG", "1")
+    ctx = EvalContext()
+    with pytest.raises(InternalError):
+        run(job, ctx)
+    assert ctx.stats["state_hits"] == 0
+    # verify=True does the same without the environment variable
+    monkeypatch.delenv("DUBROVNIK_DEBUG")
+    ctx = EvalContext()
+    cache_load(str(path), ctx, verify=True)
+    assert not ctx.results and not ctx.memo
+    with pytest.raises(InternalError):
+        kauffman_state_sum(braid_to_link(parse_braid("n=3; 1 2 1 2")), ctx)
 
 
 def test_batch(tmp_path, capsys):
