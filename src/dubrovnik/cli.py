@@ -29,6 +29,7 @@ mid-store leaves the previous file intact.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -111,7 +112,9 @@ def cache_store(path: str, ctx: EvalContext) -> None:
                         + "\n")
         os.replace(tmp, path)
     except BaseException:
-        os.unlink(tmp)
+        # the temporary file may never have been created
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
         raise
 
 

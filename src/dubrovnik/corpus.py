@@ -16,7 +16,8 @@ import random
 import networkx as nx
 
 from .diagrams import (BraidWord, LinkDiagram, MapBuilder, PlanarTrivalentGraph,
-                       REGraphDiagram, braid_to_link, resolve_state)
+                       REGraphDiagram, braid_to_link, closure_diagram,
+                       resolve_state)
 
 
 def random_braid(rng: random.Random, max_strands: int = 4,
@@ -35,50 +36,10 @@ def random_braid(rng: random.Random, max_strands: int = 4,
 def regraph_from_word(n: int, word) -> REGraphDiagram:
     """Close a word of braid letters (ints) and wide insertions ('W', i).
 
-    A wide insertion puts the four-ended rigid gadget across strands
-    (i, i+1), exactly like the tangle generator; crossings never touch the
-    wide edges, so the result is always a valid knotted-graph diagram.
+    Crossings never touch the wide edges, so the result is always a valid
+    knotted-graph diagram (see `diagrams.closure_diagram`).
     """
-    builder = MapBuilder()
-    top: dict[int, int] = {}
-    cur: dict[int, int] = {}
-
-    def place(pos: int, upper: int, lower: int) -> None:
-        if pos in cur:
-            builder.weld(cur[pos], upper)
-        else:
-            top[pos] = upper
-        cur[pos] = lower
-
-    for item in word:
-        if isinstance(item, int):
-            i = abs(item) - 1
-            nw = builder.half()
-            ne = builder.half()
-            sw = builder.half()
-            se = builder.half()
-            builder.node([ne, nw, sw, se])
-            builder.mark_over([nw, se] if item > 0 else [ne, sw])
-            place(i, nw, sw)
-            place(i + 1, ne, se)
-        else:
-            _, pos = item
-            i = pos - 1
-            w1, w2 = builder.edge(wide=True)
-            ur = builder.half()
-            ul = builder.half()
-            vl = builder.half()
-            vr = builder.half()
-            builder.node([w1, ur, ul])
-            builder.node([w2, vl, vr])
-            place(i, ul, vl)
-            place(i + 1, ur, vr)
-    for pos in range(n):
-        if pos in cur:
-            builder.weld(cur[pos], top[pos])
-        else:
-            builder.free_loops += 1
-    return builder.finish(cls=REGraphDiagram)
+    return closure_diagram(n, word, REGraphDiagram)
 
 
 def random_regraph(rng: random.Random, max_strands: int = 4,

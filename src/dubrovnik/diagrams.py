@@ -199,8 +199,16 @@ class PlanarTrivalentGraph(REGraphDiagram):
 
 # -- braid closure ---------------------------------------------------------------
 
-def braid_to_link(b: BraidWord) -> LinkDiagram:
-    """Closure diagram of a braid; crossing-free strands become free loops."""
+def closure_diagram(n: int, word, cls) -> PlanarMap:
+    """Close a word of braid letters (ints) and wide insertions ('W', i).
+
+    Letter i > 0 is a positive crossing on strands (i, i+1) and -i its
+    inverse; a wide insertion puts the four-ended rigid gadget across
+    strands (i, i+1), exactly like the tangle generator.  The bottom of
+    every strand is welded to its top; strands that meet nothing become
+    free loops.  Half-edges are numbered in word order, four per crossing
+    and six per gadget, so a word always yields the same literal diagram.
+    """
     builder = MapBuilder()
     top: dict[int, int] = {}
     cur: dict[int, int] = {}
@@ -212,23 +220,41 @@ def braid_to_link(b: BraidWord) -> LinkDiagram:
             top[pos] = upper
         cur[pos] = lower
 
-    for l in b.letters:
-        i = abs(l) - 1
-        nw = builder.half()
-        ne = builder.half()
-        sw = builder.half()
-        se = builder.half()
-        # CCW rotation around the crossing: NE(45°), NW(135°), SW(225°), SE(315°)
-        builder.node([ne, nw, sw, se])
-        builder.mark_over([nw, se] if l > 0 else [ne, sw])
-        place(i, nw, sw)
-        place(i + 1, ne, se)
-    for pos in range(b.strands):
+    for item in word:
+        if isinstance(item, int):
+            i = abs(item) - 1
+            nw = builder.half()
+            ne = builder.half()
+            sw = builder.half()
+            se = builder.half()
+            # CCW rotation around the crossing: NE(45°), NW(135°), SW(225°), SE(315°)
+            builder.node([ne, nw, sw, se])
+            builder.mark_over([nw, se] if item > 0 else [ne, sw])
+            place(i, nw, sw)
+            place(i + 1, ne, se)
+        else:
+            _, pos = item
+            i = pos - 1
+            w1, w2 = builder.edge(wide=True)
+            ur = builder.half()
+            ul = builder.half()
+            vl = builder.half()
+            vr = builder.half()
+            builder.node([w1, ur, ul])
+            builder.node([w2, vl, vr])
+            place(i, ul, vl)
+            place(i + 1, ur, vr)
+    for pos in range(n):
         if pos in cur:
             builder.weld(cur[pos], top[pos])
         else:
             builder.free_loops += 1
-    return builder.finish(cls=LinkDiagram)
+    return builder.finish(cls=cls)
+
+
+def braid_to_link(b: BraidWord) -> LinkDiagram:
+    """Closure diagram of a braid; crossing-free strands become free loops."""
+    return closure_diagram(b.strands, b.letters, LinkDiagram)
 
 
 # -- PD / wide-edge record parsing --------------------------------------------------

@@ -20,6 +20,7 @@ exactly.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 
 from .diagrams import (BraidWord, PlanarTrivalentGraph, StateRecord,
@@ -29,8 +30,9 @@ from .diagrams import (BraidWord, PlanarTrivalentGraph, StateRecord,
 from .maps import PlanarMap, signature_of_arrays
 from .ring import (LaurentPoly, QLaurent, RingElem, constants, qlaurent_mul,
                    ring_sum, specialize_soN)
-from .skein import (EvalContext, apply_lollipop, apply_wide_digon,
-                    check_claim, default_context, evaluate, store_memo)
+from .skein import (EvalContext, InternalError, apply_lollipop,
+                    apply_wide_digon, check_claim, default_context, evaluate,
+                    store_memo)
 
 
 class MissingWrithe(ValueError):
@@ -57,14 +59,35 @@ def diagram_job_key(d: PlanarMap) -> str:
     return hashlib.sha256(payload).hexdigest()[:24]
 
 
+def _add_weight(table: dict, key, weight: dict) -> None:
+    """Add the monomial counts `weight` into table[key] (taking ownership)."""
+    total = table.get(key)
+    if total is None:
+        table[key] = weight
+    else:
+        for mono, k in weight.items():
+            total[mono] = total.get(mono, 0) + k
+
+
 def kauffman_state_sum(d: PlanarMap, ctx: EvalContext | None = None) -> InvariantResult:
     """Resolve every crossing and sum the weighted graph polynomials.
 
-    Each of the 3^c states is resolved and given its canonical signature,
-    and only counted: states with equal signatures share one weight
-    polynomial sum A^#A B^#B.  Each distinct signature is then evaluated
-    once, through the memo shared across diagrams, and the weighted values
-    are summed with a single normalization.
+    The 3^c states are grouped in three steps, each keeping a weight
+    polynomial sum A^#A B^#B of the states it merges:
+
+    * literal key -> weight: each state is resolved and counted under the
+      literal key (twin, free loops) of its arrays;
+    * signature -> weight: each literal key is given its canonical
+      signature once, and equal signatures pool their weights;
+    * value -> weight: each signature is evaluated once, through the memo
+      shared across diagrams, and signatures with equal values pool their
+      weights.
+
+    Each distinct value is then multiplied by its weight once, and the
+    products are summed with a single normalization.  In debug mode
+    (`DUBROVNIK_DEBUG` set, or `ctx.consistency` in use) every state is
+    signed as well, and a literal key met with two signatures raises
+    InternalError.
 
     The whole-diagram value is kept in `ctx.results` under
     `diagram_job_key(d)`; a repeat of the same diagram is served from there
@@ -79,34 +102,52 @@ def kauffman_state_sum(d: PlanarMap, ctx: EvalContext | None = None) -> Invarian
     if hit is not None:
         ctx.stats["state_hits"] += count
         return InvariantResult(hit, None, count, "stateSum")
+    debug = ctx.consistency is not None or bool(os.environ.get("DUBROVNIK_DEBUG"))
+    signed: dict[tuple, tuple] = {}
     resolver = StateResolver(d)
-    weights: dict[tuple, dict[tuple[int, int, int], int]] = {}
+    # resolve_arrays numbers the surviving half-edges first, then six per
+    # wide gadget with a fixed rotation and edge kind, so nxt and wide are
+    # functions of len(twin) alone: (twin, loops) pins a state's arrays
+    # exactly, and states with equal literal keys have equal signatures.
+    literal: dict[tuple, dict[tuple[int, int, int], int]] = {}
     shapes: dict[tuple, tuple] = {}
     for choices in itertools.product("ABW", repeat=c):
         twin, nxt, wide, loops, na, nb = resolver.resolve_arrays(choices)
-        sig = signature_of_arrays(twin, nxt, wide, loops)
-        weight = weights.get(sig)
+        lkey = (tuple(twin), loops)
+        weight = literal.get(lkey)
         if weight is None:
-            weight = weights[sig] = {}
-            shapes[sig] = (twin, nxt, wide, loops)
+            weight = literal[lkey] = {}
+            shapes[lkey] = (twin, nxt, wide, loops)
         mono = (0, na, nb)
         weight[mono] = weight.get(mono, 0) + 1
-    terms = []
-    for sig, weight in weights.items():
+        if debug:
+            sig = signature_of_arrays(twin, nxt, wide, loops)
+            if signed.setdefault(lkey, sig) != sig:
+                raise InternalError("one literal state with two signatures")
+    by_sig: dict[tuple, dict] = {}
+    sig_shape: dict[tuple, tuple] = {}
+    for lkey, weight in literal.items():
+        shape = shapes[lkey]
+        sig = signature_of_arrays(*shape)
+        sig_shape.setdefault(sig, shape)
+        _add_weight(by_sig, sig, weight)
+    by_value: dict[RingElem, dict] = {}
+    for sig, weight in by_sig.items():
         value = ctx.memo.get(sig)
         if value is None:
-            twin, nxt, wide, loops = shapes[sig]
+            twin, nxt, wide, loops = sig_shape[sig]
             g = PlanarTrivalentGraph(twin, nxt, wide, frozenset(), loops,
                                      check=False)
             value = evaluate(g, ctx)
             store_memo(ctx, sig, value)
         else:
             ctx.stats["memo_hits"] += 1
-        # A weight has positive coefficients, so (A-B) does not divide it and
-        # the product with a canonical value is canonical.
-        terms.append(RingElem(LaurentPoly(weight) * value.num, value.dpow,
-                              _canonical=True))
-    value = ring_sum(terms)
+        _add_weight(by_value, value, weight)
+    # A weight has positive coefficients, so (A-B) does not divide it and
+    # the product with a canonical value is canonical.
+    value = ring_sum(RingElem(LaurentPoly(weight) * v.num, v.dpow,
+                              _canonical=True)
+                     for v, weight in by_value.items())
     check_claim(ctx, key, value)
     ctx.results[key] = value
     return InvariantResult(value, None, count, "stateSum")

@@ -200,19 +200,23 @@ class PlanarMap:
 # -- canonical signatures ------------------------------------------------------
 
 def _encode_from(twin: list[int], nxt: list[int], wide: list[bool],
-                 h0: int, idx: list[int], stamp: int) -> tuple:
+                 h0: int, idx: list[int], stamp: int,
+                 best: tuple | None = None) -> tuple | None:
     """Deterministic rooted encoding of one component starting at h0.
 
     `idx` is a scratch array of stamps; entries older than `stamp` count as
     unvisited, so the buffer can be reused across roots without clearing.
+    Given `best`, an encoding of the same component, the walk returns None
+    as soon as its prefix exceeds best's, so only an encoding no larger
+    than `best` is ever completed.
     """
     idx[h0] = stamp
     order = [h0]
     out = []
+    tied = best is not None
     i = 0
     while i < len(order):
         h = order[i]
-        i += 1
         t, n = twin[h], nxt[h]
         if idx[t] < stamp:
             idx[t] = stamp + len(order)
@@ -220,26 +224,65 @@ def _encode_from(twin: list[int], nxt: list[int], wide: list[bool],
         if idx[n] < stamp:
             idx[n] = stamp + len(order)
             order.append(n)
-        out.append((idx[t] - stamp, idx[n] - stamp, wide[h]))
+        triple = (idx[t] - stamp, idx[n] - stamp, wide[h])
+        if tied and triple != best[i]:
+            if triple > best[i]:
+                return None
+            tied = False
+        out.append(triple)
+        i += 1
     return tuple(out)
+
+
+def _face_lengths(twin: list[int], nxt: list[int]) -> list[int]:
+    """Length of the face (orbit of h -> nxt[twin[h]]) through each half-edge."""
+    flen = [0] * len(twin)
+    for h0 in range(len(twin)):
+        if flen[h0]:
+            continue
+        face = [h0]
+        h = nxt[twin[h0]]
+        while h != h0:
+            face.append(h)
+            h = nxt[twin[h]]
+        k = len(face)
+        for h in face:
+            flen[h] = k
+    return flen
 
 
 # Names the signature scheme below; persisted signatures (the CLI cache)
 # are valid only under the same name, so change it with the encoding.
-SIGNATURE_SCHEME = "wide-rooted-min/1"
+SIGNATURE_SCHEME = "least-colour-rooted-min/2"
 
 
 def signature_of_arrays(twin: list[int], nxt: list[int], wide: list[bool],
                         free_loops: int) -> tuple:
     """Canonical signature computed straight from the map arrays.
 
-    Roots are restricted to wide half-edges when a component has any (every
-    isomorphism preserves the edge kind, so the minimum over wide roots is
-    just as canonical and three times cheaper on trivalent maps).
+    A component is encoded by the least of its rooted encodings over a set
+    of candidate roots.  The signature is canonical when every
+    orientation-preserving isomorphism carries the candidates onto the
+    candidates of its image: then isomorphic maps have equal minima, while
+    a rooted encoding determines its component, so non-isomorphic maps
+    differ.  The candidates are the wide half-edges when a component has
+    any (isomorphisms keep the edge kind).  When there are more than two
+    (one wide edge is cheaper to encode twice than to colour), only those
+    of the least colour
+
+        (flen[h], flen[nxt h], flen[nxt nxt h], flen[twin h])
+
+    remain, flen being the length of the face through a half-edge.
+    Isomorphisms carry faces to faces of the same length, so they keep
+    colours, and the least class is again such a set.  Reflections are not
+    identified.  The sorted component encodings are paired with the
+    free-loop count; these bytes are scheme `SIGNATURE_SCHEME`, which names
+    the choice of roots and the encoding, so change it with either.
     """
     n = len(twin)
     seen = [False] * n
     idx = [-1] * n
+    flen = None
     stamp = 0
     encs = []
     for h0 in range(n):
@@ -256,11 +299,18 @@ def signature_of_arrays(twin: list[int], nxt: list[int], wide: list[bool],
                     seen[nb] = True
                     stack.append(nb)
         roots = [h for h in comp if wide[h]] or comp
+        if len(roots) > 2:
+            if flen is None:
+                flen = _face_lengths(twin, nxt)
+            colours = [(flen[r], flen[nxt[r]], flen[nxt[nxt[r]]],
+                        flen[twin[r]]) for r in roots]
+            least = min(colours)
+            roots = [r for r, c in zip(roots, colours) if c == least]
         best = None
         for r in roots:
             stamp += n + 1
-            enc = _encode_from(twin, nxt, wide, r, idx, stamp)
-            if best is None or enc < best:
+            enc = _encode_from(twin, nxt, wide, r, idx, stamp, best)
+            if enc is not None:
                 best = enc
         encs.append(best)
     encs.sort()

@@ -180,6 +180,29 @@ def test_cache_store_is_atomic(tmp_path, monkeypatch):
     assert ctx2.results
 
 
+def test_cache_store_keeps_the_original_error(tmp_path, monkeypatch):
+    import dubrovnik.cli as cli
+    path = tmp_path / "cache.jsonl"
+    run(JobSpec("braid", "1 1", cache_path=str(path)), EvalContext())
+    before = path.read_text()
+    ctx = EvalContext()
+    run(JobSpec("braid", "n=3; 1 2 1 2"), ctx)
+
+    def denied(file, *args, **kw):
+        raise PermissionError(f"simulated: cannot open {file}")
+
+    # the temporary file is never created, so there is nothing to clean up
+    monkeypatch.setattr(cli, "open", denied, raising=False)
+    with pytest.raises(PermissionError):
+        cache_store(str(path), ctx)
+    monkeypatch.undo()
+    assert path.read_text() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
+    ctx2 = EvalContext()
+    assert cache_load(str(path), ctx2) > 0
+    assert ctx2.results
+
+
 def test_debug_mode_recomputes_diagram_rows(tmp_path, monkeypatch):
     path = tmp_path / "cache.jsonl"
     job = JobSpec("braid", "n=3; 1 2 1 2", cache_path=str(path))

@@ -43,6 +43,17 @@ def test_braid_to_link():
     assert d2.crossings() == 2
 
 
+def test_closure_numbering_is_pinned():
+    # diagram_job_key names literal diagrams in cache files, so the closure
+    # builder must keep numbering half-edges as it always has
+    from dubrovnik.corpus import regraph_from_word
+    from dubrovnik.invariants import diagram_job_key
+    assert diagram_job_key(braid_to_link(parse_braid("n=3; 1 -2 1 2"))) \
+        == "749b1fc980467d5ea8c80fc0"
+    assert diagram_job_key(regraph_from_word(
+        3, [1, ("W", 2), -2, ("W", 1), 2])) == "58c0d10e39fdf2c20f16004e"
+
+
 def test_closure_component_count():
     rng = random.Random(1)
     for _ in range(30):

@@ -182,3 +182,65 @@ def test_n2_matches_specialization():
     for _ in range(15):
         g = random_trivalent_graph(rng, max_vertices=10)
         assert specialize_soN(evaluate(g, ctx), 2) == n2_closed_form(g)
+
+
+def _crossed_regraphs(seed: int, count: int):
+    """Knotted-graph diagrams with both wide-edge vertices and crossings."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = random_regraph(rng, max_crossings=4, max_wide=3)
+        if d.crossing_nodes():
+            out.append(d)
+    return out
+
+
+def _count_signatures(monkeypatch):
+    import dubrovnik.invariants as inv
+    calls = []
+    real = inv.signature_of_arrays
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(inv, "signature_of_arrays", counting)
+    return calls
+
+
+def test_state_sum_signs_each_literal_state_once(monkeypatch):
+    from dubrovnik.diagrams import states
+    monkeypatch.delenv("DUBROVNIK_DEBUG", raising=False)
+    calls = _count_signatures(monkeypatch)
+    ctx = EvalContext()
+    shared = 0
+    for d in _crossed_regraphs(59, 8):
+        plain = RingElem.zero()
+        literal = set()
+        for s in states(d):
+            plain = plain + RingElem.mono(0, s.na, s.nb) * evaluate(s.graph, ctx)
+            literal.add((tuple(s.graph.twin), s.graph.free_loops))
+        calls.clear()
+        assert kauffman_state_sum(d, EvalContext()).value == plain
+        assert len(calls) == len(literal)
+        shared += len(literal) < 3 ** len(d.crossing_nodes())
+    assert shared
+
+
+def test_debug_state_sum_signs_every_state(monkeypatch):
+    diagrams = _crossed_regraphs(61, 4)
+    expected = [kauffman_state_sum(d, EvalContext()).value for d in diagrams]
+    monkeypatch.setenv("DUBROVNIK_DEBUG", "1")
+    calls = _count_signatures(monkeypatch)
+    for d, value in zip(diagrams, expected):
+        calls.clear()
+        assert kauffman_state_sum(d, EvalContext()).value == value
+        assert len(calls) > 3 ** len(d.crossing_nodes())
+    # a signature that is not a function of the arrays is caught
+    import dubrovnik.invariants as inv
+    from dubrovnik.skein import InternalError
+    stamps = iter(range(10 ** 6))
+    monkeypatch.setattr(inv, "signature_of_arrays",
+                        lambda *args: (0, ((next(stamps),),)))
+    with pytest.raises(InternalError):
+        kauffman_state_sum(braid_to_link(parse_braid("1 -1")), EvalContext())

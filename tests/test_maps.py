@@ -59,6 +59,63 @@ def test_signature_relabeling_invariance():
         assert canonical_signature(relabel(th, rng)) == sig
 
 
+def oracle_encoding(g: PlanarMap) -> tuple:
+    """Brute force: least breadth-first encoding over every root, per component."""
+    comps = []
+    left = set(range(g.n_half))
+    while left:
+        comp, todo = set(), [min(left)]
+        while todo:
+            h = todo.pop()
+            if h not in comp:
+                comp.add(h)
+                todo += [g.twin[h], g.nxt[h]]
+        left -= comp
+        codes = []
+        for root in comp:
+            label, queue = {root: 0}, [root]
+            for h in queue:                   # queue grows while walked
+                for x in (g.twin[h], g.nxt[h]):
+                    if x not in label:
+                        label[x] = len(label)
+                        queue.append(x)
+            codes.append(tuple((label[g.twin[h]], label[g.nxt[h]], g.wide[h])
+                               for h in queue))
+        comps.append(min(codes))
+    return (g.free_loops, tuple(sorted(comps)))
+
+
+def reflect(g: PlanarMap) -> PlanarMap:
+    """Mirror image: every rotation reversed."""
+    prev = [0] * g.n_half
+    for h in range(g.n_half):
+        prev[g.nxt[h]] = h
+    return PlanarMap(g.twin, prev, g.wide, frozenset(), g.free_loops,
+                     check=False)
+
+
+def test_signature_classes_match_the_brute_force_oracle():
+    from dubrovnik.corpus import dodecahedral_graphs, trivalent_corpus
+    rng = random.Random(5)
+    base = trivalent_corpus(rng, 40) + dodecahedral_graphs()
+    maps = []
+    for g in base:
+        maps += [g, relabel(g, rng), reflect(g), relabel(reflect(g), rng)]
+    sigs = [canonical_signature(g) for g in maps]
+    oracle = [oracle_encoding(g) for g in maps]
+    for i in range(0, len(maps), 2):
+        assert sigs[i] == sigs[i + 1]           # relabeling changes nothing
+    for i in range(len(maps)):
+        for j in range(i):
+            assert (sigs[i] == sigs[j]) == (oracle[i] == oracle[j])
+    # the corpus holds chiral graphs, whose reflections are told apart
+    chiral = [i for i in range(0, len(maps), 4) if oracle[i] != oracle[i + 2]]
+    assert chiral
+    assert all(sigs[i] != sigs[i + 2] for i in chiral)
+    # and pairs isomorphic otherwise than by relabeling (achiral, repeated)
+    assert len(set(oracle)) < len(maps) // 2
+
+
 def test_signature_distinguishes():
     th = build_theta()
     loop = PlanarMap([], [], [], frozenset(), 1)
