@@ -23,9 +23,8 @@ from .diagrams import (BadEdge, BadIncidence, BraidWord, LinkDiagram,
                        states, switch_crossing, t_tangle, writhe)
 from .skein import (EvalContext, InternalError, LocalConfig,
                     alternating_walk_reduce, apply_lollipop, apply_wide_digon,
-                    clear_default_memo, default_context, evaluate,
-                    find_local_config, h_rotate, reducible_configs,
-                    square_move)
+                    default_context, evaluate, find_local_config, h_rotate,
+                    reducible_configs, square_move)
 from .invariants import (InvariantResult, MissingWrithe, MixedArity, bracket,
                          eval_braid, kauffman_state_sum, n2_closed_form,
                          normalized, regraph_invariant, rho_expand, so_n,

@@ -34,13 +34,12 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .diagrams import (BraidWord, ParseError, braid_to_link, mirror,
-                       parse_braid, parse_pd, parse_regraph)
+from .diagrams import (ParseError, braid_to_link, mirror, parse_braid,
+                       parse_pd, parse_regraph)
 from .fourvalent import kauffman_via_4valent
-from .invariants import (InvariantResult, kauffman_state_sum, n2_closed_form,
-                         normalized)
+from .invariants import kauffman_state_sum, n2_closed_form, normalized
 from .maps import SIGNATURE_SCHEME, InvalidMap, NonPlanar, PlanarMap
 from .ring import (RingElem, parse_ring_text, qlaurent_text, specialize_soN,
                    to_canonical_text)
@@ -339,7 +338,7 @@ def main(argv=None) -> int:
             suites = [s for s in ALL_SUITES if args.suite in s.__name__]
         failed = 0
         for name, ok, detail in run_all(suites):
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+            print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}", flush=True)
             failed += not ok
         return 2 if failed else 0
 

@@ -10,14 +10,12 @@ so no local rule applies and evaluation must go through the move search.
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import networkx as nx
 
-from .diagrams import (BraidWord, LinkDiagram, MapBuilder, PlanarTrivalentGraph,
-                       REGraphDiagram, braid_to_link, closure_diagram,
-                       resolve_state)
+from .diagrams import (BraidWord, MapBuilder, PlanarTrivalentGraph,
+                       REGraphDiagram, closure_diagram, resolve_state)
 
 
 def random_braid(rng: random.Random, max_strands: int = 4,
@@ -61,6 +59,28 @@ def random_regraph(rng: random.Random, max_strands: int = 4,
 def clasped_handcuff() -> REGraphDiagram:
     """Two loops joined by a wide edge, clasped by two positive crossings."""
     return regraph_from_word(2, [("W", 1), 1, 1])
+
+
+def n2_vanishing_diagrams(rng: random.Random, count: int):
+    """Yield `count` one-crossing knotted-graph diagrams whose three
+    resolutions at the crossing have equal numbers of components (free loops
+    included); their N = 2 value vanishes.  Lazy, so it may share `rng`."""
+    found = 0
+    while found < count:
+        n = rng.randint(2, 3)
+        word = [("W", rng.randint(1, n - 1)) for _ in range(rng.randint(1, 2))]
+        word.insert(rng.randrange(len(word) + 1),
+                    rng.choice([i for i in range(-(n - 1), n) if i]))
+        d = regraph_from_word(n, word)
+        if len(d.crossing_nodes()) != 1:
+            continue
+        pieces = set()
+        for ch in "ABW":
+            g = resolve_state(d, ch, check=False).graph
+            pieces.add(len(g.components()) + g.free_loops)
+        if len(pieces) == 1:
+            found += 1
+            yield d
 
 
 # -- random planar trivalent graphs ------------------------------------------------
@@ -132,9 +152,3 @@ def dodecahedral_graphs(count: int = 10) -> list[PlanarTrivalentGraph]:
             builder.node([halves[(v, u)] for u in rotation[v]])
         out.append(builder.finish(cls=PlanarTrivalentGraph))
     return out
-
-
-def link_corpus(rng: random.Random, count: int, max_strands: int = 3,
-                max_letters: int = 6) -> list[LinkDiagram]:
-    return [braid_to_link(random_braid(rng, max_strands, max_letters))
-            for _ in range(count)]

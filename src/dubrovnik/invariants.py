@@ -23,10 +23,9 @@ import itertools
 import os
 from dataclasses import dataclass
 
-from .diagrams import (BraidWord, PlanarTrivalentGraph, StateRecord,
-                       StateResolver, Tangle, braid_to_link, c_tangle,
-                       close_tangle, identity_tangle, resolve_state, stack,
-                       states, t_tangle)
+from .diagrams import (BraidWord, PlanarTrivalentGraph, StateResolver, Tangle,
+                       braid_to_link, c_tangle, close_tangle, identity_tangle,
+                       stack, t_tangle)
 from .maps import PlanarMap, signature_of_arrays
 from .ring import (LaurentPoly, QLaurent, RingElem, constants, qlaurent_mul,
                    ring_sum, specialize_soN)

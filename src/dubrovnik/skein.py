@@ -467,10 +467,6 @@ def default_context() -> EvalContext:
     return _DEFAULT_CTX
 
 
-def clear_default_memo() -> None:
-    _DEFAULT_CTX.memo.clear()
-
-
 def _extract_component(g: PlanarMap, comp: list[int]) -> PlanarTrivalentGraph:
     comp_sorted = sorted(comp)
     idmap = {h: i for i, h in enumerate(comp_sorted)}

@@ -1,7 +1,11 @@
 """Acceptance suite: one test per criterion, every equality exact.
 
-Each test prints a single pass/fail line (shown with pytest -s or in the
-captured output) and enforces its wall-clock budget.  Run with
+The criteria are the gate.  Each fixes its seeds, corpus sizes and
+wall-clock budget here; the property checks themselves live in
+`dubrovnik.verify`, the same suites `dubrovnik verify` runs on its own
+inputs.  Each test prints the suites' [PASS]/[FAIL] lines and a single
+criterion line (shown with pytest -s or in the captured output), and
+enforces its budget.  Run with
 
     pytest tests/test_acceptance.py -v -s
 """
@@ -9,25 +13,14 @@ captured output) and enforces its wall-clock budget.  Run with
 import random
 import time
 
-import pytest
-
+from dubrovnik import verify as V
 from dubrovnik.cli import JobSpec, run
-from dubrovnik.corpus import (clasped_handcuff, dodecahedral_graphs,
+from dubrovnik.corpus import (dodecahedral_graphs, n2_vanishing_diagrams,
                               random_braid, random_regraph,
-                              random_trivalent_graph, regraph_from_word)
-from dubrovnik.diagrams import (BraidWord, braid_to_link, connected_sum,
-                                disjoint_union, mirror, parse_braid,
-                                resolve_state, smooth_crossing,
-                                switch_crossing)
-from dubrovnik.fourvalent import OracleContext, kauffman_via_4valent
-from dubrovnik.invariants import (bracket, eval_braid, kauffman_state_sum,
-                                  n2_closed_form, regraph_invariant, so_n)
-from dubrovnik.maps import PlanarMap
-from dubrovnik.ring import (R_A, R_A_minus_B, R_B, R_ONE, R_a, R_a_inv,
-                            RingElem, constants, specialize_soN)
-from dubrovnik.skein import EvalContext, evaluate, reducible_configs
+                              random_trivalent_graph)
+from dubrovnik.diagrams import BraidWord, braid_to_link
+from dubrovnik.skein import EvalContext
 
-C = constants()
 _SHARED = EvalContext()
 
 
@@ -41,31 +34,28 @@ def report(num: int, ok: bool, label: str, t0: float, limit: float | None):
         assert dt < limit, f"criterion {num} exceeded {limit}s ({dt:.1f}s)"
 
 
+def holds(*results) -> bool:
+    """Print each verify-suite result as `dubrovnik verify` does; True when
+    every one passed."""
+    for name, ok, detail in results:
+        print(f"  [{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+    return all(ok for _, ok, _ in results)
+
+
 def test_criterion_01_ring_identities():
     t0 = time.perf_counter()
-    ok = (R_A * C.alpha + R_B + C.beta - R_a).is_zero() \
-        and (R_A * R_a_inv + R_B * R_B + R_B * C.beta + C.gamma).is_zero() \
-        and (R_A * R_A + R_B * R_B + (R_A + R_B) * C.beta
-             + R_A * R_B * C.alpha + C.gamma).is_zero() \
-        and (R_A * R_B * C.beta + (R_A + R_B) * C.gamma - C.delta).is_zero()
-    report(1, ok, "ring identities", t0, 1)
+    report(1, holds(V.check_ring_identities()), "ring identities", t0, 1)
 
 
 def test_criterion_02_normalization():
     t0 = time.perf_counter()
-    ok = eval_braid(parse_braid("n=1;"), _SHARED).value == R_ONE
-    for k in range(1, 6):
-        g = PlanarMap([], [], [], frozenset(), k)
-        ok = ok and evaluate(g, _SHARED) == C.alpha ** (k - 1)
-    report(2, ok, "unknot and k disjoint circles", t0, 1)
+    report(2, holds(V.check_normalization(5, _SHARED)),
+           "unknot and k disjoint circles", t0, 1)
 
 
 def test_criterion_03_hopf():
     t0 = time.perf_counter()
-    aa = R_a - R_a_inv
-    expected = aa * R_A_minus_B + RingElem(aa.num, 1) + R_ONE
-    ok = eval_braid(parse_braid("1 1"), _SHARED).value == expected
-    report(3, ok, "Hopf link printed value", t0, 1)
+    report(3, holds(V.check_hopf(_SHARED)), "Hopf link printed value", t0, 1)
 
 
 BRAID_CORPUS = None
@@ -82,68 +72,31 @@ def braid_corpus() -> list[BraidWord]:
 
 def test_criterion_04_markov_battery():
     t0 = time.perf_counter()
-    rng = random.Random(7)
-    ok = True
-    for b in braid_corpus():
-        base = bracket(b, _SHARED)
-        k = rng.randint(0, len(b.letters))
-        i = rng.randint(1, b.strands - 1)
-        ins = BraidWord(b.strands, b.letters[:k] + (i, -i) + b.letters[k:])
-        conj = b.conjugated_by(rng.randint(1, b.strands - 1))
-        variants = [ins, conj, b.stabilized(1), b.stabilized(-1)]
-        ok = ok and all(bracket(v, _SHARED) == base for v in variants)
-        if b.strands >= 3:
-            i = rng.randint(1, b.strands - 2)
-            left = BraidWord(b.strands, (i, i + 1, i) + b.letters)
-            right = BraidWord(b.strands, (i + 1, i, i + 1) + b.letters)
-            ok = ok and bracket(left, _SHARED) == bracket(right, _SHARED)
-        if not ok:
-            break
+    ok = holds(V.check_markov(braid_corpus(), random.Random(7), _SHARED))
     report(4, ok, "Reidemeister/Markov battery, 100 braids", t0, 60)
 
 
 def test_criterion_05_dubrovnik_axioms():
     t0 = time.perf_counter()
     rng = random.Random(11)
-    z = R_A - R_B
-    ok = True
-    for _ in range(50):
-        b = random_braid(rng, max_strands=4, max_letters=6, min_letters=1)
-        d = braid_to_link(b)
-        node = rng.choice(d.crossing_nodes())
-        p_pos = kauffman_state_sum(d, _SHARED).value
-        p_neg = kauffman_state_sum(switch_crossing(d, node), _SHARED).value
-        p_0 = kauffman_state_sum(smooth_crossing(d, node, "A"), _SHARED).value
-        p_inf = kauffman_state_sum(smooth_crossing(d, node, "B"), _SHARED).value
-        ok = ok and p_pos - p_neg == z * (p_0 - p_inf)
-        up = kauffman_state_sum(braid_to_link(b.stabilized(1)), _SHARED).value
-        down = kauffman_state_sum(braid_to_link(b.stabilized(-1)), _SHARED).value
-        ok = ok and up == R_a * p_pos and down == R_a_inv * p_pos
-        if not ok:
-            break
+    braids = (random_braid(rng, max_strands=4, max_letters=6, min_letters=1)
+              for _ in range(50))
+    ok = holds(V.check_dubrovnik_axioms(braids, rng, _SHARED))
     report(5, ok, "Dubrovnik relation and kink factors, 50 diagrams", t0, 60)
 
 
 def test_criterion_06_path_agreement():
     t0 = time.perf_counter()
-    ok = True
-    for b in braid_corpus():
-        lhs = RingElem.mono(b.writhe(), 0, 0) * bracket(b, _SHARED)
-        ok = ok and lhs == eval_braid(b, _SHARED).value
-        if not ok:
-            break
     # oracle agreement on small-braid closures in B2 and B3
     small = [b for b in braid_corpus()
              if b.strands <= 3 and len(b.letters) <= 6]
     rng = random.Random(13)
     while len(small) < 30:
         small.append(random_braid(rng, max_strands=3, max_letters=6))
-    octx = OracleContext()
-    for b in small:
-        d = braid_to_link(b)
-        ok = ok and kauffman_via_4valent(d, octx) == kauffman_state_sum(d, _SHARED).value
-        if not ok:
-            break
+    links = (braid_to_link(b) for b in braid_corpus())
+    ok = holds(V.check_path_agreement(braid_corpus(), _SHARED),
+               V.check_oracle((), small, _SHARED),
+               V.check_link_z_dependence(links, _SHARED))
     report(6, ok, f"bracket vs state sum (100) and 4-valent oracle ({len(small)})",
            t0, 120)
 
@@ -151,34 +104,20 @@ def test_criterion_06_path_agreement():
 def test_criterion_07_mirror_law():
     t0 = time.perf_counter()
     rng = random.Random(17)
-    ok = True
-    for _ in range(30):
-        d = random_regraph(rng, max_crossings=6, max_wide=4)
-        v = regraph_invariant(d, _SHARED).value
-        ok = ok and regraph_invariant(mirror(d), _SHARED).value == v.swap_AB_invert_a()
-        if not ok:
-            break
-    report(7, ok, "mirror law on 30 knotted-graph diagrams", t0, None)
+    diagrams = (random_regraph(rng, max_crossings=6, max_wide=4)
+                for _ in range(30))
+    report(7, holds(V.check_mirror(diagrams, _SHARED)),
+           "mirror law on 30 knotted-graph diagrams", t0, None)
 
 
 def test_criterion_08_product_laws():
     t0 = time.perf_counter()
     rng = random.Random(19)
-    ok = True
-    for _ in range(20):
-        d1 = random_regraph(rng, max_crossings=3, max_wide=2)
-        d2 = random_regraph(rng, max_crossings=3, max_wide=2)
-        v1 = regraph_invariant(d1, _SHARED).value
-        v2 = regraph_invariant(d2, _SHARED).value
-        u = disjoint_union(d1, d2)
-        ok = ok and regraph_invariant(u, _SHARED).value == C.alpha * v1 * v2
-        e1 = next(h for h in range(d1.n_half) if not d1.wide[h])
-        e2 = next(h for h in range(d2.n_half) if not d2.wide[h])
-        s = connected_sum(d1, e1, d2, e2)
-        ok = ok and regraph_invariant(s, _SHARED).value == v1 * v2
-        if not ok:
-            break
-    report(8, ok, "connected sum and disjoint union, 20 pairs", t0, None)
+    pairs = ((random_regraph(rng, max_crossings=3, max_wide=2),
+              random_regraph(rng, max_crossings=3, max_wide=2))
+             for _ in range(20))
+    report(8, holds(V.check_products(pairs, _SHARED)),
+           "connected sum and disjoint union, 20 pairs", t0, None)
 
 
 GRAPH_CORPUS = None
@@ -195,53 +134,15 @@ def graph_corpus():
 
 def test_criterion_09_confluence():
     t0 = time.perf_counter()
-    corpus = graph_corpus()
-    no_small_face = sum(1 for g in corpus if not reducible_configs(g))
-    ok = no_small_face >= 10
-    consistency: dict = {}
-    for i, g in enumerate(corpus):
-        vals = set()
-        for s in range(5):
-            ctx = EvalContext(rng=random.Random(1000 * i + s),
-                              consistency=consistency)
-            vals.add(evaluate(g, ctx))
-        ok = ok and len(vals) == 1
-        if not ok:
-            break
-    report(9, ok, f"confluence, 200 graphs x 5 strategies "
-                  f"({no_small_face} force the fallback)", t0, None)
+    ok = holds(V.check_confluence(graph_corpus(), min_fallback=10))
+    report(9, ok, "confluence, 200 graphs x 5 strategies, "
+                  "at least 10 force the fallback", t0, None)
 
 
 def test_criterion_10_n2():
     t0 = time.perf_counter()
-    ok = True
-    for g in graph_corpus():
-        ok = ok and specialize_soN(evaluate(g, _SHARED), 2) == n2_closed_form(g)
-        if not ok:
-            break
-    # worked example: clasped handcuff gives q^-2 (-q - q^-1)
-    hc = clasped_handcuff()
-    ok = ok and so_n(regraph_invariant(hc, _SHARED), 2) == {-1: -1, -3: -1}
-    # one-crossing vanishing: both smoothings preserve the component count
-    rng = random.Random(23)
-    found = 0
-    while found < 10:
-        n = rng.randint(2, 3)
-        word = [("W", rng.randint(1, n - 1)) for _ in range(rng.randint(1, 2))]
-        word.insert(rng.randrange(len(word) + 1),
-                    rng.choice([i for i in range(-(n - 1), n) if i]))
-        d = regraph_from_word(n, word)
-        if len(d.crossing_nodes()) != 1:
-            continue
-        comps = []
-        for ch in "ABW":
-            st = resolve_state(d, ch, check=False)
-            comps.append(len(st.graph.components()) + st.graph.free_loops)
-        if comps[0] == comps[1] == comps[2]:
-            found += 1
-            ok = ok and so_n(regraph_invariant(d, _SHARED), 2) == {}
-            if not ok:
-                break
+    vanishing = n2_vanishing_diagrams(random.Random(23), 10)
+    ok = holds(V.check_n2(graph_corpus(), vanishing, _SHARED))
     report(10, ok, "N=2 closed form, worked example, 10 vanishing graphs",
            t0, None)
 
@@ -259,5 +160,4 @@ def test_criterion_11_performance(tmp_path):
           and doc1["value"] == doc2["value"]
           and cold < 60 and cold / warm > 2)
     print(f"  cold {cold:.1f}s, warm {warm:.1f}s, speedup {cold / warm:.1f}x")
-    report(11, ok, "59049 states under 60s, cache speedup > 2x",
-           time.perf_counter(), None)
+    report(11, ok, "59049 states under 60s, cache speedup > 2x", t0, None)

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from dubrovnik.corpus import clasped_handcuff, random_braid, random_regraph
+from dubrovnik.corpus import (clasped_handcuff, random_braid, random_regraph,
+                              random_trivalent_graph)
 from dubrovnik.diagrams import (BraidWord, braid_to_link, c_tangle,
-                                identity_tangle, mirror, parse_braid,
-                                parse_pd, parse_regraph, smooth_crossing,
-                                switch_crossing, t_tangle)
+                                identity_tangle, parse_braid, parse_pd,
+                                parse_regraph, t_tangle)
 from dubrovnik.invariants import (MissingWrithe, MixedArity, bracket,
                                   eval_braid, kauffman_state_sum,
                                   n2_closed_form, normalized,
@@ -14,6 +14,9 @@ from dubrovnik.invariants import (MissingWrithe, MixedArity, bracket,
 from dubrovnik.ring import (R_A, R_A_minus_B, R_B, R_ONE, R_a, R_a_inv,
                             RingElem, constants, specialize_soN)
 from dubrovnik.skein import EvalContext, evaluate
+from dubrovnik.verify import (check_dubrovnik_axioms, check_link_z_dependence,
+                              check_markov, check_mirror, check_n2,
+                              check_path_agreement)
 
 C = constants()
 
@@ -94,51 +97,41 @@ def test_bracket_examples():
     assert lit == bracket(b)
 
 
+def _passes(result):
+    name, ok, detail = result
+    assert ok, f"{name}: {detail}"
+
+
 def test_bracket_markov_property():
     rng = random.Random(17)
-    ctx = EvalContext()
-    for _ in range(15):
-        b = random_braid(rng, max_strands=4, max_letters=6)
-        base = bracket(b, ctx)
-        assert bracket(b.conjugated_by(rng.randint(1, b.strands - 1)), ctx) == base
-        assert bracket(b.stabilized(rng.choice((1, -1))), ctx) == base
-        k = rng.randint(0, len(b.letters))
-        i = rng.randint(1, b.strands - 1)
-        ins = BraidWord(b.strands, b.letters[:k] + (i, -i) + b.letters[k:])
-        assert bracket(ins, ctx) == base
+    braids = (random_braid(rng, max_strands=4, max_letters=6)
+              for _ in range(15))
+    _passes(check_markov(braids, rng))
 
 
 def test_path_agreement():
     rng = random.Random(19)
-    ctx = EvalContext()
-    for _ in range(10):
-        b = random_braid(rng, max_strands=3, max_letters=6)
-        assert RingElem.mono(b.writhe(), 0, 0) * bracket(b, ctx) \
-            == eval_braid(b, ctx).value
+    braids = (random_braid(rng, max_strands=3, max_letters=6)
+              for _ in range(10))
+    _passes(check_path_agreement(braids))
 
 
 def test_dubrovnik_relation():
     rng = random.Random(29)
-    ctx = EvalContext()
-    z = R_A - R_B
-    for _ in range(10):
-        b = random_braid(rng, max_strands=3, max_letters=5, min_letters=1)
-        d = braid_to_link(b)
-        node = rng.choice(d.crossing_nodes())
-        p_pos = kauffman_state_sum(d, ctx).value
-        p_neg = kauffman_state_sum(switch_crossing(d, node), ctx).value
-        p_0 = kauffman_state_sum(smooth_crossing(d, node, "A"), ctx).value
-        p_inf = kauffman_state_sum(smooth_crossing(d, node, "B"), ctx).value
-        assert p_pos - p_neg == z * (p_0 - p_inf)
+    braids = (random_braid(rng, max_strands=3, max_letters=5, min_letters=1)
+              for _ in range(10))
+    _passes(check_dubrovnik_axioms(braids, rng))
 
 
 def test_mirror_law():
     rng = random.Random(37)
-    ctx = EvalContext()
-    for _ in range(8):
-        d = random_regraph(rng, max_crossings=4, max_wide=3)
-        v = regraph_invariant(d, ctx).value
-        assert regraph_invariant(mirror(d), ctx).value == v.swap_AB_invert_a()
+    _passes(check_mirror(random_regraph(rng, max_crossings=4, max_wide=3)
+                         for _ in range(8)))
+
+
+def test_z_dependence_rejects_a_knotted_graph():
+    # the clasped handcuff's value depends on A and B separately
+    assert not check_link_z_dependence([clasped_handcuff()])[1]
 
 
 def test_so_n():
@@ -177,11 +170,8 @@ def test_n2_closed_form_examples():
 
 def test_n2_matches_specialization():
     rng = random.Random(43)
-    ctx = EvalContext()
-    from dubrovnik.corpus import random_trivalent_graph
-    for _ in range(15):
-        g = random_trivalent_graph(rng, max_vertices=10)
-        assert specialize_soN(evaluate(g, ctx), 2) == n2_closed_form(g)
+    _passes(check_n2(random_trivalent_graph(rng, max_vertices=10)
+                     for _ in range(15)))
 
 
 def _crossed_regraphs(seed: int, count: int):
