@@ -27,8 +27,8 @@ from .diagrams import (BraidWord, PlanarTrivalentGraph, StateResolver, Tangle,
                        braid_to_link, c_tangle, close_tangle, identity_tangle,
                        stack, t_tangle)
 from .maps import PlanarMap, signature_of_arrays
-from .ring import (LaurentPoly, QLaurent, RingElem, constants, qlaurent_mul,
-                   ring_sum, specialize_soN)
+from .ring import (LaurentPoly, QLaurent, RingElem, constants,
+                   depends_on_z_only, qlaurent_mul, ring_sum, specialize_soN)
 from .skein import (EvalContext, InternalError, apply_lollipop,
                     apply_wide_digon, check_claim, default_context, evaluate,
                     store_memo)
@@ -86,7 +86,8 @@ def kauffman_state_sum(d: PlanarMap, ctx: EvalContext | None = None) -> Invarian
     products are summed with a single normalization.  In debug mode
     (`DUBROVNIK_DEBUG` set, or `ctx.consistency` in use) every state is
     signed as well, and a literal key met with two signatures raises
-    InternalError.
+    InternalError, as does the value of a diagram with no trivalent vertex
+    (a link) that fails `ring.depends_on_z_only`.
 
     The whole-diagram value is kept in `ctx.results` under
     `diagram_job_key(d)`; a repeat of the same diagram is served from there
@@ -147,6 +148,8 @@ def kauffman_state_sum(d: PlanarMap, ctx: EvalContext | None = None) -> Invarian
     value = ring_sum(RingElem(LaurentPoly(weight) * v.num, v.dpow,
                               _canonical=True)
                      for v, weight in by_value.items())
+    if debug and d.vertex_count() == 0 and not depends_on_z_only(value):
+        raise InternalError("a link value depends on more than z = A - B")
     check_claim(ctx, key, value)
     ctx.results[key] = value
     return InvariantResult(value, None, count, "stateSum")

@@ -13,147 +13,277 @@ The four constants driving the graph skein relations are
     delta = (B^3 a - A^3 a^-1)/(A - B)
 
 and the SO(N) specialization sends A -> q, B -> q^-1, a -> q^(N-1).
+
+Packed monomials.  A numerator is stored as {key: coeff} with the monomial
+a^ea A^eA B^eB packed into one integer in signed digits of base S = 2^32:
+
+    key = (ea * S + eA) * S + eB,        |ea|, |eA|, |eB| <= MAX_EXPONENT
+
+so multiplying monomials adds their keys, and the integer order of keys is
+the lexicographic order of (ea, eA, eB).  Each polynomial carries an upper
+bound on its largest |exponent|; a product whose bound could leave the
+packable range is checked exactly and raises OverflowError instead of letting
+a digit wrap into its neighbour.  `LaurentPoly.terms` shows the numerator as
+{(ea, eA, eB): coeff}.
+
+Write D = A - B.  D is prime in this UFD, and normalization runs only where
+D can divide; two shortcuts skip the rest:
+
+* Sum.  x/D^d1 + y/D^d2 with d1 > d2 is canonical at d1: its numerator
+  x + y D^(d1-d2) is x mod D, and D does not divide x.  Only sums of equal
+  powers are tested.
+* Product.  It needs no test when both powers are 0, or both positive: D
+  divides neither numerator then, so, being prime, not their product.
+  When exactly one power is 0, only that factor can carry D, so only it is
+  divided, never the product.
+
+The test groups the terms by (ea, eA + eB), the monomial left by A = B: D
+divides p exactly when every group's coefficients sum to zero.  Aligning
+powers multiplies once by D^k, expanded by the binomial theorem.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
+from math import comb
 import re
 
 # A monomial is an exponent triple (ea, eA, eB) for a^ea * A^eA * B^eB.
 Mono = tuple[int, int, int]
 
-_M_ONE: Mono = (0, 0, 0)
-_M_A: Mono = (0, 1, 0)
-_M_B: Mono = (0, 0, 1)
+MAX_EXPONENT = 2 ** 30 - 1   # a product of two in-range keys cannot wrap
+
+_SHIFT = 32
+_S = 1 << _SHIFT
+_H = _S >> 1
+_M = _S - 1          # the key step of A/B (one more A, one fewer B)
+
+
+def _pack(ea: int, eA: int, eB: int) -> int:
+    if max(abs(ea), abs(eA), abs(eB)) > MAX_EXPONENT:
+        raise OverflowError(f"exponent of a^{ea} A^{eA} B^{eB} is out of range")
+    return (ea * _S + eA) * _S + eB
+
+
+def _unpack(k: int) -> Mono:
+    hi = (k + _H) >> _SHIFT              # ea * S + eA
+    ea = (hi + _H) >> _SHIFT
+    return ea, hi - (ea << _SHIFT), k - (hi << _SHIFT)
+
+
+def _degree(t: dict[int, int]) -> int:
+    """The largest |exponent| in t, raising when it is out of range."""
+    deg = 0
+    for k in t:
+        d = max(map(abs, _unpack(k)))
+        if d > deg:
+            deg = d
+    if deg > MAX_EXPONENT:
+        raise OverflowError(f"exponent {deg} is out of range")
+    return deg
+
+
+class _Terms(Mapping):
+    """Read-only {(ea, eA, eB): coeff} view of a packed numerator."""
+
+    __slots__ = ("_t",)
+
+    def __init__(self, t: dict[int, int]):
+        self._t = t
+
+    def __len__(self) -> int:
+        return len(self._t)
+
+    def __iter__(self):
+        return map(_unpack, self._t)
+
+    def __getitem__(self, m: Mono) -> int:
+        try:
+            return self._t[_pack(*m)]
+        except OverflowError:
+            raise KeyError(m) from None
+
+    def items(self) -> list[tuple[Mono, int]]:
+        return [(_unpack(k), c) for k, c in self._t.items()]
 
 
 class LaurentPoly:
-    """Integer Laurent polynomial in a, A, B, stored as {monomial: coeff}."""
+    """Integer Laurent polynomial in a, A, B over packed monomials.
 
-    __slots__ = ("terms",)
+    `_t` is {key: coeff} with no zero coefficient and `_deg` bounds every
+    |exponent|; both are shared, never mutated, once the object exists.
+    """
 
-    def __init__(self, terms: dict[Mono, int] | None = None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
+    __slots__ = ("_t", "_deg")
+
+    def __init__(self, terms: Mapping[Mono, int] | None = None):
+        t: dict[int, int] = {}
+        deg = 0
+        for (ea, eA, eB), c in (terms or {}).items():
+            if c:
+                t[_pack(ea, eA, eB)] = c
+                deg = max(deg, abs(ea), abs(eA), abs(eB))
+        self._t = t
+        self._deg = deg
+
+    @property
+    def terms(self) -> Mapping[Mono, int]:
+        return _Terms(self._t)
 
     @staticmethod
     def zero() -> "LaurentPoly":
-        return LaurentPoly()
+        return _poly({}, 0)
 
     @staticmethod
     def const(n: int) -> "LaurentPoly":
-        return LaurentPoly({_M_ONE: n})
+        return _poly({0: n} if n else {}, 0)
 
     @staticmethod
     def mono(ea: int, eA: int, eB: int, coeff: int = 1) -> "LaurentPoly":
         return LaurentPoly({(ea, eA, eB): coeff})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self.terms == other.terms
+        return isinstance(other, LaurentPoly) and self._t == other._t
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._t.items()))
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        r = dict(self.terms)
-        for m, c in other.terms.items():
-            s = r.get(m, 0) + c
-            if s:
-                r[m] = s
-            else:
-                del r[m]
-        return LaurentPoly(r)
+        return _poly(_add(self._t, other._t), max(self._deg, other._deg))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({m: -c for m, c in self.terms.items()})
+        return _poly({k: -c for k, c in self._t.items()}, self._deg)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not self.terms or not other.terms:
-            return LaurentPoly()
-        r: dict[Mono, int] = {}
-        for (a1, A1, B1), c1 in self.terms.items():
-            for (a2, A2, B2), c2 in other.terms.items():
-                m = (a1 + a2, A1 + A2, B1 + B2)
-                s = r.get(m, 0) + c1 * c2
-                if s:
-                    r[m] = s
-                elif m in r:
-                    del r[m]
-        return LaurentPoly(r)
+        return _mul(self, other)
 
     def scale(self, n: int) -> "LaurentPoly":
         if n == 0:
-            return LaurentPoly()
-        return LaurentPoly({m: n * c for m, c in self.terms.items()})
+            return _poly({}, 0)
+        return _poly({k: n * c for k, c in self._t.items()}, self._deg)
 
     def subst_at_A_eq_B(self) -> "LaurentPoly":
         """Substitute A = B (exponent of A folded into B); zero iff (A-B) divides."""
-        r: dict[Mono, int] = {}
-        for (ea, eA, eB), c in self.terms.items():
-            m = (ea, 0, eA + eB)
-            s = r.get(m, 0) + c
-            if s:
-                r[m] = s
-            elif m in r:
-                del r[m]
-        return LaurentPoly(r)
+        r: dict[int, int] = {}
+        for k, c in self._t.items():
+            ea, eA, eB = _unpack(k)
+            m = ea * _S * _S + eA + eB
+            r[m] = r.get(m, 0) + c
+        r = {k: c for k, c in r.items() if c}
+        return _poly(r, _degree(r))
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({self.terms!r})"
+        return f"LaurentPoly({dict(self.terms.items())!r})"
 
 
-_D = LaurentPoly({_M_A: 1, _M_B: -1})  # A - B
+_new = object.__new__
 
 
-def _divide_by_A_minus_B(p: LaurentPoly) -> LaurentPoly | None:
-    """Exact quotient p / (A - B), or None when the division has a remainder.
+def _poly(t: dict[int, int], deg: int) -> LaurentPoly:
+    """A LaurentPoly owning the packed terms t (no zero coefficients)."""
+    p = _new(LaurentPoly)
+    p._t = t
+    p._deg = deg
+    return p
 
-    Works as synthetic division in A over the Laurent ring in B, a: shift the
-    A-exponents to be non-negative, run Horner against the root A = B, then
-    shift back.  Exactness is equivalent to p vanishing at A = B, which is
-    checked first because most candidates are not divisible.
-    """
-    if p.is_zero():
-        return LaurentPoly()
-    if not p.subst_at_A_eq_B().is_zero():
-        return None
-    min_A = min(m[1] for m in p.terms)
-    # coefficients of A^t (t >= 0) as Laurent polys in (a, B)
-    by_deg: dict[int, dict[tuple[int, int], int]] = {}
-    for (ea, eA, eB), c in p.terms.items():
-        by_deg.setdefault(eA - min_A, {})[(ea, eB)] = c
-    deg = max(by_deg)
-    # f = (A - B) q + r with q_t computed from the top down: q_{t-1} = c_t + B*q_t
-    carry: dict[tuple[int, int], int] = {}
-    quot: dict[Mono, int] = {}
-    for t in range(deg, 0, -1):
-        cur = dict(by_deg.get(t, {}))
-        for (ea, eB), c in carry.items():
-            s = cur.get((ea, eB), 0) + c
-            if s:
-                cur[(ea, eB)] = s
-            elif (ea, eB) in cur:
-                del cur[(ea, eB)]
-        for (ea, eB), c in cur.items():
-            quot[(ea, t - 1 + min_A, eB)] = c
-        carry = {(ea, eB + 1): c for (ea, eB), c in cur.items()}
-    # remainder = c_0 + B*q_0
-    rem = dict(by_deg.get(0, {}))
-    for (ea, eB), c in carry.items():
-        s = rem.get((ea, eB), 0) + c
+
+def _add(t1: dict[int, int], t2: dict[int, int]) -> dict[int, int]:
+    if len(t1) < len(t2):
+        t1, t2 = t2, t1
+    r = t1.copy()
+    get = r.get
+    for k, c in t2.items():
+        s = get(k, 0) + c
         if s:
-            rem[(ea, eB)] = s
-        elif (ea, eB) in rem:
-            del rem[(ea, eB)]
-    if rem:
+            r[k] = s
+        else:
+            del r[k]
+    return r
+
+
+def _mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    t1, t2 = p._t, q._t
+    if len(t1) > len(t2):
+        t1, t2 = t2, t1
+    if not t1:
+        return _poly({}, 0)
+    if len(t1) == 1:
+        # Z has no zero divisors: no coefficient cancels.
+        [(k1, c1)] = t1.items()
+        if c1 == 1:
+            r = {k1 + k: c for k, c in t2.items()}
+        else:
+            r = {k1 + k: c1 * c for k, c in t2.items()}
+    else:
+        items = iter(t1.items())
+        k1, c1 = next(items)
+        r = {k1 + k: c1 * c for k, c in t2.items()}
+        get = r.get
+        for k1, c1 in items:
+            for k2, c2 in t2.items():
+                k = k1 + k2
+                r[k] = get(k, 0) + c1 * c2
+        if 0 in r.values():
+            r = {k: c for k, c in r.items() if c}
+    deg = p._deg + q._deg
+    if deg > MAX_EXPONENT:
+        # Every factor exponent is in range, so no digit wrapped; check
+        # the product exactly.
+        deg = _degree(r)
+    return _poly(r, deg)
+
+
+@lru_cache(maxsize=32)
+def _d_power(k: int) -> LaurentPoly:
+    """(A - B)^k by the binomial theorem."""
+    return _poly({i * _S + k - i: comb(k, i) * (-1) ** (k - i)
+                  for i in range(k + 1)}, k)
+
+
+def _quotient(t: dict[int, int]) -> dict[int, int] | None:
+    """t / (A - B) as packed terms, or None when (A - B) does not divide t.
+
+    A term's group (ea, eA + eB) is read off its key as g = ea * S + eA + eB.
+    D divides t exactly when every group's coefficients sum to zero.  With
+    t = (A - B) q, the coefficients of one group in rising powers of A give
+    q_j = -(p_0 + ... + p_j), a running sum; q_j sits at key(p_j) - 1, and
+    one step of A within a group adds S - 1 to a key.
+    """
+    sums: dict[int, int] = {}
+    get = sums.get
+    for k, c in t.items():
+        hi = (k + _H) >> _SHIFT
+        g = k + hi - (hi << _SHIFT)
+        sums[g] = get(g, 0) + c
+    if any(sums.values()):
         return None
-    return LaurentPoly(quot)
+    q: dict[int, int] = {}
+    run: dict[int, int] = {}        # group -> running sum so far
+    last: dict[int, int] = {}       # group -> key of its latest term
+    get = run.get
+    for k in sorted(t):
+        hi = (k + _H) >> _SHIFT
+        g = k + hi - (hi << _SHIFT)
+        s0 = get(g)
+        if s0:
+            k0 = last[g]
+            if k - k0 == _M:
+                q[k0 - 1] = -s0
+            else:
+                for kq in range(k0 - 1, k - 1, _M):
+                    q[kq] = -s0
+            run[g] = s0 + t[k]
+        else:
+            run[g] = t[k]
+        last[g] = k
+    return q
 
 
 class RingElem:
@@ -173,77 +303,87 @@ class RingElem:
 
     @staticmethod
     def zero() -> "RingElem":
-        return RingElem(LaurentPoly(), 0, _canonical=True)
+        return _elem(_poly({}, 0), 0)
 
     @staticmethod
     def one() -> "RingElem":
-        return RingElem(LaurentPoly.const(1), 0, _canonical=True)
+        return _elem(_poly({0: 1}, 0), 0)
 
     @staticmethod
     def const(n: int) -> "RingElem":
-        return RingElem(LaurentPoly.const(n), 0, _canonical=True)
+        return _elem(LaurentPoly.const(n), 0)
 
     @staticmethod
     def mono(ea: int, eA: int, eB: int, coeff: int = 1) -> "RingElem":
-        if coeff == 0:
-            return RingElem.zero()
-        return RingElem(LaurentPoly.mono(ea, eA, eB, coeff), 0, _canonical=True)
+        return _elem(LaurentPoly.mono(ea, eA, eB, coeff), 0)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "RingElem") -> "RingElem":
-        if self.dpow == 0 and other.dpow == 0:
-            return RingElem(self.num + other.num, 0, _canonical=True)
-        d = max(self.dpow, other.dpow)
-        x = self.num
-        for _ in range(d - self.dpow):
-            x = x * _D
-        y = other.num
-        for _ in range(d - other.dpow):
-            y = y * _D
-        return RingElem(x + y, d)
+        x, y = self.num, other.num
+        d, d2 = self.dpow, other.dpow
+        if d == d2:
+            t = _add(x._t, y._t)
+            if not t:
+                return _elem(_poly(t, 0), 0)
+            num = _poly(t, max(x._deg, y._deg))
+            if d:
+                num, d = _normalize(num, d)
+            return _elem(num, d)
+        if d < d2:
+            x, y, d, d2 = y, x, d2, d
+        # x is not divisible by (A - B), so neither is x + y (A - B)^(d - d2).
+        y = _mul(y, _d_power(d - d2))
+        return _elem(_poly(_add(x._t, y._t), max(x._deg, y._deg)), d)
 
     def __neg__(self) -> "RingElem":
-        return RingElem(-self.num, self.dpow, _canonical=True)
+        return _elem(-self.num, self.dpow)
 
     def __sub__(self, other: "RingElem") -> "RingElem":
         return self + (-other)
 
     def __mul__(self, other: "RingElem") -> "RingElem":
-        # (A-B) is prime, so a product of two non-divisible numerators is
-        # not divisible either: canonical factors with matching denominator
-        # presence multiply to a canonical result.  A plain monomial factor
-        # can likewise never introduce or cancel divisibility.
-        if ((self.dpow > 0) == (other.dpow > 0)
-                or (self.dpow == 0 and len(self.num.terms) == 1)
-                or (other.dpow == 0 and len(other.num.terms) == 1)):
-            return RingElem(self.num * other.num, self.dpow + other.dpow,
-                            _canonical=True)
-        return RingElem(self.num * other.num, self.dpow + other.dpow)
+        x, y = self.num, other.num
+        if not x._t or not y._t:
+            return _elem(_poly({}, 0), 0)
+        d, d2 = self.dpow, other.dpow
+        # Only a factor over (A - B)^0 can carry (A - B), and a monomial
+        # never does: divide that factor against the other's denominator.
+        if not d2:
+            if d and len(y._t) > 1:
+                y, d = _normalize(y, d)
+        elif not d:
+            if len(x._t) > 1:
+                x, d2 = _normalize(x, d2)
+        return _elem(_mul(x, y), d + d2)
 
     def scale(self, n: int) -> "RingElem":
-        return RingElem(self.num.scale(n), self.dpow)
+        # (A - B) has content 1, so a nonzero integer never changes divisibility.
+        if n == 0:
+            return RingElem.zero()
+        return _elem(self.num.scale(n), self.dpow)
 
     def __pow__(self, k: int) -> "RingElem":
         if k < 0:
             raise ValueError("only non-negative powers are supported")
-        r = RingElem.one()
+        r = None
         b = self
         while k:
             if k & 1:
-                r = r * b
-            b = b * b
+                r = b if r is None else r * b
             k >>= 1
-        return r
+            if k:
+                b = b * b
+        return RingElem.one() if r is None else r
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num._t
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RingElem)
             and self.dpow == other.dpow
-            and self.num == other.num
+            and self.num._t == other.num._t
         )
 
     def __hash__(self) -> int:
@@ -259,22 +399,37 @@ class RingElem:
 
         (A-B) maps to -(A-B), so the denominator contributes a sign.
         """
-        num = LaurentPoly({(-ea, eB, eA): c for (ea, eA, eB), c in self.num.terms.items()})
-        if self.dpow % 2:
-            num = -num
-        return RingElem(num, self.dpow, _canonical=True)
+        sign = -1 if self.dpow % 2 else 1
+        t = {}
+        for k, c in self.num._t.items():
+            ea, eA, eB = _unpack(k)
+            t[(-ea * _S + eB) * _S + eA] = sign * c
+        return _elem(_poly(t, self.num._deg), self.dpow)
+
+
+def _elem(num: LaurentPoly, dpow: int) -> RingElem:
+    """A RingElem from a numerator and power already in canonical form."""
+    x = _new(RingElem)
+    x.num = num
+    x.dpow = dpow
+    return x
 
 
 def _normalize(num: LaurentPoly, dpow: int) -> tuple[LaurentPoly, int]:
-    if num.is_zero():
-        return LaurentPoly(), 0
-    while dpow > 0:
-        q = _divide_by_A_minus_B(num)
+    t = num._t
+    if not t:
+        return _poly({}, 0), 0
+    d = dpow
+    while d:
+        q = _quotient(t)
         if q is None:
             break
-        num = q
-        dpow -= 1
-    return num, dpow
+        t = q
+        d -= 1
+    if d == dpow:
+        return num, dpow
+    # A quotient's exponents lie within the dividend's.
+    return _poly(t, num._deg), d
 
 
 def normalize(num: LaurentPoly, dpow: int) -> RingElem:
@@ -289,28 +444,57 @@ def ring_sum(values) -> RingElem:
     buckets are brought to the common power once, so the cost is linear in
     the total number of monomials.
     """
-    buckets: dict[int, dict[Mono, int]] = {}
+    buckets: dict[int, dict[int, int]] = {}
+    deg = 0                          # bounds the exponents of every bucket
     for x in values:
-        bucket = buckets.setdefault(x.dpow, {})
-        for m, c in x.num.terms.items():
-            s = bucket.get(m, 0) + c
+        t = x.num._t
+        deg = max(deg, x.num._deg)
+        bucket = buckets.get(x.dpow)
+        if bucket is None:
+            buckets[x.dpow] = dict(t)
+            continue
+        get = bucket.get
+        for k, c in t.items():
+            s = get(k, 0) + c
             if s:
-                bucket[m] = s
+                bucket[k] = s
             else:
-                del bucket[m]
+                del bucket[k]
     if not buckets:
         return RingElem.zero()
     d = max(buckets)
-    total = LaurentPoly()
+    total: dict[int, int] = {}
+    top = 0
     for dp, terms in buckets.items():
-        num = LaurentPoly(terms)
-        for _ in range(d - dp):
-            num = num * _D
-        total = total + num
-    return RingElem(total, d)
+        num = _mul(_poly(terms, deg), _d_power(d - dp))
+        total = _add(total, num._t)
+        top = max(top, num._deg)
+    return RingElem(_poly(total, top), d)
+
+
+def depends_on_z_only(x: RingElem) -> bool:
+    """Whether x takes equal values at (a, A, B) and (a, A + t, B + t).
+
+    Evaluated exactly in rationals at one fixed point.  A value that depends
+    on A and B only through z = A - B (every link value does) always passes;
+    a value that depends on A + B as well fails unless the point happens to
+    be a root of its difference.
+    """
+    from fractions import Fraction      # only debug checks and verify use it
+
+    a, A, B, t = Fraction(2, 3), Fraction(5, 7), Fraction(-3, 11), Fraction(13, 17)
+
+    def at(A, B):
+        num = sum(c * a ** ea * A ** eA * B ** eB
+                  for (ea, eA, eB), c in x.num.terms.items())
+        return num / (A - B) ** x.dpow
+
+    return at(A, B) == at(A + t, B + t)
 
 
 # -- named generators --------------------------------------------------------
+
+_D = LaurentPoly({(0, 1, 0): 1, (0, 0, 1): -1})  # A - B
 
 R_ZERO = RingElem.zero()
 R_ONE = RingElem.one()
@@ -390,7 +574,8 @@ def specialize_soN(x: RingElem, N: int) -> QLaurent:
     if N < 2:
         raise ValueError("N must be at least 2")
     p: QLaurent = {}
-    for (ea, eA, eB), c in x.num.terms.items():
+    for k, c in x.num._t.items():
+        ea, eA, eB = _unpack(k)
         e = eA - eB + (N - 1) * ea
         s = p.get(e, 0) + c
         if s:
@@ -444,14 +629,14 @@ def qlaurent_mul(p: QLaurent, q: QLaurent) -> QLaurent:
 
 # -- canonical text and parsing ----------------------------------------------
 
-def _mono_factors(m: Mono) -> str:
-    ea, eA, eB = m
+def _mono_factors(ea: int, eA: int, eB: int) -> str:
     out = []
-    for name, e in (("a", ea), ("A", eA), ("B", eB)):
-        if e == 1:
-            out.append(name)
-        elif e != 0:
-            out.append(f"{name}^{e}")
+    if ea:
+        out.append("a" if ea == 1 else f"a^{ea}")
+    if eA:
+        out.append("A" if eA == 1 else f"A^{eA}")
+    if eB:
+        out.append("B" if eB == 1 else f"B^{eB}")
     return "*".join(out)
 
 
@@ -462,12 +647,15 @@ def to_canonical_text(x: RingElem) -> str:
     and coefficient 1 are elided; an optional trailing ``/(A-B)^d`` carries
     the denominator.  Output round-trips through :func:`parse_ring_text`.
     """
-    if x.num.is_zero():
+    t = x.num._t
+    if not t:
         return "0"
     parts: list[str] = []
-    for m in sorted(x.num.terms, reverse=True):
-        c = x.num.terms[m]
-        fac = _mono_factors(m)
+    for k in sorted(t, reverse=True):
+        c = t[k]
+        hi = (k + _H) >> _SHIFT
+        ea = (hi + _H) >> _SHIFT
+        fac = _mono_factors(ea, hi - (ea << _SHIFT), k - (hi << _SHIFT))
         if not fac:
             body = str(abs(c))
         elif abs(c) == 1:
@@ -481,16 +669,42 @@ def to_canonical_text(x: RingElem) -> str:
     num = " ".join(parts)
     if x.dpow == 0:
         return num
-    if len(x.num.terms) > 1:
+    if len(t) > 1:
         num = f"({num})"
     return f"{num}/(A-B)^{x.dpow}"
 
 
-_TERM_RE = re.compile(
-    r"^(?P<coeff>\d+)?"
-    r"(?P<vars>(?:\*?[aAB](?:\^-?\d+)?)*)$"
-)
-_VAR_RE = re.compile(r"([aAB])(?:\^(-?\d+))?")
+# A term as to_canonical_text writes it: sign, coefficient, then a, A and B
+# each at most once and in this order.  Any other term is read through
+# _TERM and _VAR, which allow each variable any number of times.  The
+# patterns are compiled on first use (re caches them), not at import.
+_CANON_TERM = (r"(-?)(\d*)(?:\*?(a)(?:\^(-?\d+))?)?"
+               r"(?:\*?(A)(?:\^(-?\d+))?)?(?:\*?(B)(?:\^(-?\d+))?)?")
+_TERM = r"^(?P<coeff>\d+)?(?P<vars>(?:\*?[aAB](?:\^-?\d+)?)*)$"
+_VAR = r"([aAB])(?:\^(-?\d+))?"
+
+
+def _general_term(tok: str) -> tuple[int, int, int, int]:
+    """(coeff, ea, eA, eB) of one term, its sign included in coeff."""
+    tok = tok.strip()
+    sgn = 1
+    if tok.startswith("-"):
+        sgn = -1
+        tok = tok[1:]
+    mt = re.match(_TERM, tok)
+    if not mt:
+        raise ValueError(f"bad term {tok!r}")
+    coeff = int(mt.group("coeff")) if mt.group("coeff") else 1
+    ea = eA = eB = 0
+    for name, exp in re.findall(_VAR, mt.group("vars") or ""):
+        e = int(exp) if exp else 1
+        if name == "a":
+            ea += e
+        elif name == "A":
+            eA += e
+        else:
+            eB += e
+    return sgn * coeff, ea, eA, eB
 
 
 def parse_ring_text(text: str) -> RingElem:
@@ -506,34 +720,34 @@ def parse_ring_text(text: str) -> RingElem:
         if text.startswith("(") and text.endswith(")"):
             text = text[1:-1]
     toks = re.split(r"\s+(\+|-)\s+", text)
-    terms: dict[Mono, int] = {}
-    sign = 1
-    pending = toks[0]
-    items = [(sign, pending)]
-    for i in range(1, len(toks), 2):
-        items.append((1 if toks[i] == "+" else -1, toks[i + 1]))
-    for sgn, tok in items:
-        tok = tok.strip()
-        if tok.startswith("-"):
-            sgn = -sgn
-            tok = tok[1:]
-        mt = _TERM_RE.match(tok)
-        if not mt:
-            raise ValueError(f"bad term {tok!r}")
-        coeff = int(mt.group("coeff")) if mt.group("coeff") else 1
-        ea = eA = eB = 0
-        for name, exp in _VAR_RE.findall(mt.group("vars") or ""):
-            e = int(exp) if exp else 1
-            if name == "a":
-                ea += e
-            elif name == "A":
-                eA += e
-            else:
-                eB += e
-        mono = (ea, eA, eB)
-        s = terms.get(mono, 0) + sgn * coeff
+    # A term's exponents are sums of exponents written in the text, so this
+    # bounds them all; only a text past the packable range checks each term.
+    deg = sum(map(abs, map(int, re.findall(r"\^(-?\d+)", text)))) + len(text)
+    checked = deg > MAX_EXPONENT
+    terms: dict[int, int] = {}
+    get = terms.get
+    canon = re.compile(_CANON_TERM).fullmatch
+    for i in range(0, len(toks), 2):
+        tok = toks[i]
+        mt = canon(tok)
+        if mt:
+            neg, coeff, a, xa, A, xA, B, xB = mt.groups()
+            coeff = int(coeff) if coeff else 1
+            if neg:
+                coeff = -coeff
+            ea = int(xa or 1) if a else 0
+            eA = int(xA or 1) if A else 0
+            eB = int(xB or 1) if B else 0
+        else:
+            coeff, ea, eA, eB = _general_term(tok)
+        if i and toks[i - 1] == "-":
+            coeff = -coeff
+        key = _pack(ea, eA, eB) if checked else (ea * _S + eA) * _S + eB
+        s = get(key, 0) + coeff
         if s:
-            terms[mono] = s
-        elif mono in terms:
-            del terms[mono]
-    return RingElem(LaurentPoly(terms), dpow)
+            terms[key] = s
+        elif key in terms:
+            del terms[key]
+    if checked:
+        deg = _degree(terms)
+    return RingElem(_poly(terms, deg), dpow)

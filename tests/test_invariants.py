@@ -134,6 +134,22 @@ def test_z_dependence_rejects_a_knotted_graph():
     assert not check_link_z_dependence([clasped_handcuff()])[1]
 
 
+def test_debug_state_sum_asserts_z_dependence(monkeypatch):
+    import dubrovnik.invariants as inv
+    from dubrovnik.skein import InternalError
+    link = braid_to_link(parse_braid("n=3; 1 -2 1 2"))
+    monkeypatch.setenv("DUBROVNIK_DEBUG", "1")
+    value = kauffman_state_sum(link, EvalContext()).value
+    # the handcuff fails the check, but is a graph and is not asserted
+    kauffman_state_sum(clasped_handcuff(), EvalContext())
+    real_sum = inv.ring_sum
+    monkeypatch.setattr(inv, "ring_sum", lambda xs: real_sum(xs) + R_A)
+    with pytest.raises(InternalError, match="z = A - B"):
+        kauffman_state_sum(link, EvalContext())
+    monkeypatch.delenv("DUBROVNIK_DEBUG")
+    assert kauffman_state_sum(link, EvalContext()).value == value + R_A
+
+
 def test_so_n():
     assert so_n(eval_braid(parse_braid("n=1;")), 5) == {0: 1}
     hopf = eval_braid(parse_braid("1 1"))

@@ -1,9 +1,9 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from dubrovnik.ring import (DivisionFailure, LaurentPoly, R_A, R_A_minus_B,
-                            R_B, R_ONE, R_ZERO, R_a, R_a_inv, RingElem,
-                            constants, normalize, parse_ring_text,
+from dubrovnik.ring import (MAX_EXPONENT, DivisionFailure, LaurentPoly, R_A,
+                            R_A_minus_B, R_B, R_ONE, R_ZERO, R_a, R_a_inv,
+                            RingElem, constants, normalize, parse_ring_text,
                             qlaurent_text, ring_sum, specialize_soN,
                             to_canonical_text)
 
@@ -147,3 +147,138 @@ def test_text_examples():
 @given(elems)
 def test_text_round_trip(x):
     assert parse_ring_text(to_canonical_text(x)) == x
+
+
+# -- an independent reference kernel over {(ea, eA, eB): coeff} dicts ---------
+
+REF_D = {(0, 1, 0): 1, (0, 0, 1): -1}     # A - B
+
+
+def ref_add(x, y):
+    r = dict(x)
+    for m, c in y.items():
+        r[m] = r.get(m, 0) + c
+    return {m: c for m, c in r.items() if c}
+
+
+def ref_mul(x, y):
+    r = {}
+    for (a1, A1, B1), c1 in x.items():
+        for (a2, A2, B2), c2 in y.items():
+            m = (a1 + a2, A1 + A2, B1 + B2)
+            r[m] = r.get(m, 0) + c1 * c2
+    return {m: c for m, c in r.items() if c}
+
+
+def ref_vanishes_at_A_eq_B(x):
+    r = {}
+    for (ea, eA, eB), c in x.items():
+        r[(ea, eA + eB)] = r.get((ea, eA + eB), 0) + c
+    return not any(r.values())
+
+
+def ref_div(x):
+    """x / (A - B) for x vanishing at A = B: cancel the top power of A."""
+    rest, q = dict(x), {}
+    while rest:
+        ea, eA, eB = max(rest, key=lambda m: (m[1], m))
+        c = rest[(ea, eA, eB)]
+        q[(ea, eA - 1, eB)] = c
+        rest = ref_add(rest, ref_mul({(ea, eA - 1, eB): -c}, REF_D))
+    return q
+
+
+def ref_normalize(x, d):
+    if not x:
+        return {}, 0
+    while d and ref_vanishes_at_A_eq_B(x):
+        x, d = ref_div(x), d - 1
+    return x, d
+
+
+def ref_elem_add(x, y):
+    (nx, dx), (ny, dy) = x, y
+    for _ in range(dy - dx):
+        nx = ref_mul(nx, REF_D)
+    for _ in range(dx - dy):
+        ny = ref_mul(ny, REF_D)
+    return ref_normalize(ref_add(nx, ny), max(dx, dy))
+
+
+def ref_elem_mul(x, y):
+    return ref_normalize(ref_mul(x[0], y[0]), x[1] + y[1])
+
+
+def as_pair(x):
+    return dict(x.num.terms), x.dpow
+
+
+wide_monos = st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4))
+raw_nums = st.builds(
+    lambda t, k: ref_mul(t, {(0, 0, 0): 1} if k == 0 else
+                         ref_mul(REF_D, REF_D) if k == 2 else REF_D),
+    st.dictionaries(wide_monos, st.integers(-9, 9).filter(bool), max_size=5),
+    st.integers(0, 2))
+raws = st.tuples(raw_nums, st.integers(0, 3))
+ZERO_OVER_D = ({}, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raws, raws, raws, st.integers(0, 3))
+@example(({(0, 0, 0): 1}, 1), ({}, 0), ZERO_OVER_D, 2)
+def test_ring_matches_reference_kernel(rx, ry, rz, k):
+    x, y, z = (RingElem(LaurentPoly(t), d) for t, d in (rx, ry, rz))
+    ex, ey, ez = (ref_normalize(t, d) for t, d in (rx, ry, rz))
+    assert as_pair(x) == ex
+    assert as_pair(normalize(LaurentPoly(rx[0]), rx[1])) == ex
+    assert as_pair(x + y) == ref_elem_add(ex, ey)
+    assert as_pair(x - y) == ref_elem_add(ex, ({m: -c for m, c in ey[0].items()},
+                                              ey[1]))
+    assert as_pair(x * y) == ref_elem_mul(ex, ey)
+    assert as_pair(ring_sum([x, y, z])) == ref_elem_add(ref_elem_add(ex, ey), ez)
+    want = ({(0, 0, 0): 1}, 0)
+    for _ in range(k):
+        want = ref_elem_mul(want, ex)
+    assert as_pair(x ** k) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(raws, raws, st.integers(0, 3))
+@example(({(0, 0, 0): 1}, 1), ({}, 0), 1)
+def test_every_result_is_canonical_under_the_reference(rx, ry, k):
+    x, y = RingElem(LaurentPoly(rx[0]), rx[1]), RingElem(LaurentPoly(ry[0]), ry[1])
+    for r in (x, y, x + y, x - y, y - x, x * y, x ** k, ring_sum([x, y, x]),
+              x.swap_AB_invert_a(), parse_ring_text(to_canonical_text(x * y))):
+        num, d = as_pair(r)
+        assert d == 0 or (num and not ref_vanishes_at_A_eq_B(num))
+
+
+def test_zero_factor_has_no_denominator():
+    inv = RingElem(LaurentPoly.const(1), 1)
+    for r in (inv * R_ZERO, R_ZERO * inv, inv * (R_A_minus_B - R_A_minus_B)):
+        assert r == R_ZERO and r.dpow == 0 and not r.num.terms
+
+
+def test_exponents_past_the_packable_range_raise():
+    top = MAX_EXPONENT
+    assert RingElem.mono(top, -top, top).num.terms == {(top, -top, top): 1}
+    for bad in ((top + 1, 0, 0), (0, -top - 1, 0), (0, 0, top + 1)):
+        with pytest.raises(OverflowError):
+            LaurentPoly({bad: 1})
+        with pytest.raises(OverflowError):
+            RingElem.mono(*bad)
+    with pytest.raises(OverflowError):
+        parse_ring_text(f"a*A^{top + 1}")
+    with pytest.raises(OverflowError):
+        parse_ring_text(f"B^{top}*B")
+    half = RingElem.mono(0, 0, top // 2 + 1)
+    with pytest.raises(OverflowError):
+        half * half
+    with pytest.raises(OverflowError):
+        R_a ** (top + 1)
+    with pytest.raises(OverflowError):
+        (R_A + R_B) ** 2 * RingElem.mono(0, top - 1, 0)
+    # A loose degree bound alone never raises: the exact check decides.
+    up, down = RingElem.mono(top, 0, 0), RingElem.mono(-top, 0, 0)
+    assert up * down * (up + R_ONE) * down == R_ONE + down
+    assert parse_ring_text(to_canonical_text(up * R_A)) == up * R_A
