@@ -10,6 +10,11 @@ Subcommands:
 
 Exit codes: 0 success, 1 computation error, 2 verification failure.
 
+DUBROVNIK_DEBUG=1 turns on debug mode: every map the program derives is
+validated like an input map, a state sum signs every state and checks that
+a link's value depends on z = A - B only, and cached values are recomputed
+and compared instead of served.
+
 The optional cache is a JSON-lines file.  Its first line names the file
 format and the signature scheme; a file whose first line is missing or
 different is reported and ignored, and the next store replaces it.  Every
@@ -40,7 +45,8 @@ from .diagrams import (ParseError, braid_to_link, mirror, parse_braid,
                        parse_pd, parse_regraph)
 from .fourvalent import kauffman_via_4valent
 from .invariants import kauffman_state_sum, n2_closed_form, normalized
-from .maps import SIGNATURE_SCHEME, InvalidMap, NonPlanar, PlanarMap
+from .maps import (SIGNATURE_SCHEME, InvalidMap, NonPlanar, PlanarMap,
+                   debug_mode)
 from .ring import (RingElem, parse_ring_text, qlaurent_text, specialize_soN,
                    to_canonical_text)
 from .skein import EvalContext
@@ -189,8 +195,7 @@ def run(job: JobSpec, ctx: EvalContext | None = None) -> dict:
         ctx.trace = []
     loaded = 0
     if job.cache_path:
-        debug = bool(os.environ.get("DUBROVNIK_DEBUG"))
-        loaded = cache_load(job.cache_path, ctx, verify=debug)
+        loaded = cache_load(job.cache_path, ctx, verify=debug_mode())
     t0 = time.perf_counter()
     diagram, writhe = _parse_input(job)
     crossings = len(diagram.crossing_nodes())
@@ -349,13 +354,13 @@ def main(argv=None) -> int:
                 line = line.strip()
                 if not line:
                     continue
-                spec = json.loads(line)
-                job = JobSpec(**spec)
+                spec = line
                 try:
-                    doc = run(job)
+                    spec = json.loads(line)
+                    doc = run(JobSpec(**spec))
                 except Exception as e:      # report and continue the batch
-                    print(json.dumps({"input": spec.get("text"),
-                                      "error": str(e)}))
+                    text = spec.get("text") if isinstance(spec, dict) else line
+                    print(json.dumps({"input": text, "error": str(e)}))
                     rc = 1
                     continue
                 print(json.dumps(doc, sort_keys=True))

@@ -76,7 +76,7 @@ def n2_vanishing_diagrams(rng: random.Random, count: int):
             continue
         pieces = set()
         for ch in "ABW":
-            g = resolve_state(d, ch, check=False).graph
+            g = resolve_state(d, ch).graph
             pieces.add(len(g.components()) + g.free_loops)
         if len(pieces) == 1:
             found += 1

@@ -158,11 +158,10 @@ def _validate_trivalent_vertex(g: PlanarMap, node: int, cyc: tuple[int, ...]) ->
 class LinkDiagram(PlanarMap):
     """Planar 4-valent crossing diagram of an unoriented link."""
 
-    def __init__(self, *args, check: bool = True, **kw):
-        super().__init__(*args, check=check, **kw)
-        if check:
-            for cyc in self.nodes():
-                _validate_crossing(self, cyc)
+    def validate(self) -> None:
+        super().validate()
+        for cyc in self.nodes():
+            _validate_crossing(self, cyc)
 
     def crossings(self) -> int:
         return self.n_nodes()
@@ -171,18 +170,17 @@ class LinkDiagram(PlanarMap):
 class REGraphDiagram(PlanarMap):
     """Diagram of a knotted rigid-edge trivalent graph: crossings + vertices."""
 
-    def __init__(self, *args, check: bool = True, **kw):
-        super().__init__(*args, check=check, **kw)
-        if check:
-            n_vert = 0
-            for i, cyc in enumerate(self.nodes()):
-                if any(h in self.over for h in cyc):
-                    _validate_crossing(self, cyc)
-                else:
-                    _validate_trivalent_vertex(self, i, cyc)
-                    n_vert += 1
-            if n_vert % 2:
-                raise OddVertexCount(f"{n_vert} trivalent vertices")
+    def validate(self) -> None:
+        super().validate()
+        n_vert = 0
+        for i, cyc in enumerate(self.nodes()):
+            if any(h in self.over for h in cyc):
+                _validate_crossing(self, cyc)
+            else:
+                _validate_trivalent_vertex(self, i, cyc)
+                n_vert += 1
+        if n_vert % 2:
+            raise OddVertexCount(f"{n_vert} trivalent vertices")
 
     def crossings(self) -> int:
         return len(self.crossing_nodes())
@@ -191,9 +189,9 @@ class REGraphDiagram(PlanarMap):
 class PlanarTrivalentGraph(REGraphDiagram):
     """Crossing-free trivalent graph with wide edges: a state."""
 
-    def __init__(self, *args, check: bool = True, **kw):
-        super().__init__(*args, check=check, **kw)
-        if check and self.over:
+    def validate(self) -> None:
+        super().validate()
+        if self.over:
             raise InvalidMap("states may not contain crossings")
 
 
@@ -259,8 +257,6 @@ def braid_to_link(b: BraidWord) -> LinkDiagram:
 
 # -- PD / wide-edge record parsing --------------------------------------------------
 
-_X_RE = re.compile(r"X\(\s*([^()]*?)\s*\)")
-_W_RE = re.compile(r"W\(\s*([^()]*?)\s*\)")
 _REC_RE = re.compile(r"([XW])\(\s*([^()]*?)\s*\)")
 
 
@@ -354,13 +350,10 @@ def link_components(d: PlanarMap) -> int:
 
 def mirror(d: PlanarMap) -> PlanarMap:
     """Swap over- and under-strands at every crossing."""
-    over = set()
-    for i, cyc in enumerate(d.nodes()):
-        cyc_over = [h for h in cyc if h in d.over]
-        if cyc_over:
-            over.update(h for h in cyc if h not in d.over)
-    return type(d)(d.twin, d.nxt, d.wide, frozenset(over), d.free_loops,
-                   check=False)
+    nodes = d.nodes()
+    over = d.over.symmetric_difference(
+        h for i in d.crossing_nodes() for h in nodes[i])
+    return type(d)._build(d.twin, d.nxt, d.wide, over, d.free_loops)
 
 
 def disjoint_union(d1: PlanarMap, d2: PlanarMap, cls=None) -> PlanarMap:
@@ -390,14 +383,8 @@ def switch_crossing(d: PlanarMap, node: int) -> PlanarMap:
     cyc = d.nodes()[node]
     if not any(h in d.over for h in cyc):
         raise ValueError("node is not a crossing")
-    over = set(d.over)
-    for h in cyc:
-        if h in over:
-            over.discard(h)
-        else:
-            over.add(h)
-    return type(d)(d.twin, d.nxt, d.wide, frozenset(over), d.free_loops,
-                   check=False)
+    over = d.over.symmetric_difference(cyc)
+    return type(d)._build(d.twin, d.nxt, d.wide, over, d.free_loops)
 
 
 def smooth_crossing(d: PlanarMap, node: int, kind: str) -> PlanarMap:
@@ -533,14 +520,13 @@ class StateResolver:
                 t = old_twin[mate]
         return twin, nxt, wide, loops, na, nb
 
-    def resolve(self, choices, check: bool = False) -> StateRecord:
+    def resolve(self, choices) -> StateRecord:
         twin, nxt, wide, loops, na, nb = self.resolve_arrays(choices)
-        g = PlanarTrivalentGraph(twin, nxt, wide, frozenset(), loops,
-                                 check=check)
+        g = PlanarTrivalentGraph._build(twin, nxt, wide, frozenset(), loops)
         return StateRecord(g, na, nb, tuple(choices))
 
 
-def resolve_state(d: PlanarMap, choices, check: bool = True) -> StateRecord:
+def resolve_state(d: PlanarMap, choices) -> StateRecord:
     """Resolve every crossing according to choices ('A' | 'B' | 'W' each)."""
     cnodes = d.crossing_nodes()
     if len(choices) != len(cnodes):
@@ -548,15 +534,15 @@ def resolve_state(d: PlanarMap, choices, check: bool = True) -> StateRecord:
     for ch in choices:
         if ch not in "ABW":
             raise ValueError(f"bad resolution choice {ch!r}")
-    return StateResolver(d).resolve(choices, check=check)
+    return StateResolver(d).resolve(choices)
 
 
-def states(d: PlanarMap, check: bool = False):
+def states(d: PlanarMap):
     """All 3^c resolutions of the diagram's crossings."""
     resolver = StateResolver(d)
     c = len(resolver.cnodes)
     for choices in itertools.product("ABW", repeat=c):
-        yield resolver.resolve(choices, check=check)
+        yield resolver.resolve(choices)
 
 
 # -- tangles ------------------------------------------------------------------------------
@@ -607,7 +593,7 @@ def identity_tangle(n: int) -> Tangle:
         b.node([h2])
         top.append(h1)
         bot.append(h2)
-    return Tangle(b.finish(check=False), top, bot)
+    return Tangle(PlanarMap._build(*b._arrays()), top, bot)
 
 
 def t_tangle(n: int, i: int) -> Tangle:
@@ -629,7 +615,7 @@ def t_tangle(n: int, i: int) -> Tangle:
             b.node([h2])
             top[j - 1] = h1
             bot[j - 1] = h2
-    return Tangle(b.finish(check=False), top, bot)
+    return Tangle(PlanarMap._build(*b._arrays()), top, bot)
 
 
 def c_tangle(n: int, i: int) -> Tangle:
@@ -657,7 +643,7 @@ def c_tangle(n: int, i: int) -> Tangle:
         b.node([h2])
         top[j - 1] = h1
         bot[j - 1] = h2
-    return Tangle(b.finish(check=False), top, bot)
+    return Tangle(PlanarMap._build(*b._arrays()), top, bot)
 
 
 def stack(upper: Tangle, lower: Tangle) -> Tangle:
@@ -673,7 +659,7 @@ def stack(upper: Tangle, lower: Tangle) -> Tangle:
         s.kill(g.node_of(hb))
         s.kill(g.node_of(ht))
         s.pair(hb, ht)
-    out, idmap = s.finish(check=False)
+    out, idmap = s.finish()
     top = [idmap[h] for h in upper.top]
     bot = [idmap[h + off] for h in lower.bot]
     return Tangle(out, top, bot)

@@ -29,8 +29,8 @@ from .ring import RingElem, constants
 class Planar4Graph(PlanarMap):
     """Planar graph with ordinary (non-rigid is fine: planar) 4-valent vertices."""
 
-    def __init__(self, *args, **kw):
-        super().__init__(*args, **kw)
+    def validate(self) -> None:
+        super().validate()
         if self.over:
             raise InvalidMap("4-valent graphs carry no crossing data")
         if any(self.wide):
@@ -264,9 +264,9 @@ _ORACLE_CTX = OracleContext()
 def _extract4(g: PlanarMap, comp: list[int]) -> Planar4Graph:
     comp_sorted = sorted(comp)
     idmap = {h: i for i, h in enumerate(comp_sorted)}
-    return Planar4Graph([idmap[g.twin[h]] for h in comp_sorted],
-                        [idmap[g.nxt[h]] for h in comp_sorted],
-                        [False] * len(comp_sorted), frozenset(), 0, check=False)
+    return Planar4Graph._build([idmap[g.twin[h]] for h in comp_sorted],
+                               [idmap[g.nxt[h]] for h in comp_sorted],
+                               [False] * len(comp_sorted), frozenset(), 0)
 
 
 def evaluate4(g: PlanarMap, ctx: OracleContext | None = None) -> RingElem:
@@ -337,6 +337,6 @@ def kauffman_via_4valent(d: PlanarMap, ctx: OracleContext | None = None) -> Ring
                 s.pair(r2, r1)
             else:
                 _vertex4(s, r0, r1, r2, r3)
-        g, _ = s.finish(over=frozenset(), check=False, cls=Planar4Graph)
+        g, _ = s.finish(cls=Planar4Graph)
         total = total + RingElem.mono(0, na, nb) * evaluate4(g, ctx)
     return total

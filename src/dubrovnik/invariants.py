@@ -20,18 +20,16 @@ exactly.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 
 from .diagrams import (BraidWord, PlanarTrivalentGraph, StateResolver, Tangle,
                        braid_to_link, c_tangle, close_tangle, identity_tangle,
                        stack, t_tangle)
-from .maps import PlanarMap, signature_of_arrays
+from .maps import PlanarMap, debug_mode, signature_of_arrays
 from .ring import (LaurentPoly, QLaurent, RingElem, constants,
                    depends_on_z_only, qlaurent_mul, ring_sum, specialize_soN)
-from .skein import (EvalContext, InternalError, apply_lollipop,
-                    apply_wide_digon, check_claim, default_context, evaluate,
-                    store_memo)
+from .skein import (EvalContext, InternalError, _classify_face, apply_rule,
+                    check_claim, default_context, evaluate, store_memo)
 
 
 class MissingWrithe(ValueError):
@@ -47,7 +45,7 @@ class InvariantResult:
     value: RingElem
     writhe: int | None
     states_evaluated: int
-    source: str                   # stateSum | bracket | fourValent | n2Closed
+    source: str       # always "stateSum"; cli.run writes "n2Closed" itself
 
 
 def diagram_job_key(d: PlanarMap) -> str:
@@ -102,7 +100,7 @@ def kauffman_state_sum(d: PlanarMap, ctx: EvalContext | None = None) -> Invarian
     if hit is not None:
         ctx.stats["state_hits"] += count
         return InvariantResult(hit, None, count, "stateSum")
-    debug = ctx.consistency is not None or bool(os.environ.get("DUBROVNIK_DEBUG"))
+    debug = ctx.consistency is not None or debug_mode()
     signed: dict[tuple, tuple] = {}
     resolver = StateResolver(d)
     # resolve_arrays numbers the surviving half-edges first, then six per
@@ -136,8 +134,8 @@ def kauffman_state_sum(d: PlanarMap, ctx: EvalContext | None = None) -> Invarian
         value = ctx.memo.get(sig)
         if value is None:
             twin, nxt, wide, loops = sig_shape[sig]
-            g = PlanarTrivalentGraph(twin, nxt, wide, frozenset(), loops,
-                                     check=False)
+            g = PlanarTrivalentGraph._build(twin, nxt, wide, frozenset(),
+                                            loops)
             value = evaluate(g, ctx)
             store_memo(ctx, sig, value)
         else:
@@ -223,7 +221,6 @@ def _internal_configs(t: Tangle):
     for face in g.faces():
         if any(h in boundary or g.twin[h] in boundary for h in face):
             continue
-        from .skein import _classify_face
         kind = _classify_face(g, face)
         if kind:
             return kind, face
@@ -240,7 +237,7 @@ def _reduce_tangle(coeff: RingElem, t: Tangle,
         g = t.g
         if g.free_loops:
             c = c * (C.alpha ** g.free_loops)
-            g = type(g)(g.twin, g.nxt, g.wide, g.over, 0, check=False)
+            g = type(g)._build(g.twin, g.nxt, g.wide, g.over, 0)
             t = Tangle(g, t.top, t.bot)
         hit = _internal_configs(t)
         if hit is None:
@@ -251,15 +248,9 @@ def _reduce_tangle(coeff: RingElem, t: Tangle,
                 out[sig] = (c, t)
             continue
         kind, face = hit
-        if kind in ("lollipop", "curl2"):
-            g2, idmap = apply_lollipop(g, face)
+        for c2, g2, idmap in apply_rule(g, kind, face):
             t2 = Tangle(g2, [idmap[h] for h in t.top], [idmap[h] for h in t.bot])
-            queue.append((c * C.beta, t2))
-        else:
-            for c2, g2, idmap in apply_wide_digon(g, face):
-                t2 = Tangle(g2, [idmap[h] for h in t.top],
-                            [idmap[h] for h in t.bot])
-                queue.append((c * c2, t2))
+            queue.append((c * c2, t2))
 
 
 def bracket(b: BraidWord, ctx: EvalContext | None = None) -> RingElem:

@@ -9,8 +9,13 @@ A planar object is stored as a rotation system on half-edges:
     free_loops -- number of closed curves that meet no node at all
 
 Faces are the orbits of h -> nxt[twin[h]]; a component is planar exactly when
-V - E + F = 2, which is the validity check used everywhere.  Circles carry no
-half-edges, so they are held in the free_loops counter.
+V - E + F = 2.  Circles carry no half-edges, so they are held in the
+free_loops counter.
+
+A map is validated (`validate`) where it enters the program: a class
+constructor, `MapBuilder.finish`, `from_json`.  A map the program builds
+itself (`PlanarMap._build`: surgery results, states, components, tangle
+generators) is validated only when `debug_mode()` is true.
 
 All mutation happens through :class:`Surgery`, which removes a set of nodes,
 reconnects the dangling strands by arcs or through freshly built nodes, and
@@ -21,7 +26,14 @@ functions from maps to maps.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+
+
+def debug_mode() -> bool:
+    """Whether DUBROVNIK_DEBUG is set; the `cli` module docstring lists what
+    debug mode turns on."""
+    return bool(os.environ.get("DUBROVNIK_DEBUG"))
 
 
 class NonPlanar(ValueError):
@@ -37,17 +49,25 @@ class PlanarMap:
                  "_node_of", "_nodes")
 
     def __init__(self, twin: list[int], nxt: list[int], wide: list[bool],
-                 over: frozenset[int] = frozenset(), free_loops: int = 0,
-                 check: bool = True):
-        self.twin = list(twin)
-        self.nxt = list(nxt)
-        self.wide = list(wide)
-        self.over = frozenset(over)
-        self.free_loops = free_loops
-        self._nodes = None
-        self._node_of = None
-        if check:
-            self._check_structure()
+                 over: frozenset[int] = frozenset(), free_loops: int = 0):
+        self._adopt(list(twin), list(nxt), list(wide), frozenset(over),
+                    free_loops)
+        self.validate()
+
+    @classmethod
+    def _build(cls, *arrays):
+        """A map the program builds itself, validated in debug mode only.
+        It owns the lists given: no map's arrays are written in place."""
+        g = cls.__new__(cls)
+        g._adopt(*arrays)
+        if debug_mode():
+            g.validate()
+        return g
+
+    def _adopt(self, twin, nxt, wide, over, free_loops) -> None:
+        self.twin, self.nxt, self.wide = twin, nxt, wide
+        self.over, self.free_loops = over, free_loops
+        self._nodes = self._node_of = None
 
     # -- basic structure -----------------------------------------------------
 
@@ -121,7 +141,8 @@ class PlanarMap:
             comps.append(comp)
         return comps
 
-    def _check_structure(self) -> None:
+    def validate(self) -> None:
+        """Raise InvalidMap or NonPlanar unless the map is well formed."""
         n = self.n_half
         if not (len(self.nxt) == len(self.wide) == n):
             raise InvalidMap("array length mismatch")
@@ -363,7 +384,12 @@ class MapBuilder:
     def mark_over(self, halfedges) -> None:
         self._over.update(halfedges)
 
-    def finish(self, cls=PlanarMap, check: bool = True, **kw) -> PlanarMap:
+    def finish(self, cls=PlanarMap) -> PlanarMap:
+        """The built map, validated as input."""
+        return cls(*self._arrays())
+
+    def _arrays(self) -> tuple:
+        """Unvalidated (twin, nxt, wide, over, free_loops) of the built map."""
         n = len(self._twin)
         nxt = [-1] * n
         for cyc in self._rotations:
@@ -373,8 +399,8 @@ class MapBuilder:
             raise InvalidMap("half-edge missing from every node rotation")
         if any(t == -1 for t in self._twin):
             raise InvalidMap("unwelded half-edge")
-        return cls(self._twin, nxt, self._wide, frozenset(self._over),
-                   self.free_loops, check=check, **kw)
+        return (self._twin, nxt, self._wide, frozenset(self._over),
+                self.free_loops)
 
 
 # -- surgery ----------------------------------------------------------------------
@@ -443,8 +469,7 @@ class Surgery:
 
     # --------------------------------------------------------------------------
 
-    def finish(self, over: frozenset[int] | None = None, check: bool = True,
-               cls=PlanarMap) -> tuple[PlanarMap, dict[int, int]]:
+    def finish(self, cls=PlanarMap) -> tuple[PlanarMap, dict[int, int]]:
         """Build the new map.  Returns (map, old half-edge id -> new id)."""
         g = self.g
         survivors = [h for h in range(g.n_half) if h not in self.dead_slots]
@@ -531,14 +556,8 @@ class Surgery:
         if any(t == -1 for t in twin) or any(x == -1 for x in nxt):
             raise InvalidMap("surgery left dangling half-edges")
 
-        new_over = set()
-        base_over = self.g.over if over is None else over
-        for h in base_over:
-            if h in idmap:
-                new_over.add(idmap[h])
-        out = cls(twin, nxt, wide, frozenset(new_over),
-                  g.free_loops + loops, check=check)
-        return out, idmap
+        over = frozenset(idmap[h] for h in g.over if h in idmap)
+        return cls._build(twin, nxt, wide, over, g.free_loops + loops), idmap
 
 
 def disjoint_union_maps(g1: PlanarMap, g2: PlanarMap, cls=PlanarMap) -> PlanarMap:
@@ -547,4 +566,4 @@ def disjoint_union_maps(g1: PlanarMap, g2: PlanarMap, cls=PlanarMap) -> PlanarMa
     nxt = list(g1.nxt) + [n + off for n in g2.nxt]
     wide = list(g1.wide) + list(g2.wide)
     over = frozenset(g1.over) | frozenset(h + off for h in g2.over)
-    return cls(twin, nxt, wide, over, g1.free_loops + g2.free_loops, check=False)
+    return cls._build(twin, nxt, wide, over, g1.free_loops + g2.free_loops)

@@ -169,16 +169,6 @@ class LaurentPoly:
             return _poly({}, 0)
         return _poly({k: n * c for k, c in self._t.items()}, self._deg)
 
-    def subst_at_A_eq_B(self) -> "LaurentPoly":
-        """Substitute A = B (exponent of A folded into B); zero iff (A-B) divides."""
-        r: dict[int, int] = {}
-        for k, c in self._t.items():
-            ea, eA, eB = _unpack(k)
-            m = ea * _S * _S + eA + eB
-            r[m] = r.get(m, 0) + c
-        r = {k: c for k, c in r.items() if c}
-        return _poly(r, _degree(r))
-
     def __repr__(self) -> str:
         return f"LaurentPoly({dict(self.terms.items())!r})"
 

@@ -248,6 +248,16 @@ def apply_wide_digon(g: PlanarMap, face: tuple[int, ...]) -> list:
     raise ValueError(f"not a wide-digon face: {kind}")
 
 
+def apply_rule(g: PlanarMap, kind: str, face: tuple[int, ...]) -> list:
+    """(coefficient, graph, old half-edge id -> new id) triples reducing a
+    face of a reducible kind: beta times the curl removed for a lollipop or
+    curl2, else the wide-digon expansion."""
+    if kind in ("lollipop", "curl2"):
+        reduced, idmap = apply_lollipop(g, face)
+        return [(constants().beta, reduced, idmap)]
+    return apply_wide_digon(g, face)
+
+
 def _face_of(g: PlanarMap, h: int) -> tuple[int, ...]:
     face = [h]
     cur = g.nxt[g.twin[h]]
@@ -375,8 +385,7 @@ def square_move(g: PlanarMap, face: tuple[int, ...]) -> LinearCombo:
 @dataclass
 class Move:
     kind: str                     # "rotate" | "square"
-    arg: object                   # wide half-edge or face tuple (in `before`)
-    before: PlanarTrivalentGraph
+    arg: object                   # wide half-edge or face tuple (before it)
     after: PlanarTrivalentGraph
 
 
@@ -421,7 +430,7 @@ def alternating_walk_reduce(g: PlanarTrivalentGraph, max_nodes: int = 50000,
             if sig in seen:
                 continue
             seen.add(sig)
-            new_path = path + [Move(kind, arg, cur, nxt_g)]
+            new_path = path + [Move(kind, arg, nxt_g)]
             if reducible_configs(nxt_g):
                 return new_path
             frontier.append((nxt_g, new_path))
@@ -473,7 +482,7 @@ def _extract_component(g: PlanarMap, comp: list[int]) -> PlanarTrivalentGraph:
     twin = [idmap[g.twin[h]] for h in comp_sorted]
     nxt = [idmap[g.nxt[h]] for h in comp_sorted]
     wide = [g.wide[h] for h in comp_sorted]
-    return PlanarTrivalentGraph(twin, nxt, wide, frozenset(), 0, check=False)
+    return PlanarTrivalentGraph._build(twin, nxt, wide, frozenset(), 0)
 
 
 def evaluate(g: PlanarMap, ctx: EvalContext | None = None) -> RingElem:
@@ -521,7 +530,6 @@ def _eval_component(g: PlanarTrivalentGraph, ctx: EvalContext) -> RingElem:
         ctx.stats["memo_hits"] += 1
         return hit
     ctx.stats["components"] += 1
-    beta = constants().beta
 
     cfgs = reducible_configs(g)
     if not cfgs:
@@ -529,7 +537,7 @@ def _eval_component(g: PlanarTrivalentGraph, ctx: EvalContext) -> RingElem:
         script = alternating_walk_reduce(g, rng=ctx.rng)
         cur = g
         for mv in script:
-            ctx.record(mv.kind, mv.arg if mv.kind == "rotate" else mv.arg)
+            ctx.record(mv.kind, mv.arg)
             if mv.kind == "square":
                 combo = square_move(cur, mv.arg)
                 for coeff, piece in combo[1:]:
@@ -546,12 +554,8 @@ def _eval_component(g: PlanarTrivalentGraph, ctx: EvalContext) -> RingElem:
     else:
         cfg = cfgs[0]
     ctx.record(cfg.kind, cfg.face)
-    if cfg.kind in ("lollipop", "curl2"):
-        reduced, _ = apply_lollipop(g, cfg.face)
-        value = beta * evaluate(reduced, ctx)
-    else:
-        value = RingElem.zero()
-        for coeff, piece, _ in apply_wide_digon(g, cfg.face):
-            value = value + coeff * evaluate(piece, ctx)
+    value = RingElem.zero()
+    for coeff, piece, _ in apply_rule(g, cfg.kind, cfg.face):
+        value = value + coeff * evaluate(piece, ctx)
     store_memo(ctx, sig, value)
     return value

@@ -242,6 +242,20 @@ def test_batch(tmp_path, capsys):
     assert doc["specialized"] == "-q - q^-1"
 
 
+def test_batch_reports_bad_lines_and_continues(tmp_path, capsys):
+    f = tmp_path / "jobs.jsonl"
+    f.write_text("{not json\n"
+                 + json.dumps({"kind": "braid", "text": "1", "color": 1}) + "\n"
+                 + json.dumps({"kind": "knot", "text": "1 1"}) + "\n"
+                 + json.dumps({"kind": "braid", "text": "1 1"}) + "\n")
+    assert main(["batch", str(f)]) == 1
+    docs = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert [d["input"] for d in docs] == ["{not json", "1", "1 1", "1 1"]
+    assert all("error" in d for d in docs[:3])
+    assert "color" in docs[1]["error"] and "knot" in docs[2]["error"]
+    assert "error" not in docs[3] and docs[3]["value"]["terms"]
+
+
 def test_verify_subset(capsys):
     assert main(["verify", "--suite", "ring"]) == 0
     assert "[PASS] ring identities" in capsys.readouterr().out

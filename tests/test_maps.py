@@ -48,7 +48,7 @@ def relabel(g: PlanarMap, rng: random.Random) -> PlanarMap:
         twin[perm[h]] = perm[g.twin[h]]
         nxt[perm[h]] = perm[g.nxt[h]]
         wide[perm[h]] = g.wide[h]
-    return PlanarMap(twin, nxt, wide, frozenset(), g.free_loops, check=False)
+    return PlanarMap(twin, nxt, wide, frozenset(), g.free_loops)
 
 
 def test_signature_relabeling_invariance():
@@ -90,8 +90,7 @@ def reflect(g: PlanarMap) -> PlanarMap:
     prev = [0] * g.n_half
     for h in range(g.n_half):
         prev[g.nxt[h]] = h
-    return PlanarMap(g.twin, prev, g.wide, frozenset(), g.free_loops,
-                     check=False)
+    return PlanarMap(g.twin, prev, g.wide, frozenset(), g.free_loops)
 
 
 def test_signature_classes_match_the_brute_force_oracle():
