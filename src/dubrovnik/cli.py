@@ -13,22 +13,21 @@ Exit codes: 0 success, 1 computation error, 2 verification failure.
 DUBROVNIK_DEBUG=1 turns on debug mode: every map the program derives is
 validated like an input map, a state sum signs every state and checks that
 a link's value depends on z = A - B only, and cached values are recomputed
-and compared instead of served.
+and compared instead of served.  Debug mode reads the cache to check it and
+never writes it.
 
 The optional cache is a JSON-lines file.  Its first line names the file
-format and the signature scheme; a file whose first line is missing or
-different is reported and ignored, and the next store replaces it.  Every
-further row is one of
+format; a file whose first line is missing or different is reported and
+ignored, and the next store replaces it.  Every further row is
 
-    {"memo": <signature>, "value": <canonical polynomial text>}
     {"diagram": <diagram key>, "value": <canonical polynomial text>}
 
-A memo row persists one entry of the reduction memo; its signature is the
-canonical signature written as nested lists.  A diagram row persists the
-whole value of one literal diagram, keyed by `invariants.diagram_job_key`,
-which is what makes a repeated run on the same input skip the state sum.
-Stores write a temporary file and rename it over the old one, so a crash
-mid-store leaves the previous file intact.
+the whole value of one literal diagram, keyed by
+`invariants.diagram_job_key`, which is what makes a repeated run on the
+same input skip the state sum.  The reduction memo is not persisted, so
+canonical signatures never leave the process.  Stores write a temporary
+file and rename it over the old one, so a crash mid-store leaves the
+previous file intact.
 """
 
 from __future__ import annotations
@@ -45,8 +44,7 @@ from .diagrams import (ParseError, braid_to_link, mirror, parse_braid,
                        parse_pd, parse_regraph)
 from .fourvalent import kauffman_via_4valent
 from .invariants import kauffman_state_sum, n2_closed_form, normalized
-from .maps import (SIGNATURE_SCHEME, InvalidMap, NonPlanar, PlanarMap,
-                   debug_mode)
+from .maps import InvalidMap, NonPlanar, PlanarMap, debug_mode
 from .ring import (RingElem, parse_ring_text, qlaurent_text, specialize_soN,
                    to_canonical_text)
 from .skein import EvalContext
@@ -85,35 +83,18 @@ class JobSpec:
 
 # -- cache -----------------------------------------------------------------------
 
-CACHE_VERSION = json.dumps({"format": "dubrovnik-cache/2",
-                            "signature": SIGNATURE_SCHEME})
-
-
-def _sig_of_json(x) -> tuple:
-    """Signature from its nested-list form [loops, [[[t, n, w], ...], ...]]."""
-    loops, encs = x
-    return (loops, tuple(tuple(tuple(e) for e in enc) for enc in encs))
+CACHE_VERSION = json.dumps({"format": "dubrovnik-cache/3"})
 
 
 def cache_store(path: str, ctx: EvalContext) -> None:
-    """Write the memo and the whole-diagram results, replacing `path` atomically."""
-    texts: dict[RingElem, str] = {}
-
-    def text_of(value: RingElem) -> str:
-        t = texts.get(value)
-        if t is None:
-            t = texts[value] = to_canonical_text(value)
-        return t
-
+    """Write the whole-diagram results, replacing `path` atomically."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as f:
             f.write(CACHE_VERSION + "\n")
-            for sig, value in ctx.memo.items():
-                f.write(json.dumps({"memo": sig, "value": text_of(value)})
-                        + "\n")
             for key, value in ctx.results.items():
-                f.write(json.dumps({"diagram": key, "value": text_of(value)})
+                f.write(json.dumps({"diagram": key,
+                                    "value": to_canonical_text(value)})
                         + "\n")
         os.replace(tmp, path)
     except BaseException:
@@ -123,14 +104,13 @@ def cache_store(path: str, ctx: EvalContext) -> None:
         raise
 
 
-def cache_load(path: str, ctx: EvalContext, verify: bool = False) -> int:
-    """Load cache rows into the context and return their number.
+def cache_load(path: str, ctx: EvalContext) -> int:
+    """Load the diagram rows into the context and return their number.
 
     A file with a missing or different version line, or a malformed row, is
-    reported and ignored as a whole.  With verify=True (or DUBROVNIK_DEBUG=1
-    in the environment) no row is served: memo and diagram rows go to the
-    consistency checker, so every value is recomputed and compared with its
-    cached claim as it is reached.
+    reported and ignored as a whole.  In debug mode no row is served: the
+    rows go to the consistency checker, so every value is recomputed and
+    compared with its cached claim as it is reached.
     """
     try:
         with open(path) as f:
@@ -143,37 +123,26 @@ def cache_load(path: str, ctx: EvalContext, verify: bool = False) -> int:
         print(f"cache file {path} is stale or corrupt (first line is not "
               f"{CACHE_VERSION}); ignoring it", file=sys.stderr)
         return 0
-    memo: dict = {}
     results: dict = {}
-    values: dict[str, RingElem] = {}
     try:
         for line in lines[1:]:
             if not line:
                 continue
             row = json.loads(line)
-            text = row["value"]
-            value = values.get(text)
-            if value is None:
-                value = values[text] = parse_ring_text(text)
-            if "memo" in row:
-                memo[_sig_of_json(row["memo"])] = value
-            elif "diagram" in row:
-                results[row["diagram"]] = value
-            else:
+            if "diagram" not in row:
                 raise CacheCorrupt(f"unknown row kind {sorted(row)}")
+            results[row["diagram"]] = parse_ring_text(row["value"])
     except (ValueError, KeyError, TypeError) as e:
         print(f"cache file {path} is corrupt ({e}); ignoring it",
               file=sys.stderr)
         return 0
-    if verify:
+    if debug_mode():
         if ctx.consistency is None:
             ctx.consistency = {}
-        ctx.consistency.update(memo)
         ctx.consistency.update(results)
     else:
-        ctx.memo.update(memo)
         ctx.results.update(results)
-    return len(memo) + len(results)
+    return len(results)
 
 
 # -- running jobs -----------------------------------------------------------------
@@ -195,7 +164,7 @@ def run(job: JobSpec, ctx: EvalContext | None = None) -> dict:
         ctx.trace = []
     loaded = 0
     if job.cache_path:
-        loaded = cache_load(job.cache_path, ctx, verify=debug_mode())
+        loaded = cache_load(job.cache_path, ctx)
     t0 = time.perf_counter()
     diagram, writhe = _parse_input(job)
     crossings = len(diagram.crossing_nodes())
@@ -243,10 +212,9 @@ def run(job: JobSpec, ctx: EvalContext | None = None) -> dict:
     doc["elapsedMs"] = round(1000 * (time.perf_counter() - t0), 3)
     if job.trace:
         doc["trace"] = ctx.trace
-    if job.cache_path:
-        total = len(ctx.memo) + len(ctx.results)
-        if total != loaded:
-            cache_store(job.cache_path, ctx)
+    if (job.cache_path and not debug_mode()
+            and len(ctx.results) != loaded):
+        cache_store(job.cache_path, ctx)
     return doc
 
 

@@ -1,6 +1,6 @@
 """Diagram data model: braids, link diagrams, knotted-graph diagrams, tangles.
 
-Input grammars (bit-exact, also documented in the README):
+Input grammars (bit-exact; this docstring is their reference):
 
 * Braids: optional ``n=<int>;`` prefix, then whitespace-separated nonzero
   integers; letter ``i`` is the positive generator on strands (i, i+1) and
@@ -181,9 +181,6 @@ class REGraphDiagram(PlanarMap):
                 n_vert += 1
         if n_vert % 2:
             raise OddVertexCount(f"{n_vert} trivalent vertices")
-
-    def crossings(self) -> int:
-        return len(self.crossing_nodes())
 
 
 class PlanarTrivalentGraph(REGraphDiagram):

@@ -171,9 +171,6 @@ class PlanarMap:
 
     # -- derived data ----------------------------------------------------------
 
-    def degree(self, node_idx: int) -> int:
-        return len(self.nodes()[node_idx])
-
     def node_wide_slot(self, node_idx: int) -> int | None:
         for h in self.nodes()[node_idx]:
             if self.wide[h]:
@@ -272,11 +269,6 @@ def _face_lengths(twin: list[int], nxt: list[int]) -> list[int]:
     return flen
 
 
-# Names the signature scheme below; persisted signatures (the CLI cache)
-# are valid only under the same name, so change it with the encoding.
-SIGNATURE_SCHEME = "least-colour-rooted-min/2"
-
-
 def signature_of_arrays(twin: list[int], nxt: list[int], wide: list[bool],
                         free_loops: int) -> tuple:
     """Canonical signature computed straight from the map arrays.
@@ -297,8 +289,9 @@ def signature_of_arrays(twin: list[int], nxt: list[int], wide: list[bool],
     Isomorphisms carry faces to faces of the same length, so they keep
     colours, and the least class is again such a set.  Reflections are not
     identified.  The sorted component encodings are paired with the
-    free-loop count; these bytes are scheme `SIGNATURE_SCHEME`, which names
-    the choice of roots and the encoding, so change it with either.
+    free-loop count.  Signatures are keys of in-process memo tables only;
+    nothing persists them, so the choice of roots and the encoding may
+    change freely.
     """
     n = len(twin)
     seen = [False] * n

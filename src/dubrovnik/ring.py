@@ -164,11 +164,6 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         return _mul(self, other)
 
-    def scale(self, n: int) -> "LaurentPoly":
-        if n == 0:
-            return _poly({}, 0)
-        return _poly({k: n * c for k, c in self._t.items()}, self._deg)
-
     def __repr__(self) -> str:
         return f"LaurentPoly({dict(self.terms.items())!r})"
 
@@ -346,12 +341,6 @@ class RingElem:
             if len(x._t) > 1:
                 x, d2 = _normalize(x, d2)
         return _elem(_mul(x, y), d + d2)
-
-    def scale(self, n: int) -> "RingElem":
-        # (A - B) has content 1, so a nonzero integer never changes divisibility.
-        if n == 0:
-            return RingElem.zero()
-        return _elem(self.num.scale(n), self.dpow)
 
     def __pow__(self, k: int) -> "RingElem":
         if k < 0:

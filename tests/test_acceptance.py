@@ -147,7 +147,8 @@ def test_criterion_10_n2():
            t0, None)
 
 
-def test_criterion_11_performance(tmp_path):
+def test_criterion_11_performance(tmp_path, monkeypatch):
+    monkeypatch.delenv("DUBROVNIK_DEBUG", raising=False)
     cache = str(tmp_path / "cache.jsonl")
     job = JobSpec("braid", "n=3; 1 2 1 2 1 2 1 2 1 2", cache_path=cache)
     t0 = time.perf_counter()

@@ -14,6 +14,17 @@ from dubrovnik.skein import EvalContext, InternalError
 C = constants()
 
 
+@pytest.fixture
+def no_debug_env():
+    """Clear DUBROVNIK_DEBUG for a test of what the cache stores and serves:
+    debug mode does neither.  The patch is kept apart from the test's own
+    `monkeypatch`, so `monkeypatch.undo()` leaves it in place; request this
+    fixture first, so that it is undone last."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("DUBROVNIK_DEBUG", raising=False)
+        yield
+
+
 def test_eval_braid_hopf(capsys):
     assert main(["eval-braid", "1 1"]) == 0
     out = capsys.readouterr().out.strip()
@@ -70,7 +81,7 @@ def test_n2_fast(capsys):
         run(JobSpec("regraph", "W(1,2;3,4) X(4,3,5,6) X(6,5,1,2)", n2_fast=True))
 
 
-def test_cache_round_trip(tmp_path):
+def test_cache_round_trip(no_debug_env, tmp_path):
     path = tmp_path / "cache.jsonl"
     ctx = EvalContext()
     job = JobSpec("braid", "n=3; 1 2 1 2", cache_path=str(path))
@@ -78,15 +89,16 @@ def test_cache_round_trip(tmp_path):
     assert path.exists()
     ctx2 = EvalContext()
     loaded = cache_load(str(path), ctx2)
-    assert loaded == len(ctx.memo) + len(ctx.results)
-    # both tables survive the text round trip exactly
-    assert ctx2.memo == ctx.memo
+    assert loaded == len(ctx.results) > 0
+    # whole-diagram values survive the text round trip exactly; the
+    # reduction memo stays in the process
     assert ctx2.results == ctx.results
+    assert ctx.memo and not ctx2.memo
     doc2 = run(job, EvalContext())
     assert doc1["value"] == doc2["value"]
 
 
-def test_cache_hits_speed_repeat(tmp_path, monkeypatch):
+def test_cache_hits_speed_repeat(no_debug_env, tmp_path, monkeypatch):
     import dubrovnik.diagrams as D
     import dubrovnik.invariants as I
     path = tmp_path / "cache.jsonl"
@@ -126,7 +138,7 @@ def test_cache_corrupt(tmp_path, capsys):
     assert cache_load(str(path), ctx) == 0
 
 
-def test_cache_rejects_old_format(tmp_path, capsys):
+def test_cache_rejects_old_format(no_debug_env, tmp_path, capsys):
     import base64
     path = tmp_path / "cache.jsonl"
 
@@ -154,17 +166,18 @@ def test_cache_rejects_old_format(tmp_path, capsys):
     assert ctx2.stats["state_hits"] == 3 ** 2
 
 
-def test_cache_store_is_atomic(tmp_path, monkeypatch):
+def test_cache_store_is_atomic(no_debug_env, tmp_path, monkeypatch):
     import dubrovnik.cli as cli
     path = tmp_path / "cache.jsonl"
     run(JobSpec("braid", "1 1", cache_path=str(path)), EvalContext())
     before = path.read_text()
     ctx = EvalContext()
     run(JobSpec("braid", "n=3; 1 2 1 2"), ctx)
+    run(JobSpec("braid", "1 1 1"), ctx)
     written = []
 
     def failing(value):
-        if len(written) == 3:
+        if len(written) == 1:
             raise RuntimeError("simulated crash during store")
         written.append(value)
         return to_canonical_text(value)
@@ -180,7 +193,8 @@ def test_cache_store_is_atomic(tmp_path, monkeypatch):
     assert ctx2.results
 
 
-def test_cache_store_keeps_the_original_error(tmp_path, monkeypatch):
+def test_cache_store_keeps_the_original_error(no_debug_env, tmp_path,
+                                              monkeypatch):
     import dubrovnik.cli as cli
     path = tmp_path / "cache.jsonl"
     run(JobSpec("braid", "1 1", cache_path=str(path)), EvalContext())
@@ -203,7 +217,8 @@ def test_cache_store_keeps_the_original_error(tmp_path, monkeypatch):
     assert ctx2.results
 
 
-def test_debug_mode_recomputes_diagram_rows(tmp_path, monkeypatch):
+def test_debug_mode_recomputes_diagram_rows(no_debug_env, tmp_path,
+                                            monkeypatch):
     path = tmp_path / "cache.jsonl"
     job = JobSpec("braid", "n=3; 1 2 1 2", cache_path=str(path))
     run(job, EvalContext())
@@ -221,13 +236,46 @@ def test_debug_mode_recomputes_diagram_rows(tmp_path, monkeypatch):
     with pytest.raises(InternalError):
         run(job, ctx)
     assert ctx.stats["state_hits"] == 0
-    # verify=True does the same without the environment variable
-    monkeypatch.delenv("DUBROVNIK_DEBUG")
+    # cache_load alone hands the rows to the checker, not to `results`
+    monkeypatch.setenv("DUBROVNIK_DEBUG", "1")
     ctx = EvalContext()
-    cache_load(str(path), ctx, verify=True)
+    cache_load(str(path), ctx)
     assert not ctx.results and not ctx.memo
     with pytest.raises(InternalError):
         kauffman_state_sum(braid_to_link(parse_braid("n=3; 1 2 1 2")), ctx)
+
+
+def test_debug_mode_never_writes_the_cache(no_debug_env, tmp_path,
+                                           monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    for text in ("1 1 1", "n=3; 1 2 1 2", "n=3; 1 -2 1"):
+        run(JobSpec("braid", text, cache_path=str(path)), EvalContext())
+    before = path.read_bytes()
+    monkeypatch.setenv("DUBROVNIK_DEBUG", "1")
+    # a cached diagram is rechecked and a new one computed; neither is stored
+    for text in ("n=3; 1 2 1 2", "1 1"):
+        run(JobSpec("braid", text, cache_path=str(path)), EvalContext())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
+
+
+def test_cache_replaces_the_memo_row_format(no_debug_env, tmp_path, capsys):
+    # a file of the previous format: signature scheme in the version line,
+    # and memo rows keyed by signatures written as nested lists
+    path = tmp_path / "cache.jsonl"
+    path.write_text(
+        json.dumps({"format": "dubrovnik-cache/2",
+                    "signature": "least-colour-rooted-min/2"}) + "\n"
+        + json.dumps({"memo": [1, []], "value": "1"}) + "\n"
+        + json.dumps({"diagram": "0123456789abcdef01234567", "value": "7"})
+        + "\n")
+    ctx = EvalContext()
+    assert cache_load(str(path), ctx) == 0
+    assert "stale or corrupt" in capsys.readouterr().err
+    assert not ctx.results
+    run(JobSpec("braid", "1 1", cache_path=str(path)), EvalContext())
+    rows = path.read_text().splitlines()
+    assert rows[0] == CACHE_VERSION and len(rows) == 2
 
 
 def test_batch(tmp_path, capsys):

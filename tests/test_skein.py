@@ -12,6 +12,7 @@ from dubrovnik.skein import (EvalContext, alternating_walk_reduce,
                              apply_lollipop, apply_wide_digon, evaluate,
                              find_local_config, h_rotate, is_square_face,
                              reducible_configs, square_move)
+from dubrovnik.verify import check_confluence
 
 C = constants()
 
@@ -149,12 +150,9 @@ def test_fallback_not_called_when_reducible():
 
 def test_confluence_small():
     rng = random.Random(9)
-    consistency = {}
-    for i in range(30):
-        g = random_trivalent_graph(rng, max_vertices=12)
-        vals = {evaluate(g, EvalContext(rng=random.Random(s), consistency=consistency))
-                for s in range(4)}
-        assert len(vals) == 1, f"graph {i} gave {len(vals)} values"
+    graphs = [random_trivalent_graph(rng, max_vertices=12) for _ in range(30)]
+    name, ok, detail = check_confluence(graphs, min_fallback=0)
+    assert ok, f"{name}: {detail}"
 
 
 def test_disjoint_union_law():
