@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass
 
 from .maps import (InvalidMap, MapBuilder, NonPlanar, PlanarMap, Surgery,
-                   disjoint_union_maps)
+                   disjoint_union_maps, signature_of_arrays)
 
 
 class ParseError(ValueError):
@@ -561,7 +561,12 @@ class Tangle:
         return len(self.top)
 
     def signature(self) -> tuple:
-        """Rooted encoding pinned at the boundary, invariant under relabeling."""
+        """Rooted encoding pinned at the boundary, invariant under relabeling.
+
+        The walk from the boundary reaches only the pieces that touch it;
+        closed pieces, when there are any, are keyed by the canonical
+        signature of the half-edges the walk left out.
+        """
         g = self.g
         idx: dict[int, int] = {}
         order: list[int] = []
@@ -578,7 +583,14 @@ class Tangle:
                     idx[nb] = len(order)
                     order.append(nb)
             out.append((idx[g.twin[h]], idx[g.nxt[h]], g.wide[h]))
-        return (self.n, g.free_loops, tuple(out))
+        if len(order) == g.n_half:
+            return (self.n, g.free_loops, tuple(out))
+        rest = [h for h in range(g.n_half) if h not in idx]
+        at = {h: i for i, h in enumerate(rest)}
+        closed = signature_of_arrays([at[g.twin[h]] for h in rest],
+                                     [at[g.nxt[h]] for h in rest],
+                                     [g.wide[h] for h in rest], 0)
+        return (self.n, g.free_loops, tuple(out), closed)
 
 
 def identity_tangle(n: int) -> Tangle:

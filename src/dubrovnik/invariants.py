@@ -227,60 +227,98 @@ def _internal_configs(t: Tangle):
     return None
 
 
-def _reduce_tangle(coeff: RingElem, t: Tangle,
-                   out: dict, ctx: EvalContext) -> None:
-    """Reduce internal faces of a tangle, merging results into `out` by shape."""
-    C = constants()
-    queue = [(coeff, t)]
-    while queue:
-        c, t = queue.pop()
-        g = t.g
-        if g.free_loops:
-            c = c * (C.alpha ** g.free_loops)
-            g = type(g)._build(g.twin, g.nxt, g.wide, g.over, 0)
-            t = Tangle(g, t.top, t.bot)
-        hit = _internal_configs(t)
-        if hit is None:
-            sig = t.signature()
-            if sig in out:
-                out[sig] = (out[sig][0] + c, out[sig][1])
-            else:
-                out[sig] = (c, t)
-            continue
-        kind, face = hit
-        for c2, g2, idmap in apply_rule(g, kind, face):
-            t2 = Tangle(g2, [idmap[h] for h in t.top], [idmap[h] for h in t.bot])
-            queue.append((c * c2, t2))
+def _strip_loops(c: RingElem, t: Tangle) -> tuple[RingElem, Tangle]:
+    """Move a tangle's free loops into its coefficient, a factor alpha each."""
+    g = t.g
+    if not g.free_loops:
+        return c, t
+    bare = type(g)._build(g.twin, g.nxt, g.wide, g.over, 0)
+    return c * (constants().alpha ** g.free_loops), Tangle(bare, t.top, t.bot)
+
+
+def _merge(table: dict, sig, c: RingElem, t: Tangle) -> None:
+    """Add c * t into a combination keyed by tangle signature."""
+    have = table.get(sig)
+    table[sig] = (c, t) if have is None else (have[0] + c, have[1])
+
+
+def _reduce_tangle(coeff: RingElem, t: Tangle) -> list:
+    """Reduce the internal faces of a tangle: (coefficient, signature,
+    tangle) triples of distinct reduced tangles with nonzero coefficients.
+
+    Pending tangles wait in levels keyed by half-edge count, merged by
+    signature, and the largest level is expanded first.  Every rule removes
+    half-edges, so all paths into a tangle have added their coefficients by
+    the time its level is expanded, and each distinct tangle is expanded
+    once.  Free loops are moved into the coefficient before signing.
+    """
+    coeff, t = _strip_loops(coeff, t)
+    # the first tangle is signed only if it is already reduced
+    levels: dict[int, dict] = {t.g.n_half: {None: (coeff, t)}}
+    out = []
+    while levels:
+        for sig, (c, t) in levels.pop(max(levels)).items():
+            if c.is_zero():
+                continue
+            hit = _internal_configs(t)
+            if hit is None:
+                out.append((c, t.signature() if sig is None else sig, t))
+                continue
+            kind, face = hit
+            for c2, g2, idmap in apply_rule(t.g, kind, face):
+                c3, t2 = _strip_loops(c * c2, Tangle(
+                    g2, [idmap[h] for h in t.top], [idmap[h] for h in t.bot]))
+                _merge(levels.setdefault(g2.n_half, {}), t2.signature(), c3, t2)
+    return out
 
 
 def bracket(b: BraidWord, ctx: EvalContext | None = None) -> RingElem:
     """Writhe-corrected trace a^(-w) P(closure) of the expanded braid.
 
-    Computed by stacking one letter at a time while reducing and merging the
-    tangle combination, which keeps the term count small; the result equals
-    trace(rho_expand(b)) term for term.
+    Computed by stacking one letter at a time onto a combination of reduced
+    tangles keyed by signature.  A letter maps a tangle t to A or B times t
+    itself, which is already reduced, plus the reduced rows of
+    stack(t, cup-cap) and stack(t, wide gadget), and merges tangles of equal
+    signature.  A row depends only on t's signature and the generator, so
+    one call reduces it once and scales it by each later coefficient and
+    letter weight.  Stacking is bilinear and each rule is a relation of the
+    graph skein, which leaves the closure's polynomial unchanged, so the
+    result equals a^(-w) trace(rho_expand(b)).  In debug mode every reuse
+    of a row recomputes it, and a difference raises InternalError.
     """
     ctx = ctx or default_context()
+    debug = debug_mode()
     n = b.strands
     A = RingElem.mono(0, 1, 0)
     B = RingElem.mono(0, 0, 1)
     one = RingElem.one()
+    gens = {(make, i): make(n, i) for i in {abs(x) for x in b.letters}
+            for make in (t_tangle, c_tangle)}
+    rows: dict[tuple, list] = {}
     ident = identity_tangle(n)
-    combo: dict = {}
-    _reduce_tangle(one, ident, combo, ctx)
+    combo = {ident.signature(): (one, ident)}
     for letter in b.letters:
         i = abs(letter)
-        if letter > 0:
-            parts = [(A, None), (B, t_tangle(n, i)), (one, c_tangle(n, i))]
-        else:
-            parts = [(A, t_tangle(n, i)), (B, None), (one, c_tangle(n, i))]
+        kept, cupcap = (A, B) if letter > 0 else (B, A)
         new: dict = {}
-        for coeff, t in combo.values():
+        for sig, (coeff, t) in combo.items():
             if coeff.is_zero():
                 continue
-            for c2, gen in parts:
-                stacked = t if gen is None else stack(t, gen)
-                _reduce_tangle(coeff * c2, stacked, new, ctx)
+            _merge(new, sig, coeff * kept, t)
+            for make, weight in ((t_tangle, cupcap), (c_tangle, one)):
+                key = (sig, make, i)
+                row = rows.get(key)
+                if row is None or debug:
+                    fresh = _reduce_tangle(one, stack(t, gens[make, i]))
+                    if row is None:
+                        row = rows[key] = fresh
+                    elif ({s: c for c, s, _ in row}
+                          != {s: c for c, s, _ in fresh}):
+                        raise InternalError("a memoized transition row "
+                                            "differs from its recomputation")
+                scale = coeff if weight is one else coeff * weight
+                for c, s, t2 in row:
+                    _merge(new, s, scale if c is one else c * scale, t2)
         combo = new
     total = RingElem.zero()
     for coeff, t in combo.values():

@@ -194,6 +194,27 @@ def test_tangle_signature_pins_boundary():
     assert canonical_signature(close_tangle(a)) == canonical_signature(close_tangle(b))
 
 
+def test_tangle_signature_keys_closed_pieces():
+    # a cup-cap above and below a wide gadget closes it into a dumbbell that
+    # the walk from the boundary never reaches
+    a = stack(stack(t_tangle(2, 1), c_tangle(2, 1)), t_tangle(2, 1))
+    tt = stack(t_tangle(2, 1), t_tangle(2, 1))
+    b = Tangle(type(tt.g)._build(tt.g.twin, tt.g.nxt, tt.g.wide, tt.g.over, 0),
+               tt.top, tt.bot)
+    assert a.g.n_half == b.g.n_half + 6 and a.g.free_loops == 0
+    assert a.signature() != b.signature()
+    # the closed piece's key is canonical: reversing the half-edge numbers
+    # keeps the signature
+    g, last = a.g, a.g.n_half - 1
+    rev = [0] * g.n_half
+    for h in range(g.n_half):
+        rev[last - h] = (last - g.twin[h], last - g.nxt[h], g.wide[h])
+    twin, nxt, wide = (list(col) for col in zip(*rev))
+    again = Tangle(type(g)._build(twin, nxt, wide, g.over, 0),
+                   [last - h for h in a.top], [last - h for h in a.bot])
+    assert again.signature() == a.signature()
+
+
 def test_resolve_state_validates():
     d = braid_to_link(parse_braid("1 1"))
     with pytest.raises(ValueError):

@@ -97,6 +97,67 @@ def test_bracket_examples():
     assert lit == bracket(b)
 
 
+def test_bracket_matches_literal_expansion():
+    # repeated letters reuse memoized rows, and the literal expansion stacks
+    # a cup-cap above and below a wide gadget, closing it off from the
+    # boundary
+    for text in ("n=2; 1 1 1", "n=3; 1 1 1 2 2 2", "n=3; 1 -1 1 2 -2"):
+        b = parse_braid(text)
+        lit = RingElem.mono(-b.writhe(), 0, 0) * trace(rho_expand(b))
+        assert bracket(b, EvalContext()) == lit, text
+
+
+def _count_calls(monkeypatch, *names):
+    import dubrovnik.invariants as inv
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(inv, name)
+
+        def counting(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(inv, name, counting)
+    return counts
+
+
+def test_bracket_reduces_each_distinct_tangle_once(monkeypatch):
+    monkeypatch.delenv("DUBROVNIK_DEBUG", raising=False)
+    counts = _count_calls(monkeypatch, "stack", "apply_rule")
+    bracket(parse_braid("n=3; 1 2 1 2 1 2 1 2 1 2 1 2"), EvalContext())
+    assert counts["stack"] <= 148 and counts["apply_rule"] <= 485
+    counts.update(stack=0, apply_rule=0)
+    bracket(parse_braid("n=3; 1 1 2 2 1 1 2 2"), EvalContext())
+    assert counts["stack"] <= 80
+
+
+def test_debug_bracket_recomputes_memoized_rows(monkeypatch):
+    import dubrovnik.invariants as inv
+    from dubrovnik.skein import InternalError
+    b = parse_braid("n=3; 1 1 2 2 1 1 2 2")
+    monkeypatch.delenv("DUBROVNIK_DEBUG", raising=False)
+    value = bracket(b, EvalContext())
+    counts = _count_calls(monkeypatch, "stack")
+    bracket(b, EvalContext())
+    plain = counts["stack"]
+    monkeypatch.setenv("DUBROVNIK_DEBUG", "1")
+    counts["stack"] = 0
+    assert bracket(b, EvalContext()) == value
+    assert counts["stack"] > plain
+    # a row that comes out differently when recomputed is caught
+    real = inv._reduce_tangle
+    calls = []
+
+    def drifting(coeff, t):
+        calls.append(1)
+        return [(c + c if len(calls) > 3 else c, sig, t2)
+                for c, sig, t2 in real(coeff, t)]
+
+    monkeypatch.setattr(inv, "_reduce_tangle", drifting)
+    with pytest.raises(InternalError):
+        bracket(b, EvalContext())
+
+
 def _passes(result):
     name, ok, detail = result
     assert ok, f"{name}: {detail}"
