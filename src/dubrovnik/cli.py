@@ -79,6 +79,9 @@ class JobSpec:
             raise ValueError("--normalized requires a braid input")
         if self.fmt not in ("text", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
+        if self.n2_fast and self.so_n not in (None, 2):
+            raise ValueError("--n2-fast gives the N=2 value only; "
+                             f"it cannot specialize to N={self.so_n}")
 
 
 # -- cache -----------------------------------------------------------------------
@@ -173,6 +176,8 @@ def run(job: JobSpec, ctx: EvalContext | None = None) -> dict:
             f"{crossings} crossings exceed the ceiling {job.max_crossings}")
     if job.mirror:
         diagram = mirror(diagram)
+        if writhe is not None:
+            writhe = -writhe
     if job.n2_fast:
         if crossings:
             raise ValueError("--n2-fast requires a crossingless graph input")

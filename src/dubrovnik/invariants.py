@@ -15,21 +15,28 @@ into A,B-weighted identity / cup-cap / wide-gadget tangles, the products
 are taken by stacking, and the trace of a tangle combination is the graph
 polynomial of its closure.  Both routes agree, which the test suite checks
 exactly.
+
+Both reach the one engine, `skein.reduce_terms`: the state sum hands all
+of a diagram's weighted distinct states to one `skein.evaluate` call,
+`bracket` reduces each transition row with the engine and hands all its
+closed tangles to one `evaluate` call.  `rho_expand` and `trace` expand
+and close each term separately, as a check on `bracket`.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .diagrams import (BraidWord, PlanarTrivalentGraph, StateResolver, Tangle,
                        braid_to_link, c_tangle, close_tangle, identity_tangle,
                        stack, t_tangle)
 from .maps import PlanarMap, debug_mode, signature_of_arrays
-from .ring import (LaurentPoly, QLaurent, RingElem, constants,
-                   depends_on_z_only, qlaurent_mul, ring_sum, specialize_soN)
-from .skein import (EvalContext, InternalError, _classify_face, apply_rule,
-                    check_claim, default_context, evaluate, store_memo)
+from .ring import (LaurentPoly, QLaurent, RingElem, depends_on_z_only,
+                   qlaurent_mul, specialize_soN)
+from .skein import (EvalContext, InternalError, check_claim, evaluate,
+                    reduce_terms)
 
 
 class MissingWrithe(ValueError):
@@ -56,43 +63,32 @@ def diagram_job_key(d: PlanarMap) -> str:
     return hashlib.sha256(payload).hexdigest()[:24]
 
 
-def _add_weight(table: dict, key, weight: dict) -> None:
-    """Add the monomial counts `weight` into table[key] (taking ownership)."""
-    total = table.get(key)
-    if total is None:
-        table[key] = weight
-    else:
-        for mono, k in weight.items():
-            total[mono] = total.get(mono, 0) + k
-
-
 def kauffman_state_sum(d: PlanarMap, ctx: EvalContext | None = None) -> InvariantResult:
     """Resolve every crossing and sum the weighted graph polynomials.
 
-    The 3^c states are grouped in three steps, each keeping a weight
+    The 3^c states are grouped in two steps, each keeping a weight
     polynomial sum A^#A B^#B of the states it merges:
 
     * literal key -> weight: each state is resolved and counted under the
       literal key (twin, free loops) of its arrays;
     * signature -> weight: each literal key is given its canonical
-      signature once, and equal signatures pool their weights;
-    * value -> weight: each signature is evaluated once, through the memo
-      shared across diagrams, and signatures with equal values pool their
-      weights.
+      signature once, and equal signatures pool their weights.
 
-    Each distinct value is then multiplied by its weight once, and the
-    products are summed with a single normalization.  In debug mode
-    (`DUBROVNIK_DEBUG` set, or `ctx.consistency` in use) every state is
-    signed as well, and a literal key met with two signatures raises
-    InternalError, as does the value of a diagram with no trivalent vertex
-    (a link) that fails `ring.depends_on_z_only`.
+    The distinct states, each with its weight as coefficient, then go to
+    one `evaluate` call, which reduces them together: a piece that several
+    states reach is expanded once.  In debug mode (`DUBROVNIK_DEBUG` set,
+    or `ctx.consistency` in use) every state is signed as well, and a
+    literal key met with two signatures raises InternalError, as does the
+    value of a diagram with no trivalent vertex (a link) that fails
+    `ring.depends_on_z_only`.
 
     The whole-diagram value is kept in `ctx.results` under
-    `diagram_job_key(d)`; a repeat of the same diagram is served from there
-    without enumerating states, and its 3^c states count as
-    `ctx.stats["state_hits"]`.
+    `diagram_job_key(d)`; a repeat of the same diagram in the same context
+    is served from there without enumerating states, and its 3^c states
+    count as `ctx.stats["state_hits"]`.  With no context a fresh one is
+    used.
     """
-    ctx = ctx or default_context()
+    ctx = ctx or EvalContext()
     key = diagram_job_key(d)
     c = len(d.crossing_nodes())
     count = 3 ** c
@@ -122,30 +118,17 @@ def kauffman_state_sum(d: PlanarMap, ctx: EvalContext | None = None) -> Invarian
             sig = signature_of_arrays(twin, nxt, wide, loops)
             if signed.setdefault(lkey, sig) != sig:
                 raise InternalError("one literal state with two signatures")
-    by_sig: dict[tuple, dict] = {}
-    sig_shape: dict[tuple, tuple] = {}
+    by_sig: dict[tuple, tuple[Counter, tuple]] = {}
     for lkey, weight in literal.items():
         shape = shapes[lkey]
         sig = signature_of_arrays(*shape)
-        sig_shape.setdefault(sig, shape)
-        _add_weight(by_sig, sig, weight)
-    by_value: dict[RingElem, dict] = {}
-    for sig, weight in by_sig.items():
-        value = ctx.memo.get(sig)
-        if value is None:
-            twin, nxt, wide, loops = sig_shape[sig]
-            g = PlanarTrivalentGraph._build(twin, nxt, wide, frozenset(),
-                                            loops)
-            value = evaluate(g, ctx)
-            store_memo(ctx, sig, value)
-        else:
-            ctx.stats["memo_hits"] += 1
-        _add_weight(by_value, value, weight)
-    # A weight has positive coefficients, so (A-B) does not divide it and
-    # the product with a canonical value is canonical.
-    value = ring_sum(RingElem(LaurentPoly(weight) * v.num, v.dpow,
-                              _canonical=True)
-                     for v, weight in by_value.items())
+        by_sig.setdefault(sig, (Counter(), shape))[0].update(weight)
+    # A weight over (A-B)^0 is canonical as it stands.
+    value = evaluate([(RingElem(LaurentPoly(weight), 0, _canonical=True),
+                       PlanarTrivalentGraph._build(twin, nxt, wide,
+                                                   frozenset(), loops))
+                      for weight, (twin, nxt, wide, loops) in by_sig.values()],
+                     ctx)
     if debug and d.vertex_count() == 0 and not depends_on_z_only(value):
         raise InternalError("a link value depends on more than z = A - B")
     check_claim(ctx, key, value)
@@ -205,7 +188,7 @@ def rho_expand(b: BraidWord) -> list[tuple[RingElem, Tangle]]:
 def trace(combo: list[tuple[RingElem, Tangle]],
           ctx: EvalContext | None = None) -> RingElem:
     """Graph polynomial of the closure, summed over the combination."""
-    ctx = ctx or default_context()
+    ctx = ctx or EvalContext()
     arities = {t.n for _, t in combo}
     if len(arities) > 1:
         raise MixedArity(f"strand counts {sorted(arities)}")
@@ -215,61 +198,10 @@ def trace(combo: list[tuple[RingElem, Tangle]],
     return total
 
 
-def _internal_configs(t: Tangle):
-    g = t.g
-    boundary = set(t.top) | set(t.bot)
-    for face in g.faces():
-        if any(h in boundary or g.twin[h] in boundary for h in face):
-            continue
-        kind = _classify_face(g, face)
-        if kind:
-            return kind, face
-    return None
-
-
-def _strip_loops(c: RingElem, t: Tangle) -> tuple[RingElem, Tangle]:
-    """Move a tangle's free loops into its coefficient, a factor alpha each."""
-    g = t.g
-    if not g.free_loops:
-        return c, t
-    bare = type(g)._build(g.twin, g.nxt, g.wide, g.over, 0)
-    return c * (constants().alpha ** g.free_loops), Tangle(bare, t.top, t.bot)
-
-
 def _merge(table: dict, sig, c: RingElem, t: Tangle) -> None:
     """Add c * t into a combination keyed by tangle signature."""
     have = table.get(sig)
     table[sig] = (c, t) if have is None else (have[0] + c, have[1])
-
-
-def _reduce_tangle(coeff: RingElem, t: Tangle) -> list:
-    """Reduce the internal faces of a tangle: (coefficient, signature,
-    tangle) triples of distinct reduced tangles with nonzero coefficients.
-
-    Pending tangles wait in levels keyed by half-edge count, merged by
-    signature, and the largest level is expanded first.  Every rule removes
-    half-edges, so all paths into a tangle have added their coefficients by
-    the time its level is expanded, and each distinct tangle is expanded
-    once.  Free loops are moved into the coefficient before signing.
-    """
-    coeff, t = _strip_loops(coeff, t)
-    # the first tangle is signed only if it is already reduced
-    levels: dict[int, dict] = {t.g.n_half: {None: (coeff, t)}}
-    out = []
-    while levels:
-        for sig, (c, t) in levels.pop(max(levels)).items():
-            if c.is_zero():
-                continue
-            hit = _internal_configs(t)
-            if hit is None:
-                out.append((c, t.signature() if sig is None else sig, t))
-                continue
-            kind, face = hit
-            for c2, g2, idmap in apply_rule(t.g, kind, face):
-                c3, t2 = _strip_loops(c * c2, Tangle(
-                    g2, [idmap[h] for h in t.top], [idmap[h] for h in t.bot]))
-                _merge(levels.setdefault(g2.n_half, {}), t2.signature(), c3, t2)
-    return out
 
 
 def bracket(b: BraidWord, ctx: EvalContext | None = None) -> RingElem:
@@ -281,12 +213,16 @@ def bracket(b: BraidWord, ctx: EvalContext | None = None) -> RingElem:
     stack(t, cup-cap) and stack(t, wide gadget), and merges tangles of equal
     signature.  A row depends only on t's signature and the generator, so
     one call reduces it once and scales it by each later coefficient and
-    letter weight.  Stacking is bilinear and each rule is a relation of the
-    graph skein, which leaves the closure's polynomial unchanged, so the
-    result equals a^(-w) trace(rho_expand(b)).  In debug mode every reuse
-    of a row recomputes it, and a difference raises InternalError.
+    letter weight.  Rows are reduced by `skein.reduce_terms`, which
+    rewrites only faces away from the boundary, and the closed tangles of
+    the final combination go to one `evaluate` call.  Stacking is bilinear
+    and each rule is a relation of the graph skein, which leaves the
+    closure's polynomial unchanged, so the result equals
+    a^(-w) trace(rho_expand(b)).  In debug mode every reuse of a row
+    recomputes it, and a difference raises InternalError.  With no context
+    a fresh one is used.
     """
-    ctx = ctx or default_context()
+    ctx = ctx or EvalContext()
     debug = debug_mode()
     n = b.strands
     A = RingElem.mono(0, 1, 0)
@@ -309,7 +245,8 @@ def bracket(b: BraidWord, ctx: EvalContext | None = None) -> RingElem:
                 key = (sig, make, i)
                 row = rows.get(key)
                 if row is None or debug:
-                    fresh = _reduce_tangle(one, stack(t, gens[make, i]))
+                    fresh = reduce_terms([(one, stack(t, gens[make, i]))],
+                                         ctx)[1]
                     if row is None:
                         row = rows[key] = fresh
                     elif ({s: c for c, s, _ in row}
@@ -320,10 +257,8 @@ def bracket(b: BraidWord, ctx: EvalContext | None = None) -> RingElem:
                 for c, s, t2 in row:
                     _merge(new, s, scale if c is one else c * scale, t2)
         combo = new
-    total = RingElem.zero()
-    for coeff, t in combo.values():
-        if not coeff.is_zero():
-            total = total + coeff * evaluate(close_tangle(t), ctx)
+    total = evaluate([(coeff, close_tangle(t)) for coeff, t in combo.values()
+                      if not coeff.is_zero()], ctx)
     return RingElem.mono(-b.writhe(), 0, 0) * total
 
 
@@ -340,8 +275,11 @@ def n2_closed_form(g: PlanarMap) -> QLaurent:
     For a planar trivalent graph with c connected pieces (free loops
     included) and n vertices the specialized polynomial is
     2^(c-1) * (-q - q^-1)^(n/2); the reduction engine is bypassed entirely.
-    The empty graph evaluates to 1.
+    The empty graph evaluates to 1.  A map with crossings raises
+    ValueError: the formula holds for planar graphs only.
     """
+    if g.crossing_nodes():
+        raise ValueError("the N=2 closed form needs a crossingless graph")
     c = len(g.components()) + g.free_loops
     n = g.vertex_count()
     if c == 0:

@@ -25,6 +25,18 @@ terminates.  When no face matches (all faces have length 5 or more, e.g. a
 dodecahedral pattern), a breadth-first search over wide-edge rotations and
 square flips finds a sequence of moves ending in a reducible graph; such a
 sequence exists for every connected planar trivalent graph.
+
+One engine, `reduce_terms`, reduces every input: link states, knotted-graph
+states, closed braid tangles and the open tangles of the braid sweep.  A
+closed graph is a tangle with no endpoints.  The engine is a worklist, not
+a recursion: pending connected pieces wait in levels keyed by half-edge
+count and merge by signature, and the largest level is expanded first.
+Every rule removes half-edges, so each distinct piece is expanded once with
+its whole coefficient.  A closed piece that falls away is valued by a
+nested, memoized `evaluate` call.  A closed graph keeps its largest
+component, so what falls away from it is at most half its size: nesting
+grows with the logarithm of the graph size, not with the number of
+reductions.
 """
 
 from __future__ import annotations
@@ -33,8 +45,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .maps import PlanarMap, Surgery, canonical_signature
-from .diagrams import PlanarTrivalentGraph
-from .ring import RingElem, constants
+from .diagrams import PlanarTrivalentGraph, Tangle
+from .ring import RingElem, constants, ring_sum
 
 # Formal sum of graphs with ring coefficients.
 LinearCombo = list[tuple[RingElem, PlanarTrivalentGraph]]
@@ -83,14 +95,37 @@ def _classify_face(g: PlanarMap, face: tuple[int, ...]) -> str | None:
     return None
 
 
-def reducible_configs(g: PlanarMap) -> list[LocalConfig]:
-    out = []
+def _reducible_faces(g: PlanarMap, ends=()):
+    """(kind, face) of every reducible face that contains none of the
+    half-edges `ends` (a tangle's endpoints: the faces at its boundary)."""
+    ends = set(ends)
     for face in g.faces():
+        if len(face) > 4 or (ends and not ends.isdisjoint(face)):
+            continue
         kind = _classify_face(g, face)
         if kind:
-            out.append(LocalConfig(kind, face))
-    out.sort(key=lambda c: (_PRIORITY[c.kind], c.face))
-    return out
+            yield kind, face
+
+
+def reducible_face(g: PlanarMap, ends=(), rng=None
+                   ) -> tuple[str, tuple[int, ...]] | None:
+    """The reducible face to expand next, as (kind, face), or None.
+
+    Curls (lollipop, curl2) come first, then digon, triangle and square4;
+    faces at the boundary `ends` are skipped.  With a `random.Random`, any
+    reducible face is drawn instead, for randomized strategies.
+    """
+    found = _reducible_faces(g, ends)
+    if rng is not None:
+        found = list(found)
+        return rng.choice(found) if found else None
+    return min(found, key=lambda kf: _PRIORITY[kf[0]], default=None)
+
+
+def reducible_configs(g: PlanarMap) -> list[LocalConfig]:
+    """Every reducible face, in the order of `reducible_face`."""
+    return sorted((LocalConfig(kind, face) for kind, face in _reducible_faces(g)),
+                  key=lambda c: (_PRIORITY[c.kind], c.face))
 
 
 def find_local_config(g: PlanarMap) -> LocalConfig | None:
@@ -101,8 +136,8 @@ def find_local_config(g: PlanarMap) -> LocalConfig | None:
     """
     if g.free_loops > 0:
         return LocalConfig("circle", ())
-    cfgs = reducible_configs(g)
-    return cfgs[0] if cfgs else None
+    found = reducible_face(g)
+    return LocalConfig(*found) if found else None
 
 
 # -- value-preserving moves ---------------------------------------------------
@@ -410,7 +445,7 @@ def alternating_walk_reduce(g: PlanarTrivalentGraph, max_nodes: int = 50000,
     terminates (the node budget is an implementation-bug guard, not a
     mathematical limit).
     """
-    if reducible_configs(g):
+    if reducible_face(g) is not None:
         return []
     start_sig = canonical_signature(g)
     seen = {start_sig}
@@ -431,7 +466,7 @@ def alternating_walk_reduce(g: PlanarTrivalentGraph, max_nodes: int = 50000,
                 continue
             seen.add(sig)
             new_path = path + [Move(kind, arg, nxt_g)]
-            if reducible_configs(nxt_g):
+            if reducible_face(nxt_g) is not None:
                 return new_path
             frontier.append((nxt_g, new_path))
             explored += 1
@@ -444,16 +479,20 @@ def alternating_walk_reduce(g: PlanarTrivalentGraph, max_nodes: int = 50000,
 
 @dataclass
 class EvalContext:
-    """Memo tables plus strategy knobs for the reduction.
+    """Memo table, strategy knobs and counters of one evaluation run.
 
-    `memo` maps canonical signatures (of components and of whole states) to
-    values; `results` maps `invariants.diagram_job_key` of a literal diagram
-    to its whole state-sum value.  `consistency` holds values claimed by an
-    earlier run under either kind of key: each is compared with the value
-    recomputed here instead of being served.  In `stats`, "components"
-    counts components reduced, "memo_hits" memo lookups that found a value,
-    and "state_hits" the states whose value came from `results` (all 3^c of
-    a diagram found there).
+    `memo` maps the canonical signature of each graph valued alone -- one
+    handed to `evaluate` by a caller, or a closed piece that fell away
+    during a reduction -- to its value; the pieces inside one reduction are
+    not memoized, they merge by signature instead.  `results` maps
+    `invariants.diagram_job_key` of a literal diagram to its whole
+    state-sum value.  `consistency` holds values claimed by an earlier run
+    under either kind of key: each is compared with the value recomputed
+    here instead of being served.  In `stats`, "components" counts the
+    connected pieces the engine expanded (each distinct piece of one
+    reduction once), "memo_hits" the `evaluate` calls answered from `memo`,
+    and "state_hits" the states whose value came from `results` (all 3^c
+    of a diagram found there).
     """
 
     memo: dict = field(default_factory=dict)
@@ -467,43 +506,6 @@ class EvalContext:
     def record(self, rule: str, face) -> None:
         if self.trace is not None:
             self.trace.append({"rule": rule, "face": list(face)})
-
-
-_DEFAULT_CTX = EvalContext()
-
-
-def default_context() -> EvalContext:
-    return _DEFAULT_CTX
-
-
-def _extract_component(g: PlanarMap, comp: list[int]) -> PlanarTrivalentGraph:
-    comp_sorted = sorted(comp)
-    idmap = {h: i for i, h in enumerate(comp_sorted)}
-    twin = [idmap[g.twin[h]] for h in comp_sorted]
-    nxt = [idmap[g.nxt[h]] for h in comp_sorted]
-    wide = [g.wide[h] for h in comp_sorted]
-    return PlanarTrivalentGraph._build(twin, nxt, wide, frozenset(), 0)
-
-
-def evaluate(g: PlanarMap, ctx: EvalContext | None = None) -> RingElem:
-    """Graph polynomial of a planar trivalent graph (1 on the unknot).
-
-    Splits into connected components first (disjoint union contributes one
-    alpha per extra piece), then reduces each component by the local rules,
-    falling back to the move search when no face is reducible.  Results are
-    memoized per component under the canonical signature, so the value is
-    independent of rule order.
-    """
-    ctx = ctx or _DEFAULT_CTX
-    alpha = constants().alpha
-    comps = g.components()
-    pieces = len(comps) + g.free_loops
-    if pieces == 0:
-        return RingElem.one()
-    value = alpha ** (pieces - 1)
-    for comp in comps:
-        value = value * _eval_component(_extract_component(g, comp), ctx)
-    return value
 
 
 def check_claim(ctx: EvalContext, key, value: RingElem) -> None:
@@ -523,39 +525,131 @@ def store_memo(ctx: EvalContext, sig, value: RingElem) -> None:
     ctx.memo[sig] = value
 
 
-def _eval_component(g: PlanarTrivalentGraph, ctx: EvalContext) -> RingElem:
+def _restrict(g: PlanarMap, halves) -> tuple[PlanarMap, dict[int, int]]:
+    """The map on `halves` (closed under twin and nxt), without free loops;
+    returns (map, old half-edge id -> new id)."""
+    halves = sorted(halves)
+    idmap = {h: i for i, h in enumerate(halves)}
+    twin = [idmap[g.twin[h]] for h in halves]
+    nxt = [idmap[g.nxt[h]] for h in halves]
+    wide = [g.wide[h] for h in halves]
+    return type(g)._build(twin, nxt, wide, frozenset(), 0), idmap
+
+
+def _split(c: RingElem, t: Tangle, ctx: EvalContext
+           ) -> tuple[RingElem, Tangle | None]:
+    """Fold into the coefficient what fell away from t.
+
+    A tangle keeps the components that touch its endpoints, and a closed
+    graph its largest component.  Every free loop and every other component
+    contributes alpha times its value, the value from a nested `evaluate`.
+    Returns (coefficient, kept tangle), or (value, None) when no component
+    is left.
+    """
+    g = t.g
+    loops = g.free_loops
+    comps = g.components()
+    if t.top:
+        ends = set(t.top + t.bot)
+        rest = [comp for comp in comps if ends.isdisjoint(comp)]
+    elif comps:
+        rest = sorted(comps, key=len)[:-1]
+    else:
+        return (c * constants().alpha ** (loops - 1) if loops > 1 else c), None
+    if not rest and not loops:
+        return c, t
+    factor = constants().alpha ** (len(rest) + loops)
+    for comp in rest:
+        factor = factor * evaluate(_restrict(g, comp)[0], ctx)
+    dropped = {h for comp in rest for h in comp}
+    kept, idmap = _restrict(g, [h for h in range(g.n_half) if h not in dropped])
+    return c * factor, Tangle(kept, [idmap[h] for h in t.top],
+                              [idmap[h] for h in t.bot])
+
+
+def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
+    """Reduce a combination of (coefficient, Tangle) terms.
+
+    Returns (value, reduced): `value` sums what reduced to scalars -- all
+    of it when every tangle is closed -- and `reduced` holds (coefficient,
+    signature, tangle) triples of distinct open tangles with no reducible
+    face away from their boundary.
+
+    Each term is split first (`_split`), and each kept piece waits in a
+    level keyed by its half-edge count, merged by signature:
+    `canonical_signature` for a closed graph, `Tangle.signature` for an
+    open tangle.  The largest level is expanded first.  A piece's
+    reducible face (`reducible_face`) is rewritten by its rule, and a closed
+    piece with none goes through the move search first.  Every rule removes
+    half-edges, so all paths into a piece have added their coefficients by
+    the time its level is expanded.  A lone input term is not signed: it
+    is alone in its level.
+    """
+    scalars: list[RingElem] = []
+    levels: dict[int, dict] = {}
+
+    def put(c: RingElem, t: Tangle, sign: bool = True) -> None:
+        c, t = _split(c, t, ctx)
+        if t is None:
+            scalars.append(c)
+        else:
+            key = None
+            if sign:
+                key = t.signature() if t.top else canonical_signature(t.g)
+            level = levels.setdefault(t.g.n_half, {})
+            level.setdefault(key, ([], t))[0].append(c)
+
+    for c, t in terms:
+        put(c, t, len(terms) > 1)
+    reduced = []
+    while levels:
+        for key, (cs, t) in levels.pop(max(levels)).items():
+            c = cs[0] if len(cs) == 1 else ring_sum(cs)
+            if c.is_zero():
+                continue
+            g = t.g
+            found = reducible_face(g, t.top + t.bot, ctx.rng)
+            if found is None:
+                if t.top:
+                    reduced.append((c, key or t.signature(), t))
+                    continue
+                for mv in alternating_walk_reduce(g, rng=ctx.rng):
+                    ctx.record(mv.kind, mv.arg)
+                    if mv.kind == "square":
+                        combo = square_move(g, mv.arg)
+                        for coeff, piece in combo[1:]:
+                            put(c * coeff, Tangle(piece, [], []))
+                        g = combo[0][1]
+                    else:
+                        g = mv.after
+                found = reducible_face(g, (), ctx.rng)
+            ctx.stats["components"] += 1
+            kind, face = found
+            ctx.record(kind, face)
+            for coeff, g2, idmap in apply_rule(g, kind, face):
+                put(c * coeff, Tangle(g2, [idmap[h] for h in t.top],
+                                      [idmap[h] for h in t.bot]))
+    return ring_sum(scalars), reduced
+
+
+def evaluate(g, ctx: EvalContext | None = None) -> RingElem:
+    """Graph polynomial of a planar trivalent graph (1 on the unknot).
+
+    Given one graph, the value is looked up in `ctx.memo` under the
+    canonical signature, or reduced by `reduce_terms` and memoized.  Given
+    a list of (coefficient, graph) terms, returns the sum of coefficient
+    times value, all terms reduced together in one run of the engine, so
+    pieces they share are expanded once; the sum is not memoized.  With no
+    context a fresh one is used.
+    """
+    ctx = ctx or EvalContext()
+    if not isinstance(g, PlanarMap):
+        return reduce_terms([(c, Tangle(x, [], [])) for c, x in g], ctx)[0]
     sig = canonical_signature(g)
     hit = ctx.memo.get(sig)
     if hit is not None:
         ctx.stats["memo_hits"] += 1
         return hit
-    ctx.stats["components"] += 1
-
-    cfgs = reducible_configs(g)
-    if not cfgs:
-        value = RingElem.zero()
-        script = alternating_walk_reduce(g, rng=ctx.rng)
-        cur = g
-        for mv in script:
-            ctx.record(mv.kind, mv.arg)
-            if mv.kind == "square":
-                combo = square_move(cur, mv.arg)
-                for coeff, piece in combo[1:]:
-                    value = value + coeff * evaluate(piece, ctx)
-                cur = combo[0][1]
-            else:
-                cur = mv.after
-        value = value + evaluate(cur, ctx)
-        store_memo(ctx, sig, value)
-        return value
-
-    if ctx.rng is not None:
-        cfg = cfgs[ctx.rng.randrange(len(cfgs))]
-    else:
-        cfg = cfgs[0]
-    ctx.record(cfg.kind, cfg.face)
-    value = RingElem.zero()
-    for coeff, piece, _ in apply_rule(g, cfg.kind, cfg.face):
-        value = value + coeff * evaluate(piece, ctx)
+    value = reduce_terms([(RingElem.one(), Tangle(g, [], []))], ctx)[0]
     store_memo(ctx, sig, value)
     return value

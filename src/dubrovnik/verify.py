@@ -45,7 +45,7 @@ from .invariants import (bracket, eval_braid, kauffman_state_sum,
                          n2_closed_form, regraph_invariant)
 from .ring import (R_A, R_B, R_ONE, R_a, R_a_inv, RingElem, constants,
                    depends_on_z_only, specialize_soN, to_canonical_text)
-from .skein import EvalContext, InternalError, evaluate, reducible_configs
+from .skein import EvalContext, InternalError, evaluate, reducible_face
 
 
 def check_ring_identities() -> tuple[str, bool, str]:
@@ -144,7 +144,12 @@ def check_dubrovnik_axioms(braids=None, rng: random.Random | None = None,
 def check_confluence(graphs=None, min_fallback: int = 4
                      ) -> tuple[str, bool, str]:
     """Five randomized reduction strategies per graph give one value, and at
-    least `min_fallback` graphs have no directly reducible face."""
+    least `min_fallback` graphs have no directly reducible face.
+
+    One consistency table spans all runs.  It holds what `evaluate`
+    memoizes, keyed by canonical signature: each graph, and each closed
+    piece that falls away while a graph is reduced.  A piece reached again
+    by another strategy, or by another graph, must come out equal."""
     if graphs is None:
         rng = random.Random(5)
         graphs = [random_trivalent_graph(rng, max_vertices=12)
@@ -153,12 +158,12 @@ def check_confluence(graphs=None, min_fallback: int = 4
     consistency: dict = {}
     fallback_used = 0
     for i, g in enumerate(graphs):
-        fallback_used += not reducible_configs(g)
+        fallback_used += reducible_face(g) is None
         try:
             values = {evaluate(g, EvalContext(rng=random.Random(1000 * i + s),
                                               consistency=consistency))
                       for s in range(5)}
-        except InternalError as e:      # a component differs across strategies
+        except InternalError as e:      # a piece differs across strategies
             return ("confluence", False, f"graph {i}: {e}")
         if len(values) != 1:
             return ("confluence", False, f"strategy-dependent value, graph {i}")

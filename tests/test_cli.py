@@ -59,6 +59,22 @@ def test_json_text_round_trip_and_determinism():
     assert json.dumps(doc1, sort_keys=True) == json.dumps(doc2, sort_keys=True)
 
 
+def test_mirror_negates_the_writhe():
+    mirrored = run(JobSpec("braid", "1 1 1", mirror=True, normalized=True,
+                           fmt="json"), EvalContext())
+    direct = run(JobSpec("braid", "-1 -1 -1", normalized=True, fmt="json"),
+                 EvalContext())
+    assert mirrored["writhe"] == direct["writhe"] == -3
+    assert mirrored["value"] == direct["value"]
+
+
+def test_n2_fast_refuses_other_n():
+    with pytest.raises(ValueError):
+        JobSpec("regraph", "W(1,2;2,1)", n2_fast=True, so_n=5)
+    JobSpec("regraph", "W(1,2;2,1)", n2_fast=True, so_n=2)
+    assert main(["eval-graph", "W(1,2;2,1)", "--n2-fast", "--so-n", "3"]) == 1
+
+
 def test_normalized_requires_braid():
     with pytest.raises(ValueError):
         JobSpec("pd", "X(1,1,2,2)", normalized=True)
@@ -84,7 +100,8 @@ def test_n2_fast(capsys):
 def test_cache_round_trip(no_debug_env, tmp_path):
     path = tmp_path / "cache.jsonl"
     ctx = EvalContext()
-    job = JobSpec("braid", "n=3; 1 2 1 2", cache_path=str(path))
+    # a closure whose reduction memoizes a piece that falls away
+    job = JobSpec("braid", "n=3; 1 2 1 2 1 2", cache_path=str(path))
     doc1 = run(job, ctx)
     assert path.exists()
     ctx2 = EvalContext()

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -122,11 +123,17 @@ def _count_calls(monkeypatch, *names):
 
 
 def test_bracket_reduces_each_distinct_tangle_once(monkeypatch):
+    import dubrovnik.skein as sk
     monkeypatch.delenv("DUBROVNIK_DEBUG", raising=False)
-    counts = _count_calls(monkeypatch, "stack", "apply_rule")
+    counts = _count_calls(monkeypatch, "stack")
+    rules = []
+    real_rule = sk.apply_rule
+    monkeypatch.setattr(sk, "apply_rule",
+                        lambda *args: rules.append(1) or real_rule(*args))
     bracket(parse_braid("n=3; 1 2 1 2 1 2 1 2 1 2 1 2"), EvalContext())
-    assert counts["stack"] <= 148 and counts["apply_rule"] <= 485
-    counts.update(stack=0, apply_rule=0)
+    # 485 rules reduce the transition rows, 66 the closed combination
+    assert counts["stack"] <= 148 and len(rules) <= 485 + 66
+    counts.update(stack=0)
     bracket(parse_braid("n=3; 1 1 2 2 1 1 2 2"), EvalContext())
     assert counts["stack"] <= 80
 
@@ -145,15 +152,16 @@ def test_debug_bracket_recomputes_memoized_rows(monkeypatch):
     assert bracket(b, EvalContext()) == value
     assert counts["stack"] > plain
     # a row that comes out differently when recomputed is caught
-    real = inv._reduce_tangle
+    real = inv.reduce_terms
     calls = []
 
-    def drifting(coeff, t):
+    def drifting(terms, ctx):
         calls.append(1)
-        return [(c + c if len(calls) > 3 else c, sig, t2)
-                for c, sig, t2 in real(coeff, t)]
+        value, row = real(terms, ctx)
+        return value, [(c + c if len(calls) > 3 else c, sig, t2)
+                       for c, sig, t2 in row]
 
-    monkeypatch.setattr(inv, "_reduce_tangle", drifting)
+    monkeypatch.setattr(inv, "reduce_terms", drifting)
     with pytest.raises(InternalError):
         bracket(b, EvalContext())
 
@@ -203,8 +211,9 @@ def test_debug_state_sum_asserts_z_dependence(monkeypatch):
     value = kauffman_state_sum(link, EvalContext()).value
     # the handcuff fails the check, but is a graph and is not asserted
     kauffman_state_sum(clasped_handcuff(), EvalContext())
-    real_sum = inv.ring_sum
-    monkeypatch.setattr(inv, "ring_sum", lambda xs: real_sum(xs) + R_A)
+    real_evaluate = inv.evaluate
+    monkeypatch.setattr(inv, "evaluate",
+                        lambda terms, ctx: real_evaluate(terms, ctx) + R_A)
     with pytest.raises(InternalError, match="z = A - B"):
         kauffman_state_sum(link, EvalContext())
     monkeypatch.delenv("DUBROVNIK_DEBUG")
@@ -243,6 +252,12 @@ def test_n2_closed_form_examples():
     g2 = PlanarTrivalentGraph(th.twin, th.nxt, th.wide, frozenset(), 1)
     assert n2_closed_form(g2) == {1: -2, -1: -2}
     assert n2_closed_form(PlanarMap([], [], [], frozenset(), 0)) == {0: 1}
+
+
+def test_n2_closed_form_rejects_crossings():
+    # the Hopf link's N=2 value is q^2 + q^-2, not the graph formula's 1
+    with pytest.raises(ValueError):
+        n2_closed_form(braid_to_link(parse_braid("1 1")))
 
 
 def test_n2_matches_specialization():
@@ -311,3 +326,39 @@ def test_debug_state_sum_signs_every_state(monkeypatch):
                         lambda *args: (0, ((next(stamps),),)))
     with pytest.raises(InternalError):
         kauffman_state_sum(braid_to_link(parse_braid("1 -1")), EvalContext())
+
+
+def test_state_sum_makes_one_evaluate_call_per_diagram(monkeypatch):
+    import dubrovnik.invariants as inv
+    from dubrovnik.maps import signature_of_arrays
+    from dubrovnik.diagrams import StateResolver
+    monkeypatch.delenv("DUBROVNIK_DEBUG", raising=False)
+    calls = []
+    real = inv.evaluate
+    monkeypatch.setattr(inv, "evaluate",
+                        lambda terms, ctx: calls.append(1) or real(terms, ctx))
+    diagrams = _crossed_regraphs(67, 4) + [
+        braid_to_link(parse_braid("n=3; 1 2 1 2 1 2"))]
+    ctx = EvalContext()
+    for d in diagrams:
+        resolver = StateResolver(d)
+        sigs = {signature_of_arrays(*resolver.resolve_arrays(ch)[:4])
+                for ch in itertools.product("ABW", repeat=len(resolver.cnodes))}
+        assert len(sigs) > 1
+        calls.clear()
+        kauffman_state_sum(d, ctx)
+        assert len(calls) == 1
+
+
+def test_debug_repeat_without_context_recomputes(monkeypatch):
+    import dubrovnik.diagrams as D
+    monkeypatch.delenv("DUBROVNIK_DEBUG", raising=False)
+    d = braid_to_link(parse_braid("n=3; 1 -2 1"))
+    value = kauffman_state_sum(d).value
+    calls = []
+    real = D.StateResolver.resolve_arrays
+    monkeypatch.setattr(D.StateResolver, "resolve_arrays",
+                        lambda self, ch: calls.append(1) or real(self, ch))
+    monkeypatch.setenv("DUBROVNIK_DEBUG", "1")
+    assert kauffman_state_sum(d).value == value
+    assert len(calls) == 3 ** 3

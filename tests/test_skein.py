@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -169,11 +170,10 @@ def test_memo_collision_guard():
     g = theta()
     sig = canonical_signature(g)
     ctx.memo[sig] = C.alpha        # wrong on purpose
-    from dubrovnik.skein import _eval_component
-    assert _eval_component(g, ctx) == C.alpha   # memo wins: lookup path
+    assert evaluate(g, ctx) == C.alpha   # memo wins: lookup path
     ctx2 = EvalContext(consistency={sig: C.alpha})
     with pytest.raises(Exception):
-        _eval_component(g, ctx2)   # cross-run consistency check fires
+        evaluate(g, ctx2)          # cross-run consistency check fires
 
 
 def test_reduction_trace():
@@ -181,3 +181,25 @@ def test_reduction_trace():
     evaluate(necklace(), ctx)
     assert ctx.trace
     assert all("rule" in entry and "face" in entry for entry in ctx.trace)
+
+
+def _frames() -> int:
+    f, n = sys._getframe(), 0
+    while f is not None:
+        f, n = f.f_back, n + 1
+    return n
+
+
+def test_deep_graph_needs_no_deep_recursion():
+    # a ring of 40 curls takes 40 reductions in a row; the engine is a
+    # worklist, so they do not nest
+    k = 40
+    text = " ".join(f"W(s{i},s{(i + 1) % k};c{i},c{i})" for i in range(k))
+    ring = as_graph(parse_regraph(text))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames() + 80)
+    try:
+        value = evaluate(ring, EvalContext())
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == C.beta ** k
