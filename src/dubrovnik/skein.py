@@ -489,8 +489,8 @@ class EvalContext:
     state-sum value.  `consistency` holds values claimed by an earlier run
     under either kind of key: each is compared with the value recomputed
     here instead of being served.  In `stats`, "components" counts the
-    connected pieces the engine expanded (each distinct piece of one
-    reduction once), "memo_hits" the `evaluate` calls answered from `memo`,
+    closed connected pieces the engine expanded (each distinct piece of one
+    reduction once; open transition rows are not counted), "memo_hits" the `evaluate` calls answered from `memo`,
     and "state_hits" the states whose value came from `results` (all 3^c
     of a diagram found there).
     """
@@ -623,7 +623,8 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
                     else:
                         g = mv.after
                 found = reducible_face(g, (), ctx.rng)
-            ctx.stats["components"] += 1
+            if not t.top:
+                ctx.stats["components"] += 1
             kind, face = found
             ctx.record(kind, face)
             for coeff, g2, idmap in apply_rule(g, kind, face):

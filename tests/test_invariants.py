@@ -125,14 +125,28 @@ def _count_calls(monkeypatch, *names):
 def test_bracket_reduces_each_distinct_tangle_once(monkeypatch):
     import dubrovnik.skein as sk
     monkeypatch.delenv("DUBROVNIK_DEBUG", raising=False)
+    import dubrovnik.invariants as inv
     counts = _count_calls(monkeypatch, "stack")
-    rules = []
-    real_rule = sk.apply_rule
-    monkeypatch.setattr(sk, "apply_rule",
-                        lambda *args: rules.append(1) or real_rule(*args))
+    rules = {"rows": 0, "closing": 0}
+    in_row = []
+    real_rule, real_reduce = sk.apply_rule, inv.reduce_terms
+
+    def counting_rule(*args):
+        rules["rows" if in_row else "closing"] += 1
+        return real_rule(*args)
+
+    def row_reduction(*args):
+        in_row.append(1)
+        try:
+            return real_reduce(*args)
+        finally:
+            in_row.pop()
+
+    monkeypatch.setattr(sk, "apply_rule", counting_rule)
+    monkeypatch.setattr(inv, "reduce_terms", row_reduction)
     bracket(parse_braid("n=3; 1 2 1 2 1 2 1 2 1 2 1 2"), EvalContext())
-    # 485 rules reduce the transition rows, 66 the closed combination
-    assert counts["stack"] <= 148 and len(rules) <= 485 + 66
+    assert counts["stack"] <= 148 and rules["rows"] <= 485
+    assert rules["closing"] <= 66
     counts.update(stack=0)
     bracket(parse_braid("n=3; 1 1 2 2 1 1 2 2"), EvalContext())
     assert counts["stack"] <= 80
