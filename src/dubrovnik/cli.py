@@ -12,9 +12,11 @@ Exit codes: 0 success, 1 computation error, 2 verification failure.
 
 DUBROVNIK_DEBUG=1 turns on debug mode: every map the program derives is
 validated like an input map, a state sum signs every state and checks that
-a link's value depends on z = A - B only, and cached values are recomputed
-and compared instead of served.  Debug mode reads the cache to check it and
-never writes it.
+a link's value depends on z = A - B only, the reduction engine recomputes
+the signature handed to it with each distinct state, and cached values are
+recomputed and compared instead of served.  A mismatch raises
+`skein.InternalError`.  Debug mode reads the cache to check it and never
+writes it.
 
 The optional cache is a JSON-lines file.  Its first line names the file
 format; a file whose first line is missing or different is reported and

@@ -417,105 +417,134 @@ class StateResolver:
     Resolution replaces each crossing by a smoothing (strands re-paired) or
     by the rigid wide gadget, then chases the strands through the smoothed
     crossings to rebuild the map; smoothed-only circles become free loops.
+
+    A state numbers the surviving half-edges first, then six per wide
+    gadget in crossing order, with a fixed rotation and edge kind.  Its nxt
+    and wide, and the twin entries among survivors and inside gadgets,
+    therefore depend only on how many crossings became wide edges: they are
+    built once per count and shared by every state with that count.  Each
+    state copies the twin template and only chases its strands.  No caller
+    may write into the arrays it is given.
     """
 
     def __init__(self, d: PlanarMap):
         self.d = d
         self.cnodes = d.crossing_nodes()
         self.rots = [_crossing_rotation(d, n) for n in self.cnodes]
-        cross_halves = set()
-        for r in self.rots:
-            cross_halves.update(r)
-        self.survivors = [h for h in range(d.n_half) if h not in cross_halves]
-        self.surv_index = {h: i for i, h in enumerate(self.survivors)}
-        self.is_cross = [h in cross_halves for h in range(d.n_half)]
+        n = d.n_half
+        twin = d.twin
+        # crossing index and rotation position of each crossing half-edge
+        self.cross_of = [-1] * n
+        self.pos_of = [0] * n
+        # per smoothing, where a strand entering a crossing at h leaves it
+        self.steps = {"A": [-1] * n, "B": [-1] * n}
+        for k, rot in enumerate(self.rots):
+            r0, r1, r2, r3 = rot
+            for j, h in enumerate(rot):
+                self.cross_of[h] = k
+                self.pos_of[h] = j
+            for ch, pairs in (("A", ((r0, r1), (r2, r3))),
+                              ("B", ((r0, r3), (r2, r1)))):
+                step = self.steps[ch]
+                for x, y in pairs:
+                    step[x], step[y] = twin[y], twin[x]
+        self.survivors = [h for h in range(n) if self.cross_of[h] < 0]
+        self.surv_index = [-1] * n
+        for i, h in enumerate(self.survivors):
+            self.surv_index[h] = i
+        # (new index, old half-edge entered) of each survivor whose edge
+        # runs into a crossing, and the half-edges entered from each crossing
+        self.ends = [(self.surv_index[h], twin[h]) for h in self.survivors
+                     if self.cross_of[twin[h]] >= 0]
+        self.rot_twins = [[twin[r] for r in rot] for rot in self.rots]
+        self.shapes: dict[int, tuple[list, list, list]] = {}
+
+    def shape(self, n_w: int) -> tuple[list, list, list]:
+        """(twin template, nxt, wide) of the states with n_w wide gadgets;
+        twin is -1 where a strand must be chased."""
+        d = self.d
+        idx = self.surv_index
+        size = len(self.survivors) + 6 * n_w
+        twin = [-1] * size
+        nxt = [0] * size
+        wide = [False] * size
+        for h in self.survivors:
+            nh = idx[h]
+            twin[nh] = idx[d.twin[h]]
+            nxt[nh] = idx[d.nxt[h]]
+            wide[nh] = d.wide[h]
+        for w1 in range(len(self.survivors), size, 6):
+            w2, p0, p1, p2, p3 = range(w1 + 1, w1 + 6)
+            twin[w1], twin[w2] = w2, w1
+            wide[w1] = wide[w2] = True
+            nxt[w1], nxt[p0], nxt[p1] = p0, p1, w1
+            nxt[w2], nxt[p2], nxt[p3] = p2, p3, w2
+        return twin, nxt, wide
 
     def resolve_arrays(self, choices):
-        """Raw (twin, nxt, wide, free_loops, na, nb) arrays for one state."""
-        d = self.d
-        old_twin = d.twin
-        n_surv = len(self.survivors)
-        n_w = sum(1 for ch in choices if ch == "W")
-        n_new = n_surv + 6 * n_w
-        twin = [-1] * n_new
-        nxt = [0] * n_new
-        wide = [False] * n_new
-        # pairing of smoothed slots, and gadget port of wide-resolved slots
-        pair: dict[int, int] = {}
-        portmap: dict[int, int] = {}
-        na = nb = 0
-        base = n_surv
-        for rot, ch in zip(self.rots, choices):
-            r0, r1, r2, r3 = rot
-            if ch == "A":
-                na += 1
-                pair[r0] = r1
-                pair[r1] = r0
-                pair[r2] = r3
-                pair[r3] = r2
-            elif ch == "B":
-                nb += 1
-                pair[r0] = r3
-                pair[r3] = r0
-                pair[r2] = r1
-                pair[r1] = r2
-            else:
-                w1, w2 = base, base + 1
-                p = (base + 2, base + 3, base + 4, base + 5)
-                twin[w1], twin[w2] = w2, w1
-                wide[w1] = wide[w2] = True
-                nxt[w1], nxt[p[0]], nxt[p[1]] = p[0], p[1], w1
-                nxt[w2], nxt[p[2]], nxt[p[3]] = p[2], p[3], w2
-                for slot, port in zip(rot, p):
-                    portmap[slot] = port
-                base += 6
-        for h in self.survivors:
-            nh = self.surv_index[h]
-            nxt[nh] = self.surv_index[d.nxt[h]]
-            wide[nh] = d.wide[h]
+        """Raw (twin, nxt, wide, free_loops, na, nb) arrays for one state.
 
-        visited: set[int] = set()
-
-        def chase(entry: int) -> int:
-            t = entry
-            while True:
-                if not self.is_cross[t]:
-                    return self.surv_index[t]
-                port = portmap.get(t)
-                if port is not None:
-                    return port
-                visited.add(t)
-                mate = pair[t]
-                visited.add(mate)
-                t = old_twin[mate]
-
-        for h in self.survivors:
-            nh = self.surv_index[h]
-            if twin[nh] == -1:
-                other = chase(old_twin[h])
-                twin[nh] = other
-                twin[other] = nh
-        base = n_surv
-        for rot, ch in zip(self.rots, choices):
+        twin is the state's own list; nxt and wide are shared with every
+        state of the same wide-edge count.
+        """
+        n_w = choices.count("W")
+        shape = self.shapes.get(n_w)
+        if shape is None:
+            shape = self.shapes[n_w] = self.shape(n_w)
+        template, nxt, wide = shape
+        twin = template[:]
+        cross_of, pos_of, idx = self.cross_of, self.pos_of, self.surv_index
+        # per crossing, its smoothing's step table (None for a wide gadget)
+        # and its gadget's first port; the ends whose strands are chased
+        how = []
+        port0 = []
+        ends = self.ends[:]
+        p = len(self.survivors) + 2
+        for k, ch in enumerate(choices):
             if ch == "W":
-                for slot, port in zip(rot, range(base + 2, base + 6)):
-                    if twin[port] == -1:
-                        other = chase(old_twin[slot])
-                        twin[port] = other
-                        twin[other] = port
-                base += 6
-        loops = d.free_loops
-        for s0 in pair:
-            if s0 in visited:
+                how.append(None)
+                port0.append(p)
+                ends += zip(range(p, p + 4), self.rot_twins[k])
+                p += 6
+            else:
+                how.append(self.steps[ch])
+                port0.append(0)
+        seen = [False] * len(cross_of)      # smoothed arcs, by entry half
+        walked = 0
+        for nh, t in ends:
+            if twin[nh] >= 0:
                 continue
-            loops += 1
-            t = s0
-            while t not in visited:
-                visited.add(t)
-                mate = pair[t]
-                visited.add(mate)
-                t = old_twin[mate]
-        return twin, nxt, wide, loops, na, nb
+            while True:
+                k = cross_of[t]
+                if k < 0:
+                    other = idx[t]
+                    break
+                step = how[k]
+                if step is None:
+                    other = port0[k] + pos_of[t]
+                    break
+                seen[t] = True
+                walked += 1
+                t = step[t]
+            twin[nh] = other
+            twin[other] = nh
+        loops = self.d.free_loops
+        smoothed = len(choices) - n_w
+        if walked < 2 * smoothed:
+            # arcs no strand walked through close up into free loops
+            old_twin = self.d.twin
+            for rot, step in zip(self.rots, how):
+                if step is None:
+                    continue
+                for x in (rot[0], rot[2]):
+                    if seen[x] or seen[old_twin[step[x]]]:
+                        continue
+                    loops += 1
+                    t = x
+                    while not seen[t]:
+                        seen[t] = True
+                        t = how[cross_of[t]][t]
+        return twin, nxt, wide, loops, choices.count("A"), choices.count("B")
 
     def resolve(self, choices) -> StateRecord:
         twin, nxt, wide, loops, na, nb = self.resolve_arrays(choices)

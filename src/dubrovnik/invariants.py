@@ -26,7 +26,6 @@ and close each term separately, as a check on `bracket`.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 from .diagrams import (BraidWord, PlanarTrivalentGraph, StateResolver, Tangle,
@@ -66,21 +65,25 @@ def diagram_job_key(d: PlanarMap) -> str:
 def kauffman_state_sum(d: PlanarMap, ctx: EvalContext | None = None) -> InvariantResult:
     """Resolve every crossing and sum the weighted graph polynomials.
 
-    The 3^c states are grouped in two steps, each keeping a weight
+    The 3^c states are grouped in two steps, each group keeping the weight
     polynomial sum A^#A B^#B of the states it merges:
 
-    * literal key -> weight: each state is resolved and counted under the
-      literal key (twin, free loops) of its arrays;
-    * signature -> weight: each literal key is given its canonical
-      signature once, and equal signatures pool their weights.
+    * literal key -> weight: each state is resolved and counted under its
+      twin array and its number of free loops.  The twin array pins nxt
+      and wide (see `StateResolver`), so equal literal keys are equal
+      states.
+    * signature -> weight: each distinct twin array is signed once, with no
+      free loops; a literal key's signature is that one with its own
+      free-loop count, and equal signatures pool their weights.
 
-    The distinct states, each with its weight as coefficient, then go to
-    one `evaluate` call, which reduces them together: a piece that several
-    states reach is expanded once.  In debug mode (`DUBROVNIK_DEBUG` set,
-    or `ctx.consistency` in use) every state is signed as well, and a
-    literal key met with two signatures raises InternalError, as does the
-    value of a diagram with no trivalent vertex (a link) that fails
-    `ring.depends_on_z_only`.
+    The distinct states, counted in `ctx.stats["distinct_states"]`, then go
+    to one `evaluate` call as keyed terms (weight, graph, signature), so the
+    engine does not sign them again; it reduces them together, and a piece
+    that several states reach is expanded once.  In debug mode
+    (`DUBROVNIK_DEBUG` set, or `ctx.consistency` in use) every state is
+    signed as well, and a literal key met with two signatures raises
+    InternalError, as does the value of a diagram with no trivalent vertex
+    (a link) that fails `ring.depends_on_z_only`.
 
     The whole-diagram value is kept in `ctx.results` under
     `diagram_job_key(d)`; a repeat of the same diagram in the same context
@@ -99,36 +102,34 @@ def kauffman_state_sum(d: PlanarMap, ctx: EvalContext | None = None) -> Invarian
     debug = ctx.consistency is not None or debug_mode()
     signed: dict[tuple, tuple] = {}
     resolver = StateResolver(d)
-    # resolve_arrays numbers the surviving half-edges first, then six per
-    # wide gadget with a fixed rotation and edge kind, so nxt and wide are
-    # functions of len(twin) alone: (twin, loops) pins a state's arrays
-    # exactly, and states with equal literal keys have equal signatures.
     literal: dict[tuple, dict[tuple[int, int, int], int]] = {}
     shapes: dict[tuple, tuple] = {}
     for choices in itertools.product("ABW", repeat=c):
         twin, nxt, wide, loops, na, nb = resolver.resolve_arrays(choices)
-        lkey = (tuple(twin), loops)
-        weight = literal.get(lkey)
-        if weight is None:
-            weight = literal[lkey] = {}
-            shapes[lkey] = (twin, nxt, wide, loops)
-        mono = (0, na, nb)
-        weight[mono] = weight.get(mono, 0) + 1
+        tkey = tuple(twin)
+        counts = literal.get(tkey)             # (loops, #A, #B) -> states
+        if counts is None:
+            counts = literal[tkey] = {}
+            shapes[tkey] = (twin, nxt, wide)
+        counts[loops, na, nb] = counts.get((loops, na, nb), 0) + 1
         if debug:
             sig = signature_of_arrays(twin, nxt, wide, loops)
-            if signed.setdefault(lkey, sig) != sig:
+            if signed.setdefault((tkey, loops), sig) != sig:
                 raise InternalError("one literal state with two signatures")
-    by_sig: dict[tuple, tuple[Counter, tuple]] = {}
-    for lkey, weight in literal.items():
-        shape = shapes[lkey]
-        sig = signature_of_arrays(*shape)
-        by_sig.setdefault(sig, (Counter(), shape))[0].update(weight)
+    by_sig: dict[tuple, tuple[dict, tuple]] = {}
+    for tkey, counts in literal.items():
+        shape = shapes[tkey]
+        encs = signature_of_arrays(*shape, 0)[1]
+        for (loops, na, nb), n in counts.items():
+            weight = by_sig.setdefault((loops, encs), ({}, shape))[0]
+            mono = (0, na, nb)
+            weight[mono] = weight.get(mono, 0) + n
+    ctx.stats["distinct_states"] += len(by_sig)
     # A weight over (A-B)^0 is canonical as it stands.
     value = evaluate([(RingElem(LaurentPoly(weight), 0, _canonical=True),
-                       PlanarTrivalentGraph._build(twin, nxt, wide,
-                                                   frozenset(), loops))
-                      for weight, (twin, nxt, wide, loops) in by_sig.values()],
-                     ctx)
+                       PlanarTrivalentGraph._build(*shape, frozenset(), sig[0]),
+                       sig)
+                      for sig, (weight, shape) in by_sig.items()], ctx)
     if debug and d.vertex_count() == 0 and not depends_on_z_only(value):
         raise InternalError("a link value depends on more than z = A - B")
     check_claim(ctx, key, value)

@@ -57,7 +57,8 @@ class PlanarMap:
     @classmethod
     def _build(cls, *arrays):
         """A map the program builds itself, validated in debug mode only.
-        It owns the lists given: no map's arrays are written in place."""
+        It keeps the lists given, which other maps may share: no map's
+        arrays are written in place."""
         g = cls.__new__(cls)
         g._adopt(*arrays)
         if debug_mode():
@@ -288,8 +289,10 @@ def signature_of_arrays(twin: list[int], nxt: list[int], wide: list[bool],
     remain, flen being the length of the face through a half-edge.
     Isomorphisms carry faces to faces of the same length, so they keep
     colours, and the least class is again such a set.  Reflections are not
-    identified.  The sorted component encodings are paired with the
-    free-loop count.  Signatures are keys of in-process memo tables only;
+    identified.  The signature is the pair (free-loop count, sorted
+    component encodings): the state sum signs states that differ only in
+    free loops once, and the engine reads a keyed piece's number of
+    components from it.  Signatures are keys of in-process memo tables only;
     nothing persists them, so the choice of roots and the encoding may
     change freely.
     """

@@ -44,7 +44,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .maps import PlanarMap, Surgery, canonical_signature
+from .maps import PlanarMap, Surgery, canonical_signature, debug_mode
 from .diagrams import PlanarTrivalentGraph, Tangle
 from .ring import RingElem, constants, ring_sum
 
@@ -53,7 +53,15 @@ LinearCombo = list[tuple[RingElem, PlanarTrivalentGraph]]
 
 
 class InternalError(RuntimeError):
-    """The fallback search exhausted its budget: implementation bug."""
+    """A self-check failed: an implementation bug, not bad input.
+
+    Raised when the fallback search exhausts its budget or its space, when
+    one signature meets two values (a memo collision, or a value differing
+    from one claimed by an earlier run), and by the debug-mode checks: a
+    keyed term whose signature is not its graph's, a literal state with two
+    signatures, a link value that depends on more than z = A - B, and a
+    memoized transition row that differs from its recomputation.
+    """
 
 
 @dataclass(frozen=True)
@@ -435,7 +443,7 @@ def _search_moves(g: PlanarMap):
 
 
 def alternating_walk_reduce(g: PlanarTrivalentGraph, max_nodes: int = 50000,
-                            rng=None) -> list[Move]:
+                            rng=None, sig=None) -> list[Move]:
     """Move script turning g into a graph with a reducible configuration.
 
     Breadth-first search over wide-edge rotations and square flips, with
@@ -443,12 +451,12 @@ def alternating_walk_reduce(g: PlanarTrivalentGraph, max_nodes: int = 50000,
     sides at every wide edge, which forces a region bounded by at most two
     strands; clearing it with these moves always succeeds, so the search
     terminates (the node budget is an implementation-bug guard, not a
-    mathematical limit).
+    mathematical limit).  `sig` is g's canonical signature when the
+    caller already has it.
     """
     if reducible_face(g) is not None:
         return []
-    start_sig = canonical_signature(g)
-    seen = {start_sig}
+    seen = {canonical_signature(g) if sig is None else sig}
     frontier: deque[tuple[PlanarTrivalentGraph, list[Move]]] = deque([(g, [])])
     explored = 0
     while frontier:
@@ -488,11 +496,17 @@ class EvalContext:
     `invariants.diagram_job_key` of a literal diagram to its whole
     state-sum value.  `consistency` holds values claimed by an earlier run
     under either kind of key: each is compared with the value recomputed
-    here instead of being served.  In `stats`, "components" counts the
-    closed connected pieces the engine expanded (each distinct piece of one
-    reduction once; open transition rows are not counted), "memo_hits" the `evaluate` calls answered from `memo`,
-    and "state_hits" the states whose value came from `results` (all 3^c
-    of a diagram found there).
+    here instead of being served.  In `stats`:
+
+    * "components" counts the closed connected pieces the engine expanded
+      (each distinct piece of one reduction once; open transition rows are
+      not counted);
+    * "memo_hits" the `evaluate` calls answered from `memo`;
+    * "state_hits" the states whose value came from `results` (all 3^c of
+      a diagram found there);
+    * "distinct_states" the distinct states (up to isomorphism, free loops
+      counted) that state sums handed to the engine, summed over the
+      diagrams they were not served from `results`.
     """
 
     memo: dict = field(default_factory=dict)
@@ -501,7 +515,8 @@ class EvalContext:
     consistency: dict | None = None # cross-run key -> claimed value checker
     results: dict = field(default_factory=dict)
     stats: dict = field(default_factory=lambda: {
-        "components": 0, "memo_hits": 0, "state_hits": 0})
+        "components": 0, "memo_hits": 0, "state_hits": 0,
+        "distinct_states": 0})
 
     def record(self, rule: str, face) -> None:
         if self.trace is not None:
@@ -575,6 +590,14 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
     signature, tangle) triples of distinct open tangles with no reducible
     face away from their boundary.
 
+    A closed term may come keyed, as (coefficient, Tangle, signature) with
+    the `canonical_signature` of its graph, which the engine then trusts
+    and does not recompute; debug mode recomputes it and raises
+    InternalError on a mismatch.  A keyed connected graph is neither split
+    nor signed: its free loops fold into the coefficient as alpha^loops,
+    and it waits under the signature without them.  A keyed graph of free
+    loops only, or of several components, is split like any other term.
+
     Each term is split first (`_split`), and each kept piece waits in a
     level keyed by its half-edge count, merged by signature:
     `canonical_signature` for a closed graph, `Tangle.signature` for an
@@ -599,8 +622,27 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
             level = levels.setdefault(t.g.n_half, {})
             level.setdefault(key, ([], t))[0].append(c)
 
-    for c, t in terms:
-        put(c, t, len(terms) > 1)
+    def admit(c: RingElem, t: Tangle, key: tuple) -> None:
+        """Queue a closed term under the signature its caller computed."""
+        if debug_mode() and canonical_signature(t.g) != key:
+            raise InternalError("a keyed term's signature differs from "
+                                "its graph's")
+        loops, encs = key
+        if len(encs) != 1:
+            put(c, t, len(terms) > 1)
+            return
+        g = t.g
+        if loops:
+            c = c * constants().alpha ** loops
+            t = Tangle(type(g)._build(g.twin, g.nxt, g.wide, g.over, 0), [], [])
+        level = levels.setdefault(g.n_half, {})
+        level.setdefault((0, encs), ([], t))[0].append(c)
+
+    for term in terms:
+        if len(term) == 3:
+            admit(*term)
+        else:
+            put(term[0], term[1], len(terms) > 1)
     reduced = []
     while levels:
         for key, (cs, t) in levels.pop(max(levels)).items():
@@ -613,7 +655,7 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
                 if t.top:
                     reduced.append((c, key or t.signature(), t))
                     continue
-                for mv in alternating_walk_reduce(g, rng=ctx.rng):
+                for mv in alternating_walk_reduce(g, rng=ctx.rng, sig=key):
                     ctx.record(mv.kind, mv.arg)
                     if mv.kind == "square":
                         combo = square_move(g, mv.arg)
@@ -640,12 +682,15 @@ def evaluate(g, ctx: EvalContext | None = None) -> RingElem:
     canonical signature, or reduced by `reduce_terms` and memoized.  Given
     a list of (coefficient, graph) terms, returns the sum of coefficient
     times value, all terms reduced together in one run of the engine, so
-    pieces they share are expanded once; the sum is not memoized.  With no
-    context a fresh one is used.
+    pieces they share are expanded once; the sum is not memoized.  A term
+    may also be keyed, (coefficient, graph, canonical signature of graph),
+    and the engine then does not sign that graph again (see
+    `reduce_terms`).  With no context a fresh one is used.
     """
     ctx = ctx or EvalContext()
     if not isinstance(g, PlanarMap):
-        return reduce_terms([(c, Tangle(x, [], [])) for c, x in g], ctx)[0]
+        return reduce_terms([(c, Tangle(x, [], []), *key) for c, x, *key in g],
+                            ctx)[0]
     sig = canonical_signature(g)
     hit = ctx.memo.get(sig)
     if hit is not None:

@@ -1,17 +1,22 @@
+import itertools
 import random
 
 import pytest
 
+import dubrovnik.invariants as inv
+from dubrovnik.corpus import random_regraph
 from dubrovnik.diagrams import (BadEdge, BadIncidence, BraidWord, LinkDiagram,
                                 OddVertexCount, ParseError,
-                                PlanarTrivalentGraph, RangeError, Tangle,
+                                PlanarTrivalentGraph, RangeError,
+                                REGraphDiagram, StateResolver, Tangle,
                                 braid_to_link, c_tangle, close_tangle,
                                 connected_sum, disjoint_union,
                                 identity_tangle, mirror, parse_braid,
                                 link_components, parse_pd, parse_regraph,
-                                resolve_state, stack, states, switch_crossing,
-                                t_tangle, writhe)
-from dubrovnik.maps import NonPlanar, canonical_signature
+                                resolve_state, smooth_crossing, stack, states,
+                                switch_crossing, t_tangle, writhe)
+from dubrovnik.maps import (NonPlanar, Surgery, canonical_signature,
+                            signature_of_arrays)
 
 
 def test_parse_braid():
@@ -156,6 +161,72 @@ def test_kink_states():
     assert (recs["A"].na, recs["A"].nb) == (1, 0)
     assert (recs["B"].na, recs["B"].nb) == (0, 1)
     assert (recs["W"].na, recs["W"].nb) == (0, 0)
+
+
+def _widen(g, node):
+    """Replace one crossing by a wide edge whose ends carry the strands in
+    the crossing's rotation order, read from an over half-edge."""
+    cyc = g.nodes()[node]
+    k = next(i for i, h in enumerate(cyc) if h in g.over)
+    slots = [cyc[(k + j) % 4] for j in range(4)]
+    s = Surgery(g)
+    s.kill(node)
+    w1, w2 = s.port(wide=True), s.port(wide=True)
+    s.fresh_twin(w1, w2)
+    ports = [s.port(bind=h) for h in slots]
+    s.fresh_node([w1, ports[0], ports[1]])
+    s.fresh_node([w2, ports[2], ports[3]])
+    return s.finish(cls=type(g))
+
+
+def _resolve_one_by_one(d, choices):
+    """The state of d for choices, one crossing at a time: smooth_crossing
+    for A and B, `_widen` for W."""
+    g = REGraphDiagram(d.twin, d.nxt, d.wide, d.over, d.free_loops)
+    marks = [d.nodes()[n][0] for n in d.crossing_nodes()]
+    for i, ch in enumerate(choices):
+        node = g.node_of(marks[i])
+        if ch == "W":
+            g, idmap = _widen(g, node)
+        else:
+            dead = set(g.nodes()[node])
+            idmap = {h: j for j, h in enumerate(
+                h for h in range(g.n_half) if h not in dead)}
+            g = smooth_crossing(g, node, ch)
+        marks = [idmap.get(h) for h in marks]
+    return g
+
+
+def test_resolve_arrays_matches_crossing_by_crossing_resolution(monkeypatch):
+    rng = random.Random(71)
+    diagrams = [braid_to_link(parse_braid("n=3; 1 -2 1 2"))]
+    while len(diagrams) < 10:
+        d = random_regraph(rng, max_crossings=4, max_wide=3)
+        if d.crossing_nodes():
+            diagrams.append(d)
+    resolvers = []
+
+    class Recording(StateResolver):
+        def __init__(self, d):
+            super().__init__(d)
+            resolvers.append(self)
+
+    monkeypatch.setattr(inv, "StateResolver", Recording)
+    for d in diagrams:
+        resolver = StateResolver(d)
+        for choices in itertools.product("ABW", repeat=len(resolver.cnodes)):
+            twin, nxt, wide, loops, na, nb = resolver.resolve_arrays(choices)
+            g = _resolve_one_by_one(d, choices)
+            assert signature_of_arrays(twin, nxt, wide, loops) \
+                == canonical_signature(g)
+            assert loops == g.free_loops
+            assert (na, nb) == (choices.count("A"), choices.count("B"))
+        # states share their shapes; a state sum writes none of them
+        inv.kauffman_state_sum(d)
+        shared = resolvers[-1].shapes
+        assert shared
+        assert all(shape == resolver.shape(n_w)
+                   for n_w, shape in shared.items())
 
 
 def test_disjoint_union_and_connected_sum():

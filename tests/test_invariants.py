@@ -315,7 +315,9 @@ def test_state_sum_signs_each_literal_state_once(monkeypatch):
         literal = set()
         for s in states(d):
             plain = plain + RingElem.mono(0, s.na, s.nb) * evaluate(s.graph, ctx)
-            literal.add((tuple(s.graph.twin), s.graph.free_loops))
+            # the free-loop count joins the signature after signing, so
+            # states that differ only in it share one signature call
+            literal.add(tuple(s.graph.twin))
         calls.clear()
         assert kauffman_state_sum(d, EvalContext()).value == plain
         assert len(calls) == len(literal)
@@ -340,6 +342,32 @@ def test_debug_state_sum_signs_every_state(monkeypatch):
                         lambda *args: (0, ((next(stamps),),)))
     with pytest.raises(InternalError):
         kauffman_state_sum(braid_to_link(parse_braid("1 -1")), EvalContext())
+
+
+def test_keyed_terms_fail_loudly_and_are_not_signed_again(monkeypatch):
+    import dubrovnik.invariants as inv
+    import dubrovnik.skein as sk
+    from dubrovnik.maps import canonical_signature
+    from dubrovnik.skein import InternalError
+    theta = parse_regraph("W(1,2;2,1)")
+    wrong = canonical_signature(parse_regraph("W(1,1;2,2) W(3,4;4,3)"))
+    monkeypatch.setenv("DUBROVNIK_DEBUG", "1")
+    with pytest.raises(InternalError):
+        evaluate([(R_ONE, theta, wrong)], EvalContext())
+    monkeypatch.delenv("DUBROVNIK_DEBUG")
+    handed, signed = [], []
+    real_evaluate, real_sign = inv.evaluate, sk.canonical_signature
+    monkeypatch.setattr(inv, "evaluate", lambda terms, ctx: (
+        handed.extend(terms) or real_evaluate(terms, ctx)))
+    monkeypatch.setattr(sk, "canonical_signature", lambda g: (
+        signed.append(g.twin) or real_sign(g)))
+    ctx = EvalContext()
+    kauffman_state_sum(braid_to_link(parse_braid("n=3; 1 2 1 2 1 2")), ctx)
+    connected = {id(term[1].twin) for term in handed
+                 if len(term[1].components()) == 1}
+    assert connected and signed
+    assert connected.isdisjoint(id(twin) for twin in signed)
+    assert ctx.stats["distinct_states"] == len(handed)
 
 
 def test_state_sum_makes_one_evaluate_call_per_diagram(monkeypatch):
