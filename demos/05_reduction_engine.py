@@ -10,9 +10,9 @@ flips manufactures a reducible face first.  An independently written
 import random
 
 from dubrovnik import (EvalContext, alternating_walk_reduce, collapse,
-                       evaluate, evaluate4, find_local_config,
-                       kauffman_via_4valent, kauffman_state_sum, parse_braid,
-                       braid_to_link, reducible_configs, to_canonical_text)
+                       evaluate, evaluate4, kauffman_via_4valent,
+                       kauffman_state_sum, parse_braid, braid_to_link,
+                       reducible_face, to_canonical_text)
 from dubrovnik.corpus import dodecahedral_graphs, random_trivalent_graph
 
 # Reduction traces: which rule fired on which face.
@@ -28,10 +28,10 @@ print("theta reduction trace:", ctx.trace)
 dodeca = dodecahedral_graphs(1)[0]
 print("\ndodecahedral graph, face lengths:",
       sorted(len(f) for f in dodeca.faces()))
-print("directly reducible configuration:", find_local_config(dodeca))
+print("directly reducible face:", reducible_face(dodeca))
 script = alternating_walk_reduce(dodeca)
 print("move script:", [m.kind for m in script],
-      "-> reducible faces:", len(reducible_configs(script[-1].after)))
+      "-> reducible face:", reducible_face(script[-1].after))
 
 # Confluence: randomized rule order cannot change the value.
 rng = random.Random(0)

@@ -21,10 +21,9 @@ from .diagrams import (BadEdge, BadIncidence, BraidWord, LinkDiagram,
                        parse_braid, parse_pd,
                        parse_regraph, resolve_state, smooth_crossing, stack,
                        states, switch_crossing, t_tangle, writhe)
-from .skein import (EvalContext, InternalError, LocalConfig,
-                    alternating_walk_reduce, apply_lollipop, apply_wide_digon,
-                    evaluate, find_local_config, h_rotate, reducible_configs,
-                    square_move)
+from .skein import (EvalContext, InternalError, alternating_walk_reduce,
+                    apply_lollipop, apply_wide_digon, evaluate, h_rotate,
+                    reducible_face, square_move)
 from .invariants import (InvariantResult, MissingWrithe, MixedArity, bracket,
                          eval_braid, kauffman_state_sum, n2_closed_form,
                          normalized, regraph_invariant, rho_expand, so_n,

@@ -13,10 +13,10 @@ Exit codes: 0 success, 1 computation error, 2 verification failure.
 DUBROVNIK_DEBUG=1 turns on debug mode: every map the program derives is
 validated like an input map, a state sum signs every state and checks that
 a link's value depends on z = A - B only, the reduction engine recomputes
-the signature handed to it with each distinct state, and cached values are
-recomputed and compared instead of served.  A mismatch raises
-`skein.InternalError`.  Debug mode reads the cache to check it and never
-writes it.
+the signature handed to it with each distinct state, and a diagram value
+found in the context (from the cache or from an earlier job) is recomputed
+and compared instead of served.  A mismatch raises `skein.InternalError`.
+Debug mode reads the cache to check it and never writes it.
 
 The optional cache is a JSON-lines file.  Its first line names the file
 format; a file whose first line is missing or different is reported and
@@ -113,9 +113,9 @@ def cache_load(path: str, ctx: EvalContext) -> int:
     """Load the diagram rows into the context and return their number.
 
     A file with a missing or different version line, or a malformed row, is
-    reported and ignored as a whole.  In debug mode no row is served: the
-    rows go to the consistency checker, so every value is recomputed and
-    compared with its cached claim as it is reached.
+    reported and ignored as a whole.  The rows go to `ctx.results`, where
+    debug mode recomputes each value as it is reached instead of serving it
+    (see `invariants.kauffman_state_sum`).
     """
     try:
         with open(path) as f:
@@ -141,12 +141,7 @@ def cache_load(path: str, ctx: EvalContext) -> int:
         print(f"cache file {path} is corrupt ({e}); ignoring it",
               file=sys.stderr)
         return 0
-    if debug_mode():
-        if ctx.consistency is None:
-            ctx.consistency = {}
-        ctx.consistency.update(results)
-    else:
-        ctx.results.update(results)
+    ctx.results.update(results)
     return len(results)
 
 
@@ -346,7 +341,7 @@ def main(argv=None) -> int:
         job = _job_from_args(kind[args.command], args)
         doc = run(job)
     except (ParseError, InvalidMap, NonPlanar, CeilingExceeded,
-            ValueError) as e:
+            ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     if job.trace:

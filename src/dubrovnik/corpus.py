@@ -134,7 +134,12 @@ def dodecahedral_graphs(count: int = 10) -> list[PlanarTrivalentGraph]:
     Every face is a pentagon, so none of the local reduction rules applies
     and evaluation is forced through the move search.
     """
-    G = nx.dodecahedral_graph()
+    return matching_graphs(nx.dodecahedral_graph(), count)
+
+
+def matching_graphs(G: nx.Graph, count: int) -> list[PlanarTrivalentGraph]:
+    """A planar cubic graph with wide edges along each of its first `count`
+    perfect matchings, embedded by `networkx.check_planarity`."""
     ok, emb = nx.check_planarity(G)
     assert ok
     rotation = {v: list(emb.neighbors_cw_order(v)) for v in G.nodes()}

@@ -223,7 +223,11 @@ def triangle_flip4(g: PlanarMap, face: tuple[int, ...]) -> list:
     return out
 
 
-def _search_to_reducible4(g: PlanarMap, max_nodes: int = 50000) -> list:
+# Graphs the oracle's search may queue before it gives up.
+_SEARCH_BUDGET4 = 50000
+
+
+def _search_to_reducible4(g: PlanarMap) -> list:
     """Triangle-flip script ending in a graph with a curl or digon."""
     if _configs4(g):
         return []
@@ -245,7 +249,7 @@ def _search_to_reducible4(g: PlanarMap, max_nodes: int = 50000) -> list:
                 return new_path
             frontier.append((nxt_g, new_path))
             explored += 1
-            if explored > max_nodes:
+            if explored > _SEARCH_BUDGET4:
                 raise OracleError("oracle search budget exhausted")
     raise OracleError("oracle search space exhausted")
 

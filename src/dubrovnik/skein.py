@@ -56,18 +56,12 @@ class InternalError(RuntimeError):
     """A self-check failed: an implementation bug, not bad input.
 
     Raised when the fallback search exhausts its budget or its space, when
-    one signature meets two values (a memo collision, or a value differing
-    from one claimed by an earlier run), and by the debug-mode checks: a
-    keyed term whose signature is not its graph's, a literal state with two
-    signatures, a link value that depends on more than z = A - B, and a
-    memoized transition row that differs from its recomputation.
+    one signature meets two values in the memo, and by the debug-mode
+    checks: a keyed term whose signature is not its graph's, a literal
+    state with two signatures, a link value that depends on more than
+    z = A - B, and a stored diagram value or memoized transition row that
+    differs from its recomputation.
     """
-
-
-@dataclass(frozen=True)
-class LocalConfig:
-    kind: str                  # circle | lollipop | curl2 | digon | triangle | square4
-    face: tuple[int, ...]
 
 
 _PRIORITY = {"lollipop": 0, "curl2": 1, "digon": 2, "triangle": 3, "square4": 4}
@@ -128,24 +122,6 @@ def reducible_face(g: PlanarMap, ends=(), rng=None
         found = list(found)
         return rng.choice(found) if found else None
     return min(found, key=lambda kf: _PRIORITY[kf[0]], default=None)
-
-
-def reducible_configs(g: PlanarMap) -> list[LocalConfig]:
-    """Every reducible face, in the order of `reducible_face`."""
-    return sorted((LocalConfig(kind, face) for kind, face in _reducible_faces(g)),
-                  key=lambda c: (_PRIORITY[c.kind], c.face))
-
-
-def find_local_config(g: PlanarMap) -> LocalConfig | None:
-    """Highest-priority reducible configuration, or Circle, or None.
-
-    Circles live in the free_loops counter (a circle component carries no
-    half-edges), so Circle is reported exactly when free_loops > 0.
-    """
-    if g.free_loops > 0:
-        return LocalConfig("circle", ())
-    found = reducible_face(g)
-    return LocalConfig(*found) if found else None
 
 
 # -- value-preserving moves ---------------------------------------------------
@@ -442,15 +418,19 @@ def _search_moves(g: PlanarMap):
             yield ("square", face)
 
 
-def alternating_walk_reduce(g: PlanarTrivalentGraph, max_nodes: int = 50000,
-                            rng=None, sig=None) -> list[Move]:
+# Graphs the move search may queue before it gives up.
+SEARCH_BUDGET = 50000
+
+
+def alternating_walk_reduce(g: PlanarTrivalentGraph, rng=None, sig=None
+                            ) -> list[Move]:
     """Move script turning g into a graph with a reducible configuration.
 
     Breadth-first search over wide-edge rotations and square flips, with
     graphs deduplicated by canonical signature.  Alternating strands switch
     sides at every wide edge, which forces a region bounded by at most two
     strands; clearing it with these moves always succeeds, so the search
-    terminates (the node budget is an implementation-bug guard, not a
+    terminates (`SEARCH_BUDGET` is an implementation-bug guard, not a
     mathematical limit).  `sig` is g's canonical signature when the
     caller already has it.
     """
@@ -478,7 +458,7 @@ def alternating_walk_reduce(g: PlanarTrivalentGraph, max_nodes: int = 50000,
                 return new_path
             frontier.append((nxt_g, new_path))
             explored += 1
-            if explored > max_nodes:
+            if explored > SEARCH_BUDGET:
                 raise InternalError("fallback search budget exhausted")
     raise InternalError("fallback search space exhausted without a reducible graph")
 
@@ -494,16 +474,15 @@ class EvalContext:
     during a reduction -- to its value; the pieces inside one reduction are
     not memoized, they merge by signature instead.  `results` maps
     `invariants.diagram_job_key` of a literal diagram to its whole
-    state-sum value.  `consistency` holds values claimed by an earlier run
-    under either kind of key: each is compared with the value recomputed
-    here instead of being served.  In `stats`:
+    state-sum value; debug mode recomputes a value found there instead of
+    serving it.  In `stats`:
 
     * "components" counts the closed connected pieces the engine expanded
       (each distinct piece of one reduction once; open transition rows are
       not counted);
     * "memo_hits" the `evaluate` calls answered from `memo`;
     * "state_hits" the states whose value came from `results` (all 3^c of
-      a diagram found there);
+      a diagram served from there);
     * "distinct_states" the distinct states (up to isomorphism, free loops
       counted) that state sums handed to the engine, summed over the
       diagrams they were not served from `results`.
@@ -512,7 +491,6 @@ class EvalContext:
     memo: dict = field(default_factory=dict)
     rng: object = None              # random.Random for randomized strategies
     trace: list | None = None       # reduction trace (rule, face) entries
-    consistency: dict | None = None # cross-run key -> claimed value checker
     results: dict = field(default_factory=dict)
     stats: dict = field(default_factory=lambda: {
         "components": 0, "memo_hits": 0, "state_hits": 0,
@@ -523,20 +501,10 @@ class EvalContext:
             self.trace.append({"rule": rule, "face": list(face)})
 
 
-def check_claim(ctx: EvalContext, key, value: RingElem) -> None:
-    """Compare a computed value with the one an earlier run claimed for key."""
-    if ctx.consistency is not None:
-        prev = ctx.consistency.get(key)
-        if prev is not None and prev != value:
-            raise InternalError("cross-run inconsistency for one key")
-        ctx.consistency[key] = value
-
-
 def store_memo(ctx: EvalContext, sig, value: RingElem) -> None:
     prev = ctx.memo.get(sig)
     if prev is not None and prev != value:
         raise InternalError("memo collision: two values for one signature")
-    check_claim(ctx, sig, value)
     ctx.memo[sig] = value
 
 
@@ -685,12 +653,18 @@ def evaluate(g, ctx: EvalContext | None = None) -> RingElem:
     pieces they share are expanded once; the sum is not memoized.  A term
     may also be keyed, (coefficient, graph, canonical signature of graph),
     and the engine then does not sign that graph again (see
-    `reduce_terms`).  With no context a fresh one is used.
+    `reduce_terms`).  With no context a fresh one is used.  A single map
+    with a crossing or a node of degree other than 3 raises ValueError.
     """
     ctx = ctx or EvalContext()
     if not isinstance(g, PlanarMap):
         return reduce_terms([(c, Tangle(x, [], []), *key) for c, x, *key in g],
                             ctx)[0]
+    nxt = g.nxt
+    if g.over or any(nxt[h] == h or nxt[nxt[nxt[h]]] != h
+                     for h in range(len(nxt))):
+        raise ValueError("evaluate takes a crossingless trivalent graph; "
+                         "value a diagram with invariants.kauffman_state_sum")
     sig = canonical_signature(g)
     hit = ctx.memo.get(sig)
     if hit is not None:

@@ -146,27 +146,30 @@ def check_confluence(graphs=None, min_fallback: int = 4
     """Five randomized reduction strategies per graph give one value, and at
     least `min_fallback` graphs have no directly reducible face.
 
-    One consistency table spans all runs.  It holds what `evaluate`
-    memoizes, keyed by canonical signature: each graph, and each closed
-    piece that falls away while a graph is reduced.  A piece reached again
-    by another strategy, or by another graph, must come out equal."""
+    Each strategy runs in a context of its own, and every value its `memo`
+    ends with is compared with one table that spans all runs.  The memo
+    holds each graph and each closed piece that fell away while a graph
+    was reduced, keyed by canonical signature, so a piece reached again by
+    another strategy, or by another graph, must come out equal."""
     if graphs is None:
         rng = random.Random(5)
         graphs = [random_trivalent_graph(rng, max_vertices=12)
                   for _ in range(36)] + dodecahedral_graphs(4)
     graphs = list(graphs)
-    consistency: dict = {}
+    seen: dict = {}
     fallback_used = 0
     for i, g in enumerate(graphs):
         fallback_used += reducible_face(g) is None
-        try:
-            values = {evaluate(g, EvalContext(rng=random.Random(1000 * i + s),
-                                              consistency=consistency))
-                      for s in range(5)}
-        except InternalError as e:      # a piece differs across strategies
-            return ("confluence", False, f"graph {i}: {e}")
-        if len(values) != 1:
-            return ("confluence", False, f"strategy-dependent value, graph {i}")
+        for s in range(5):
+            ctx = EvalContext(rng=random.Random(1000 * i + s))
+            try:
+                evaluate(g, ctx)
+            except InternalError as e:      # a self-check failed in one run
+                return ("confluence", False, f"graph {i}: {e}")
+            if any(seen.setdefault(sig, v) != v
+                   for sig, v in ctx.memo.items()):
+                return ("confluence", False,
+                        f"graph {i}: a piece differs across strategies")
     return ("confluence", fallback_used >= min_fallback,
             f"{len(graphs)} graphs x 5 strategies, {fallback_used} needed "
             f"the move search (at least {min_fallback})")

@@ -90,6 +90,13 @@ def test_parse_error_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_unreadable_cache_path_exit_code(tmp_path, capsys):
+    # a directory in place of the cache file is reported, not a traceback
+    assert main(["eval-braid", "1 1", "--cache", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_n2_fast(capsys):
     assert main(["eval-graph", "W(1,2;2,1)", "--n2-fast"]) == 0
     assert capsys.readouterr().out.strip() == "-q - q^-1"
@@ -253,11 +260,10 @@ def test_debug_mode_recomputes_diagram_rows(no_debug_env, tmp_path,
     with pytest.raises(InternalError):
         run(job, ctx)
     assert ctx.stats["state_hits"] == 0
-    # cache_load alone hands the rows to the checker, not to `results`
-    monkeypatch.setenv("DUBROVNIK_DEBUG", "1")
+    # cache_load puts the rows in `results`, and the debug state sum
+    # recomputes the value found there
     ctx = EvalContext()
-    cache_load(str(path), ctx)
-    assert not ctx.results and not ctx.memo
+    assert cache_load(str(path), ctx) == len(ctx.results) == 1
     with pytest.raises(InternalError):
         kauffman_state_sum(braid_to_link(parse_braid("n=3; 1 2 1 2")), ctx)
 

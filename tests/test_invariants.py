@@ -404,3 +404,10 @@ def test_debug_repeat_without_context_recomputes(monkeypatch):
     monkeypatch.setenv("DUBROVNIK_DEBUG", "1")
     assert kauffman_state_sum(d).value == value
     assert len(calls) == 3 ** 3
+    # in one shared context the value kept in `results` is recomputed too
+    ctx = EvalContext()
+    kauffman_state_sum(d, ctx)
+    calls.clear()
+    assert kauffman_state_sum(d, ctx).value == value
+    assert len(calls) == 3 ** 3
+    assert ctx.stats["state_hits"] == 0

@@ -1,18 +1,23 @@
 import random
 import sys
 
+import networkx as nx
 import pytest
 
-from dubrovnik.corpus import (dodecahedral_graphs, random_trivalent_graph,
-                              regraph_from_word)
-from dubrovnik.diagrams import (PlanarTrivalentGraph, c_tangle, close_tangle,
-                                disjoint_union, parse_regraph, stack)
+from dubrovnik.corpus import (dodecahedral_graphs, matching_graphs,
+                              random_trivalent_graph, regraph_from_word)
+from dubrovnik.diagrams import (PlanarTrivalentGraph, braid_to_link,
+                                c_tangle, close_tangle, disjoint_union,
+                                parse_braid, parse_pd, parse_regraph, stack)
+from dubrovnik.fourvalent import collapse, evaluate4
+from dubrovnik.invariants import (diagram_job_key, kauffman_state_sum,
+                                  n2_closed_form)
 from dubrovnik.maps import PlanarMap, canonical_signature
 from dubrovnik.ring import R_A, R_B, R_ONE, RingElem, constants, specialize_soN
-from dubrovnik.skein import (EvalContext, alternating_walk_reduce,
-                             apply_lollipop, apply_wide_digon, evaluate,
-                             find_local_config, h_rotate, is_square_face,
-                             reducible_configs, square_move)
+from dubrovnik.skein import (EvalContext, InternalError,
+                             alternating_walk_reduce, apply_lollipop,
+                             apply_wide_digon, evaluate, h_rotate,
+                             is_square_face, reducible_face, square_move)
 from dubrovnik.verify import check_confluence
 
 C = constants()
@@ -61,14 +66,22 @@ def test_circle_factor():
     assert evaluate(g) == C.alpha * C.beta
 
 
-def test_find_local_config():
-    assert find_local_config(circles(1)).kind == "circle"
-    th = theta()
-    cfg = find_local_config(th)
-    assert cfg.kind == "curl2"      # its reducible faces run through the wide edge
-    assert find_local_config(necklace()).kind == "digon"
+def test_reducible_face():
+    # theta's reducible faces run through the wide edge
+    assert reducible_face(theta())[0] == "curl2"
+    assert reducible_face(necklace())[0] == "digon"
     for g in dodecahedral_graphs(2):
-        assert find_local_config(g) is None
+        assert reducible_face(g) is None
+
+
+@pytest.mark.parametrize("bad", [
+    lambda: braid_to_link(parse_braid("n=2; 1 1")),     # crossings
+    lambda: collapse(dodecahedral_graphs(1)[0]),         # 4-valent nodes
+    lambda: parse_pd("X(1,2,2,1)"),                      # a kinked crossing
+])
+def test_evaluate_rejects_a_map_that_is_not_a_trivalent_graph(bad):
+    with pytest.raises(ValueError, match="kauffman_state_sum"):
+        evaluate(bad())
 
 
 def test_lollipop_one_gon():
@@ -139,10 +152,25 @@ def test_fallback_script():
     g = dodecahedral_graphs(1)[0]
     script = alternating_walk_reduce(g)
     assert script
-    assert reducible_configs(script[-1].after)
+    assert reducible_face(script[-1].after) is not None
     # replay: rotations preserve the value, squares are tracked combinations
     from dubrovnik.invariants import n2_closed_form
     assert specialize_soN(evaluate(g, EvalContext()), 2) == n2_closed_form(g)
+
+
+def test_fallback_searches_deeper_than_two_moves():
+    # the truncated cube with wide edges on its first perfect matching has
+    # no reducible face, and no script of one or two moves gives it one
+    g = matching_graphs(nx.truncated_cube_graph(), 1)[0]
+    assert reducible_face(g) is None
+    script = alternating_walk_reduce(g)
+    assert len(script) >= 3
+    assert reducible_face(script[-1].after) is not None
+    value = evaluate(g, EvalContext())
+    assert value == evaluate4(collapse(g))
+    assert specialize_soN(value, 2) == n2_closed_form(g)
+    for s in range(3):
+        assert evaluate(g, EvalContext(rng=random.Random(s))) == value
 
 
 def test_fallback_not_called_when_reducible():
@@ -165,15 +193,20 @@ def test_disjoint_union_law():
         assert evaluate(u) == C.alpha * evaluate(g1) * evaluate(g2)
 
 
-def test_memo_collision_guard():
+def test_memo_collision_guard(monkeypatch):
     ctx = EvalContext()
     g = theta()
     sig = canonical_signature(g)
     ctx.memo[sig] = C.alpha        # wrong on purpose
     assert evaluate(g, ctx) == C.alpha   # memo wins: lookup path
-    ctx2 = EvalContext(consistency={sig: C.alpha})
-    with pytest.raises(Exception):
-        evaluate(g, ctx2)          # cross-run consistency check fires
+    # a wrong whole-diagram value is served outside debug mode only
+    d = braid_to_link(parse_braid("1 1"))
+    ctx2 = EvalContext(results={diagram_job_key(d): C.alpha})
+    monkeypatch.delenv("DUBROVNIK_DEBUG", raising=False)
+    assert kauffman_state_sum(d, ctx2).value == C.alpha
+    monkeypatch.setenv("DUBROVNIK_DEBUG", "1")
+    with pytest.raises(InternalError):
+        kauffman_state_sum(d, ctx2)
 
 
 def test_reduction_trace():
