@@ -23,7 +23,7 @@ from .diagrams import (BadEdge, BadIncidence, BraidWord, LinkDiagram,
                        states, switch_crossing, t_tangle, writhe)
 from .skein import (EvalContext, InternalError, alternating_walk_reduce,
                     apply_lollipop, apply_wide_digon, evaluate, h_rotate,
-                    reducible_face, square_move)
+                    reducible_face, square_flip, square_move)
 from .invariants import (InvariantResult, MissingWrithe, MixedArity, bracket,
                          eval_braid, kauffman_state_sum, n2_closed_form,
                          normalized, regraph_invariant, rho_expand, so_n,

@@ -318,22 +318,27 @@ def main(argv=None) -> int:
         return 2 if failed else 0
 
     if args.command == "batch":
+        try:
+            with open(args.file) as f:
+                lines = f.readlines()
+        except (OSError, UnicodeDecodeError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
         rc = 0
-        with open(args.file) as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                spec = line
-                try:
-                    spec = json.loads(line)
-                    doc = run(JobSpec(**spec))
-                except Exception as e:      # report and continue the batch
-                    text = spec.get("text") if isinstance(spec, dict) else line
-                    print(json.dumps({"input": text, "error": str(e)}))
-                    rc = 1
-                    continue
-                print(json.dumps(doc, sort_keys=True))
+        for line in lines:
+            line = line.strip()
+            if not line:
+                continue
+            spec = line
+            try:
+                spec = json.loads(line)
+                doc = run(JobSpec(**spec))
+            except Exception as e:      # report and continue the batch
+                text = spec.get("text") if isinstance(spec, dict) else line
+                print(json.dumps({"input": text, "error": str(e)}))
+                rc = 1
+                continue
+            print(json.dumps(doc, sort_keys=True))
         return rc
 
     kind = {"eval-braid": "braid", "eval-pd": "pd", "eval-graph": "regraph"}

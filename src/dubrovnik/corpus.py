@@ -29,6 +29,18 @@ def random_braid(rng: random.Random, max_strands: int = 4,
     return BraidWord(n, tuple(letters))
 
 
+def alternating_braid(rng: random.Random, letters: int, runs: int
+                      ) -> BraidWord:
+    """A 3-strand word of `letters` letters in `runs` runs of one generator
+    each, alternating 1 and 2, one random sign per run, run lengths as even
+    as possible.  Its expansion holds long alternating gadget chains."""
+    word = []
+    for j in range(runs):
+        length = letters // runs + (j < letters % runs)
+        word += [(1 + j % 2) * rng.choice((1, -1))] * length
+    return BraidWord(3, tuple(word))
+
+
 # -- graph-braid words ----------------------------------------------------------
 
 def regraph_from_word(n: int, word) -> REGraphDiagram:

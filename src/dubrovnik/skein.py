@@ -21,10 +21,19 @@ three strands.  Reducible configurations are recognized on faces:
     4-gon (std, wide, std, wide)   digon after two rotations
 
 Every one of these removes at least two vertices net, so reduction
-terminates.  When no face matches (all faces have length 5 or more, e.g. a
-dodecahedral pattern), a breadth-first search over wide-edge rotations and
-square flips finds a sequence of moves ending in a reducible graph; such a
-sequence exists for every connected planar trivalent graph.
+terminates.  When no face matches a closed graph (all faces have length 5
+or more, e.g. a dodecahedral pattern), a breadth-first search over
+wide-edge rotations and square flips finds a sequence of moves ending in a
+reducible graph; such a sequence exists for every connected planar
+trivalent graph.
+
+On open tangles the square relation is also an oriented rewrite: a tangle
+with no reducible face away from its boundary is rewritten by the square
+relation when flipping one of its six-vertex squares opens a wide digon,
+so an alternating c1 c2 c1 c2 ... gadget chain shortens instead of
+growing with every letter of a braid sweep.  The flipped term keeps its
+size, but its next rule is that digon; the other eight terms have at least
+four vertices fewer.
 
 One engine, `reduce_terms`, reduces every input: link states, knotted-graph
 states, closed braid tangles and the open tangles of the braid sweep.  A
@@ -48,10 +57,6 @@ from .maps import PlanarMap, Surgery, canonical_signature, debug_mode
 from .diagrams import PlanarTrivalentGraph, Tangle
 from .ring import RingElem, constants, ring_sum
 
-# Formal sum of graphs with ring coefficients.
-LinearCombo = list[tuple[RingElem, PlanarTrivalentGraph]]
-
-
 class InternalError(RuntimeError):
     """A self-check failed: an implementation bug, not bad input.
 
@@ -59,8 +64,9 @@ class InternalError(RuntimeError):
     one signature meets two values in the memo, and by the debug-mode
     checks: a keyed term whose signature is not its graph's, a literal
     state with two signatures, a link value that depends on more than
-    z = A - B, and a stored diagram value or memoized transition row that
-    differs from its recomputation.
+    z = A - B, a stored diagram value or memoized transition row that
+    differs from its recomputation, and a square flip whose predicted
+    wide digon is not what its built term shows.
     """
 
 
@@ -268,12 +274,15 @@ def apply_wide_digon(g: PlanarMap, face: tuple[int, ...]) -> list:
 
 
 def apply_rule(g: PlanarMap, kind: str, face: tuple[int, ...]) -> list:
-    """(coefficient, graph, old half-edge id -> new id) triples reducing a
-    face of a reducible kind: beta times the curl removed for a lollipop or
-    curl2, else the wide-digon expansion."""
+    """(coefficient, graph, old half-edge id -> new id) triples rewriting a
+    face: beta times the curl removed for a lollipop or curl2, the square
+    relation (`square_move`) for a "square", else the wide-digon
+    expansion."""
     if kind in ("lollipop", "curl2"):
         reduced, idmap = apply_lollipop(g, face)
         return [(constants().beta, reduced, idmap)]
+    if kind == "square":
+        return square_move(g, face)
     return apply_wide_digon(g, face)
 
 
@@ -327,29 +336,28 @@ def is_square_face(g: PlanarMap, face: tuple[int, ...]) -> bool:
     return _match_square(g, face) is not None
 
 
-def square_move(g: PlanarMap, face: tuple[int, ...]) -> LinearCombo:
-    """Rewrite a six-vertex square; first term is the flipped square.
-
-    The flipped term keeps the vertex count; the other eight terms drop at
-    least four vertices, so only the flipped term can postpone reduction.
-    """
+def _square_surgery(g: PlanarMap, face: tuple[int, ...]):
+    """The boundary strands (T1,T2,T3,B1,B2,B3) of the square at `face`,
+    and a maker of surgeries that remove its six nodes."""
     m = _match_square(g, face)
     if m is None:
         raise ValueError("face does not match the square configuration")
-    (T1, T2, T3, B1, B2, B3), nodes = m
-    C = constants()
-    one = RingElem.one()
-    AB = RingElem.mono(0, 1, 1)
+    strands, nodes = m
 
     def surgery() -> Surgery:
         s = Surgery(g)
-        for n in set(nodes):
+        for n in nodes:
             s.kill(n)
         return s
 
-    out: LinearCombo = []
+    return strands, surgery
 
-    # flipped configuration (the c2 c1 c2 stack)
+
+def square_flip(g: PlanarMap, face: tuple[int, ...]
+                ) -> tuple[PlanarTrivalentGraph, dict[int, int]]:
+    """The flipped square alone (the c2 c1 c2 stack), with the map from
+    old half-edge ids to new ones."""
+    (T1, T2, T3, B1, B2, B3), surgery = _square_surgery(g, face)
     s = surgery()
     wa1 = s.port(wide=True); wa2 = s.port(wide=True); s.fresh_twin(wa1, wa2)
     wc1 = s.port(wide=True); wc2 = s.port(wide=True); s.fresh_twin(wc1, wc2)
@@ -367,36 +375,95 @@ def square_move(g: PlanarMap, face: tuple[int, ...]) -> LinearCombo:
     s.fresh_node([wc2, dL, dr])
     s.fresh_node([we1, er, el])      # lower gadget
     s.fresh_node([we2, fL, fR])
-    flipped, _ = s.finish(cls=type(g))
-    out.append((one, flipped))
+    return s.finish(cls=type(g))
 
-    def gadget_term(coeff: RingElem, order: tuple[int, int, int, int],
-                    arcs: list[tuple[int, int]]) -> None:
+
+def square_move(g: PlanarMap, face: tuple[int, ...]) -> list:
+    """Rewrite a six-vertex square by the square relation.
+
+    Returns (coefficient, graph, old half-edge id -> new id) triples; the
+    first is the flipped square (`square_flip`).  The flipped term keeps the
+    vertex count; the other eight terms drop at least four vertices, so only
+    the flipped term can postpone reduction.
+    """
+    out = [(RingElem.one(), *square_flip(g, face))]
+    (T1, T2, T3, B1, B2, B3), surgery = _square_surgery(g, face)
+    C = constants()
+    AB = RingElem.mono(0, 1, 1)
+
+    def term(coeff: RingElem, order, arcs: list[tuple[int, int]]) -> None:
         s = surgery()
-        _new_gadget(s, *order)
+        if order:
+            _new_gadget(s, *order)
         for x, y in arcs:
             s.pair(x, y)
-        gr, _ = s.finish(cls=type(g))
-        out.append((coeff, gr))
-
-    def arcs_term(coeff: RingElem, arcs: list[tuple[int, int]]) -> None:
-        s = surgery()
-        for x, y in arcs:
-            s.pair(x, y)
-        gr, _ = s.finish(cls=type(g))
-        out.append((coeff, gr))
+        out.append((coeff, *s.finish(cls=type(g))))
 
     # - AB (c2 - c1 + t2 c1 - t1 c2 + c1 t2 - c2 t1)
-    gadget_term(-AB, (T3, T2, B2, B3), [(T1, B1)])              # c2
-    gadget_term(AB, (T2, T1, B1, B2), [(T3, B3)])               # c1
-    gadget_term(-AB, (B3, T1, B1, B2), [(T2, T3)])              # t2 c1
-    gadget_term(AB, (T3, B1, B2, B3), [(T1, T2)])               # t1 c2
-    gadget_term(-AB, (T2, T1, B1, T3), [(B2, B3)])              # c1 t2
-    gadget_term(AB, (T3, T2, T1, B3), [(B1, B2)])               # c2 t1
+    term(-AB, (T3, T2, B2, B3), [(T1, B1)])              # c2
+    term(AB, (T2, T1, B1, B2), [(T3, B3)])               # c1
+    term(-AB, (B3, T1, B1, B2), [(T2, T3)])              # t2 c1
+    term(AB, (T3, B1, B2, B3), [(T1, T2)])               # t1 c2
+    term(-AB, (T2, T1, B1, T3), [(B2, B3)])              # c1 t2
+    term(AB, (T3, T2, T1, B3), [(B1, B2)])               # c2 t1
     # - delta (t1 - t2)
-    arcs_term(-C.delta, [(T1, T2), (B1, B2), (T3, B3)])         # t1
-    arcs_term(C.delta, [(T2, T3), (B2, B3), (T1, B1)])          # t2
+    term(-C.delta, None, [(T1, T2), (B1, B2), (T3, B3)])  # t1
+    term(C.delta, None, [(T2, T3), (B2, B3), (T1, B1)])   # t2
     return out
+
+
+def _opens_digon(g: PlanarMap, strands, nodes) -> bool:
+    """Whether flipping the square with boundary strands `strands` on the
+    six `nodes` closes a wide digon, read off g without building the flip:
+    the flipped stack's new top gadget (on T2, T3) or bottom gadget (on B3,
+    B2) meets a gadget of g, off the six nodes, on the same two strands."""
+    T1, T2, T3, B1, B2, B3 = strands
+    twin, nxt, wide = g.twin, g.nxt, g.wide
+    for x, y in ((T2, T3), (B3, B2)):
+        hx, hy = twin[x], twin[y]
+        if nxt[hx] == hy and wide[nxt[hy]] and g.node_of(hx) not in nodes:
+            return True
+    return False
+
+
+def _digon_square(g: PlanarMap, rng=None) -> tuple[int, ...] | None:
+    """A six-vertex square whose flip opens a wide digon (`_opens_digon`),
+    or None.  The first one found is taken; with a `random.Random`, one of
+    them is drawn.
+
+    Each square face has exactly one wide half-edge, so the faces are
+    walked from the wide half-edges only.  A square face, like a digon,
+    has a trivalent node at every corner, so neither ever meets a
+    tangle's endpoints.  Debug mode builds every candidate's flip and
+    checks the prediction against its faces.
+    """
+    twin, nxt, wide = g.twin, g.nxt, g.wide
+    found = []
+    for w in range(len(wide)):
+        if not wide[w]:
+            continue
+        f3 = nxt[twin[w]]
+        f4 = nxt[twin[f3]]
+        f1 = nxt[twin[f4]]
+        if nxt[twin[f1]] != w:
+            continue
+        face = (f1, w, f3, f4)
+        m = _match_square(g, face)
+        if m is None:
+            continue
+        opens = _opens_digon(g, *m)
+        debug = debug_mode()
+        if debug and opens != any(kind == "digon" for kind, _ in
+                                  _reducible_faces(square_flip(g, face)[0])):
+            raise InternalError("a square flip's predicted digon differs "
+                                "from its faces")
+        if opens:
+            found.append(face)
+            if rng is None and not debug:
+                break
+    if not found:
+        return None
+    return found[0] if rng is None else rng.choice(found)
 
 
 # -- fallback search ------------------------------------------------------------
@@ -448,7 +515,7 @@ def alternating_walk_reduce(g: PlanarTrivalentGraph, rng=None, sig=None
             if kind == "rotate":
                 nxt_g, _ = h_rotate(cur, arg)
             else:
-                nxt_g = square_move(cur, arg)[0][1]
+                nxt_g, _ = square_flip(cur, arg)
             sig = canonical_signature(nxt_g)
             if sig in seen:
                 continue
@@ -497,6 +564,9 @@ class EvalContext:
         "distinct_states": 0})
 
     def record(self, rule: str, face) -> None:
+        """Append {"rule", "face"} to `trace`: the half-edges of the face
+        rewritten (a square's for "square"), or the one half-edge of a
+        wide edge the move search rotated."""
         if self.trace is not None:
             self.trace.append({"rule": rule, "face": list(face)})
 
@@ -571,10 +641,15 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
     `canonical_signature` for a closed graph, `Tangle.signature` for an
     open tangle.  The largest level is expanded first.  A piece's
     reducible face (`reducible_face`) is rewritten by its rule, and a closed
-    piece with none goes through the move search first.  Every rule removes
-    half-edges, so all paths into a piece have added their coefficients by
-    the time its level is expanded.  A lone input term is not signed: it
-    is alone in its level.
+    piece with none goes through the move search first.  An open tangle with
+    none is rewritten by the square relation when a square flip opens a wide
+    digon (`_digon_square`), and is emitted as reduced otherwise.  Every
+    other rule removes half-edges, so all paths into a piece have added
+    their coefficients by the time its level is expanded.  A flipped term
+    keeps its size and re-enters a level of its own size, which is expanded
+    next; it has a digon, so it is rewritten there and never emitted, and
+    no signature is emitted twice.  A lone input term is not signed: it is
+    alone in its level.
     """
     scalars: list[RingElem] = []
     levels: dict[int, dict] = {}
@@ -619,15 +694,19 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
                 continue
             g = t.g
             found = reducible_face(g, t.top + t.bot, ctx.rng)
-            if found is None:
-                if t.top:
+            if found is None and t.top:
+                face = _digon_square(g, ctx.rng)
+                if face is None:
                     reduced.append((c, key or t.signature(), t))
                     continue
+                found = ("square", face)
+            elif found is None:
                 for mv in alternating_walk_reduce(g, rng=ctx.rng, sig=key):
-                    ctx.record(mv.kind, mv.arg)
+                    ctx.record(mv.kind, (mv.arg,) if mv.kind == "rotate"
+                               else mv.arg)
                     if mv.kind == "square":
                         combo = square_move(g, mv.arg)
-                        for coeff, piece in combo[1:]:
+                        for coeff, piece, _ in combo[1:]:
                             put(c * coeff, Tangle(piece, [], []))
                         g = combo[0][1]
                     else:

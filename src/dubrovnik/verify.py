@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import random
 
-from .corpus import (clasped_handcuff, dodecahedral_graphs,
+from .corpus import (alternating_braid, clasped_handcuff, dodecahedral_graphs,
                      n2_vanishing_diagrams, random_braid, random_regraph,
                      random_trivalent_graph)
 from .diagrams import (BraidWord, braid_to_link, connected_sum,
@@ -270,8 +270,10 @@ def check_path_agreement(braids=None, ctx: EvalContext | None = None
                          ) -> tuple[str, bool, str]:
     if braids is None:
         rng = random.Random(71)
-        braids = (random_braid(rng, max_strands=4, max_letters=6)
-                  for _ in range(25))
+        braids = [random_braid(rng, max_strands=4, max_letters=6)
+                  for _ in range(25)]
+        # long alternating chains, where the sweep flips squares
+        braids += [alternating_braid(rng, 8, runs) for runs in (4, 8, 4)]
     braids = list(braids)
     ctx = ctx or EvalContext()
     for b in braids:

@@ -327,6 +327,16 @@ def test_batch_reports_bad_lines_and_continues(tmp_path, capsys):
     assert "error" not in docs[3] and docs[3]["value"]["terms"]
 
 
+def test_batch_unreadable_job_file_exit_code(tmp_path, capsys):
+    # a directory or a missing file in place of the job file is reported,
+    # not a traceback
+    for path in (tmp_path, tmp_path / "missing.jsonl"):
+        assert main(["batch", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and not captured.out
+        assert "Traceback" not in captured.err
+
+
 def test_verify_subset(capsys):
     assert main(["verify", "--suite", "ring"]) == 0
     assert "[PASS] ring identities" in capsys.readouterr().out

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from dubrovnik.corpus import (clasped_handcuff, random_braid, random_regraph,
+from dubrovnik.corpus import (alternating_braid, clasped_handcuff,
+                              random_braid, random_regraph,
                               random_trivalent_graph)
 from dubrovnik.diagrams import (BraidWord, braid_to_link, c_tangle,
                                 identity_tangle, parse_braid, parse_pd,
@@ -128,12 +129,18 @@ def test_bracket_reduces_each_distinct_tangle_once(monkeypatch):
     import dubrovnik.invariants as inv
     counts = _count_calls(monkeypatch, "stack")
     rules = {"rows": 0, "closing": 0}
+    squares = {"rows": 0, "closing": 0}
     in_row = []
-    real_rule, real_reduce = sk.apply_rule, inv.reduce_terms
+    real_rule, real_square, real_reduce = (sk.apply_rule, sk.square_move,
+                                           inv.reduce_terms)
 
     def counting_rule(*args):
         rules["rows" if in_row else "closing"] += 1
         return real_rule(*args)
+
+    def counting_square(*args):
+        squares["rows" if in_row else "closing"] += 1
+        return real_square(*args)
 
     def row_reduction(*args):
         in_row.append(1)
@@ -143,13 +150,82 @@ def test_bracket_reduces_each_distinct_tangle_once(monkeypatch):
             in_row.pop()
 
     monkeypatch.setattr(sk, "apply_rule", counting_rule)
+    monkeypatch.setattr(sk, "square_move", counting_square)
     monkeypatch.setattr(inv, "reduce_terms", row_reduction)
     bracket(parse_braid("n=3; 1 2 1 2 1 2 1 2 1 2 1 2"), EvalContext())
-    assert counts["stack"] <= 148 and rules["rows"] <= 485
-    assert rules["closing"] <= 66
+    # the rows flip two squares, so no gadget chain outgrows a letter
+    assert counts["stack"] <= 92 and rules["rows"] <= 80
+    assert 0 < squares["rows"] <= 2
+    assert rules["closing"] <= 6 and squares["closing"] == 0
     counts.update(stack=0)
     bracket(parse_braid("n=3; 1 1 2 2 1 1 2 2"), EvalContext())
-    assert counts["stack"] <= 80
+    assert counts["stack"] <= 78
+
+
+def test_bracket_combination_plateaus_on_three_strands(monkeypatch):
+    import dubrovnik.invariants as inv
+    real = inv.evaluate
+    closing = []
+
+    def spy(terms, ctx=None):
+        closing.append([g.n_half for _, g in terms])
+        return real(terms, ctx)
+
+    monkeypatch.setattr(inv, "evaluate", spy)
+    for k in (4, 6, 8, 10):
+        closing.clear()
+        bracket(parse_braid("n=3; " + " 1 2" * k), EvalContext())
+        [sizes] = closing
+        assert len(sizes) <= 23 and max(sizes) <= 18, k
+
+
+def _alternating_words() -> list[BraidWord]:
+    rng = random.Random(5)
+    return [alternating_braid(rng, k, runs)
+            for k, runs in ((8, 4), (8, 8), (10, 5))]
+
+
+def test_bracket_flips_squares_and_agrees_with_the_state_sum(monkeypatch):
+    import dubrovnik.skein as sk
+    import dubrovnik.invariants as inv
+    flips, reductions = [], []
+    real_square, real_reduce = sk.square_move, inv.reduce_terms
+
+    def counting_square(*args):
+        flips.append(1)
+        return real_square(*args)
+
+    def distinct_rows(*args):
+        value, reduced = real_reduce(*args)
+        reductions.append([sig for _, sig, _ in reduced])
+        return value, reduced
+
+    monkeypatch.setattr(sk, "square_move", counting_square)
+    monkeypatch.setattr(inv, "reduce_terms", distinct_rows)
+    for b in _alternating_words():
+        flips.clear()
+        ctx = EvalContext(trace=[])
+        value = bracket(b, ctx)
+        assert flips and any(e["rule"] == "square" for e in ctx.trace)
+        assert RingElem.mono(b.writhe(), 0, 0) * value == \
+            eval_braid(b, EvalContext()).value, b
+        for s in range(3):
+            assert bracket(b, EvalContext(rng=random.Random(s))) == value
+    # a reduced row never holds two tangles with one signature
+    assert all(len(set(sigs)) == len(sigs) for sigs in reductions)
+
+
+def test_debug_mode_checks_the_predicted_digon(monkeypatch):
+    import dubrovnik.skein as sk
+    b = parse_braid("n=3; 1 2 1 2 1 2")
+    monkeypatch.setenv("DUBROVNIK_DEBUG", "1")
+    value = bracket(b, EvalContext())
+    # a prediction that never sees the digon is caught against the flip
+    monkeypatch.setattr(sk, "_opens_digon", lambda g, strands, nodes: False)
+    with pytest.raises(sk.InternalError, match="predicted digon"):
+        bracket(b, EvalContext())
+    monkeypatch.delenv("DUBROVNIK_DEBUG")
+    assert bracket(b, EvalContext()) == value
 
 
 def test_debug_bracket_recomputes_memoized_rows(monkeypatch):

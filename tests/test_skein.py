@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 
@@ -17,7 +18,8 @@ from dubrovnik.ring import R_A, R_B, R_ONE, RingElem, constants, specialize_soN
 from dubrovnik.skein import (EvalContext, InternalError,
                              alternating_walk_reduce, apply_lollipop,
                              apply_wide_digon, evaluate, h_rotate,
-                             is_square_face, reducible_face, square_move)
+                             is_square_face, reducible_face, square_flip,
+                             square_move)
 from dubrovnik.verify import check_confluence
 
 C = constants()
@@ -127,11 +129,14 @@ def test_square_move_telescopes():
     assert len(combo) == 9
     ref = evaluate(g, EvalContext())
     total = RingElem.zero()
-    for coeff, piece in combo:
+    for coeff, piece, _ in combo:
         total = total + coeff * evaluate(piece, EvalContext())
     assert total == ref
+    # the first term is the flip alone, with the same id map
+    flipped, idmap = square_flip(g, face)
+    assert canonical_signature(flipped) == canonical_signature(combo[0][1])
+    assert idmap == combo[0][2]
     # applying the move to the flipped term telescopes back
-    flipped = combo[0][1]
     face2 = [f for f in flipped.faces() if is_square_face(flipped, f)][0]
     back = square_move(flipped, face2)
     assert canonical_signature(back[0][1]) == canonical_signature(g)
@@ -141,7 +146,7 @@ def test_square_move_n2_coefficients():
     # with A = q, B = q^-1, a = q the nine coefficients are 1, +-1 and -+(q+q^-1)
     g = close_tangle(stack(stack(c_tangle(3, 1), c_tangle(3, 2)), c_tangle(3, 1)))
     face = [f for f in g.faces() if is_square_face(g, f)][0]
-    coeffs = [specialize_soN(c, 2) for c, _ in square_move(g, face)]
+    coeffs = [specialize_soN(c, 2) for c, _, _ in square_move(g, face)]
     assert coeffs[0] == {0: 1}
     assert coeffs[1:7] == [{0: -1}, {0: 1}, {0: -1}, {0: 1}, {0: -1}, {0: 1}]
     assert coeffs[7] == {1: 1, -1: 1}
@@ -214,6 +219,16 @@ def test_reduction_trace():
     evaluate(necklace(), ctx)
     assert ctx.trace
     assert all("rule" in entry and "face" in entry for entry in ctx.trace)
+
+
+def test_trace_of_a_move_search_is_json():
+    # the truncated-cube state's move search rotates wide edges and flips
+    # squares; every step is recorded with a list of half-edges
+    ctx = EvalContext(trace=[])
+    evaluate(matching_graphs(nx.truncated_cube_graph(), 1)[0], ctx)
+    rules = {entry["rule"] for entry in json.loads(json.dumps(ctx.trace))}
+    assert {"rotate", "square"} <= rules
+    assert all(isinstance(entry["face"], list) for entry in ctx.trace)
 
 
 def _frames() -> int:
