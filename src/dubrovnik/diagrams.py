@@ -685,22 +685,55 @@ def c_tangle(n: int, i: int) -> Tangle:
 
 
 def stack(upper: Tangle, lower: Tangle) -> Tangle:
-    """Concatenate: upper's bottom endpoints welded to lower's top endpoints."""
+    """Concatenate: upper's bottom endpoints welded to lower's top endpoints.
+
+    The arrays are welded directly: upper's and lower's are concatenated,
+    the 2n welded endpoints (each alone on its node) are dropped, every
+    strand is chased across the welds, and a strand that closes up through
+    welds alone becomes a free loop.  The survivors keep their order, so
+    the ids are those `Surgery.finish` gives the disjoint union with the
+    welded endpoint nodes removed and paired.
+    """
     if upper.n != lower.n:
         raise InvalidMap("tangle arity mismatch")
-    off = upper.g.n_half
-    g = disjoint_union_maps(upper.g, lower.g)
-    s = Surgery(g)
-    for j in range(upper.n):
-        hb = upper.bot[j]
-        ht = lower.top[j] + off
-        s.kill(g.node_of(hb))
-        s.kill(g.node_of(ht))
-        s.pair(hb, ht)
-    out, idmap = s.finish()
-    top = [idmap[h] for h in upper.top]
-    bot = [idmap[h + off] for h in lower.bot]
-    return Tangle(out, top, bot)
+    g1, g2 = upper.g, lower.g
+    off = g1.n_half
+    twin = g1.twin + [t + off for t in g2.twin]
+    nxt = g1.nxt + [x + off for x in g2.nxt]
+    weld: dict[int, int] = {}
+    for hb, ht in zip(upper.bot, lower.top):
+        ht += off
+        if nxt[hb] != hb or nxt[ht] != ht:
+            raise InvalidMap("a welded endpoint is not alone on its node")
+        weld[hb] = ht
+        weld[ht] = hb
+    keep = [h for h in range(len(twin)) if h not in weld]
+    new = [-1] * len(twin)
+    for i, h in enumerate(keep):
+        new[h] = i
+    crossed: set[int] = set()
+    tw = []
+    for h in keep:
+        t = twin[h]
+        while t in weld:
+            crossed.add(t)
+            t = twin[weld[t]]
+        tw.append(new[t])
+    loops = g1.free_loops + g2.free_loops
+    for s in weld:
+        if s not in crossed:
+            loops += 1
+            while s not in crossed:
+                crossed.add(s)
+                crossed.add(weld[s])
+                s = twin[weld[s]]
+    wide = g1.wide + g2.wide
+    over = frozenset([new[h] for h in g1.over]
+                     + [new[h + off] for h in g2.over])
+    out = PlanarMap._build(tw, [new[nxt[h]] for h in keep],
+                           [wide[h] for h in keep], over, loops)
+    return Tangle(out, [new[h] for h in upper.top],
+                  [new[h + off] for h in lower.bot])
 
 
 def close_tangle(t: Tangle) -> PlanarTrivalentGraph:

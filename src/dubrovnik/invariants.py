@@ -33,7 +33,7 @@ from .diagrams import (BraidWord, PlanarTrivalentGraph, StateResolver, Tangle,
                        stack, t_tangle)
 from .maps import PlanarMap, debug_mode, signature_of_arrays
 from .ring import (LaurentPoly, QLaurent, RingElem, depends_on_z_only,
-                   qlaurent_mul, specialize_soN)
+                   qlaurent_mul, specialize_soN, sum_of_products)
 from .skein import EvalContext, InternalError, evaluate, reduce_terms
 
 
@@ -201,10 +201,14 @@ def trace(combo: list[tuple[RingElem, Tangle]],
     return total
 
 
-def _merge(table: dict, sig, c: RingElem, t: Tangle) -> None:
-    """Add c * t into a combination keyed by tangle signature."""
+def _merge(table: dict, sig, x: RingElem, y: RingElem, t: Tangle) -> None:
+    """Add x * y * t into a combination keyed by tangle signature; the
+    factor pairs wait for one `sum_of_products` per tangle."""
     have = table.get(sig)
-    table[sig] = (c, t) if have is None else (have[0] + c, have[1])
+    if have is None:
+        table[sig] = ([(x, y)], t)
+    else:
+        have[0].append((x, y))
 
 
 def bracket(b: BraidWord, ctx: EvalContext | None = None) -> RingElem:
@@ -216,12 +220,15 @@ def bracket(b: BraidWord, ctx: EvalContext | None = None) -> RingElem:
     stack(t, cup-cap) and stack(t, wide gadget), and merges tangles of equal
     signature.  A row depends only on t's signature and the generator, so
     one call reduces it once and scales it by each later coefficient and
-    letter weight.  Rows are reduced by `skein.reduce_terms`, which
-    rewrites only faces away from the boundary, and flips a six-vertex
-    square when that opens a wide digon, so a row of an alternating gadget
-    chain shortens: on 3 strands, `(1 2)^k` ends with at most 23 tangles of
-    at most 18 half-edges for k up to 10.  The closed tangles of the final
-    combination go to one `evaluate` call.  Stacking is bilinear and each
+    letter weight.  Each tangle of the new combination collects its
+    (coefficient times letter weight, row coefficient) pairs over the
+    letter, and its coefficient is formed by one `ring.sum_of_products`,
+    so it is normalized once per letter.  Rows are reduced by
+    `skein.reduce_terms`, which rewrites only faces away from the boundary,
+    and flips a six-vertex square when that opens a wide digon, so a row
+    of an alternating gadget chain shortens: on 3 strands, `(1 2)^k` ends
+    with at most 23 tangles of at most 18 half-edges for k up to 10.  The
+    closed tangles of the final combination go to one `evaluate` call.  Stacking is bilinear and each
     rule is a relation of the graph skein, which leaves the closure's
     polynomial unchanged, so the result equals
     a^(-w) trace(rho_expand(b)).  In debug mode every reuse of a row
@@ -246,9 +253,7 @@ def bracket(b: BraidWord, ctx: EvalContext | None = None) -> RingElem:
         kept, cupcap = (A, B) if letter > 0 else (B, A)
         new: dict = {}
         for sig, (coeff, t) in combo.items():
-            if coeff.is_zero():
-                continue
-            _merge(new, sig, coeff * kept, t)
+            _merge(new, sig, coeff, kept, t)
             for make, weight in ((t_tangle, cupcap), (c_tangle, one)):
                 key = (sig, make, i)
                 row = rows.get(key)
@@ -265,10 +270,14 @@ def bracket(b: BraidWord, ctx: EvalContext | None = None) -> RingElem:
                                             "differs from its recomputation")
                 scale = coeff if weight is one else coeff * weight
                 for c, s, t2 in row:
-                    _merge(new, s, scale if c is one else c * scale, t2)
-        combo = new
-    total = evaluate([(coeff, close_tangle(t)) for coeff, t in combo.values()
-                      if not coeff.is_zero()], ctx)
+                    _merge(new, s, scale, c, t2)
+        combo = {}
+        for sig, (pairs, t) in new.items():
+            coeff = sum_of_products(pairs)
+            if not coeff.is_zero():
+                combo[sig] = (coeff, t)
+    total = evaluate([(coeff, close_tangle(t)) for coeff, t in combo.values()],
+                     ctx)
     return RingElem.mono(-b.writhe(), 0, 0) * total
 
 

@@ -468,36 +468,37 @@ class Surgery:
     def finish(self, cls=PlanarMap) -> tuple[PlanarMap, dict[int, int]]:
         """Build the new map.  Returns (map, old half-edge id -> new id)."""
         g = self.g
-        survivors = [h for h in range(g.n_half) if h not in self.dead_slots]
-        idmap: dict[int, int] = {h: i for i, h in enumerate(survivors)}
+        dead = self.dead_slots
+        survivors = [h for h in range(g.n_half) if h not in dead]
+        ids = [-1] * g.n_half
+        for i, h in enumerate(survivors):
+            ids[h] = i
         n_s = len(survivors)
-        fmap = {f: n_s + f for f in range(len(self.fresh))}
-
         n_total = n_s + len(self.fresh)
         twin = [-1] * n_total
         nxt = [-1] * n_total
         wide = [False] * n_total
 
         for h in survivors:
-            nh = idmap[h]
+            nh = ids[h]
             wide[nh] = g.wide[h]
             # rotation is untouched on surviving nodes
-            nxt[nh] = idmap[g.nxt[h]]
+            nxt[nh] = ids[g.nxt[h]]
         for f, fr in enumerate(self.fresh):
-            wide[fmap[f]] = fr.wide
+            wide[n_s + f] = fr.wide
         for cyc in self.fresh_nodes:
             for i, f in enumerate(cyc):
-                nxt[fmap[f]] = fmap[cyc[(i + 1) % len(cyc)]]
+                nxt[n_s + f] = n_s + cyc[(i + 1) % len(cyc)]
 
         def settle(new_h: int, entry: int) -> None:
             """Connect new_h to wherever the strand entering at `entry` ends."""
             s = entry
             for _ in range(g.n_half + 1):
-                if s not in self.dead_slots:
-                    other = idmap[s]
+                if s not in dead:
+                    other = ids[s]
                     break
                 if s in self.binds:
-                    other = fmap[self.binds[s]]
+                    other = n_s + self.binds[s]
                     break
                 if s in self.pairs:
                     s = g.twin[self.pairs[s]]
@@ -508,17 +509,21 @@ class Surgery:
             twin[new_h] = other
             twin[other] = new_h
 
+        # a survivor whose twin survives keeps it; only strands that enter
+        # a removed node are chased
         for h in survivors:
-            nh = idmap[h]
-            if twin[nh] == -1:
-                settle(nh, g.twin[h])
+            t = g.twin[h]
+            if t not in dead:
+                twin[ids[h]] = ids[t]
+            elif twin[ids[h]] == -1:
+                settle(ids[h], t)
         for f, fr in enumerate(self.fresh):
-            nf = fmap[f]
+            nf = n_s + f
             if twin[nf] != -1:
                 continue
             if fr.twin is not None:
-                twin[nf] = fmap[fr.twin]
-                twin[fmap[fr.twin]] = nf
+                twin[nf] = n_s + fr.twin
+                twin[n_s + fr.twin] = nf
             elif fr.bind is not None:
                 settle(nf, g.twin[fr.bind])
             else:
@@ -552,8 +557,9 @@ class Surgery:
         if any(t == -1 for t in twin) or any(x == -1 for x in nxt):
             raise InvalidMap("surgery left dangling half-edges")
 
-        over = frozenset(idmap[h] for h in g.over if h in idmap)
-        return cls._build(twin, nxt, wide, over, g.free_loops + loops), idmap
+        over = frozenset(ids[h] for h in g.over if h not in dead)
+        return (cls._build(twin, nxt, wide, over, g.free_loops + loops),
+                dict(zip(survivors, range(n_s))))
 
 
 def disjoint_union_maps(g1: PlanarMap, g2: PlanarMap, cls=PlanarMap) -> PlanarMap:

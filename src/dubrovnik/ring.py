@@ -27,7 +27,7 @@ a digit wrap into its neighbour.  `LaurentPoly.terms` shows the numerator as
 {(ea, eA, eB): coeff}.
 
 Write D = A - B.  D is prime in this UFD, and normalization runs only where
-D can divide; two shortcuts skip the rest:
+D can divide; three shortcuts skip the rest:
 
 * Sum.  x/D^d1 + y/D^d2 with d1 > d2 is canonical at d1: its numerator
   x + y D^(d1-d2) is x mod D, and D does not divide x.  Only sums of equal
@@ -36,6 +36,10 @@ D can divide; two shortcuts skip the rest:
   divides neither numerator then, so, being prime, not their product.
   When exactly one power is 0, only that factor can carry D, so only it is
   divided, never the product.
+* Sum of products.  `sum_of_products` multiplies the terms of every pair
+  straight into buckets per denominator power and normalizes the whole
+  sum once, so no product is normalized on its own; `ring_sum` is its
+  case with every second factor 1.
 
 The test groups the terms by (ea, eA + eB), the monomial left by A = B: D
 divides p exactly when every group's coefficients sum to zero.  Aligning
@@ -416,39 +420,65 @@ def normalize(num: LaurentPoly, dpow: int) -> RingElem:
     return RingElem(num, dpow)
 
 
-def ring_sum(values) -> RingElem:
-    """Sum of many elements with a single normalization at the end.
+def sum_of_products(pairs) -> RingElem:
+    """The sum of x * y over the (x, y) pairs, normalized once.
 
-    Terms are accumulated in mutable buckets per denominator power and the
-    buckets are brought to the common power once, so the cost is linear in
-    the total number of monomials.
+    The kernel of every sum of products: each product's packed terms go
+    straight into one mutable bucket per denominator power
+    x.dpow + y.dpow, with no product formed or normalized on its own; the
+    buckets are brought to the common power once and the sum is divided
+    by (A - B) once.  A pair whose degree bound could leave the packable
+    range is multiplied by `_mul` first, which checks it exactly and
+    raises OverflowError as `x * y` does.  A lone pair is `x * y` itself.
     """
+    pairs = list(pairs)
+    if len(pairs) == 1:
+        x, y = pairs[0]
+        return x * y
     buckets: dict[int, dict[int, int]] = {}
     deg = 0                          # bounds the exponents of every bucket
-    for x in values:
-        t = x.num._t
-        deg = max(deg, x.num._deg)
-        bucket = buckets.get(x.dpow)
-        if bucket is None:
-            buckets[x.dpow] = dict(t)
+    for x, y in pairs:
+        p, q = x.num, y.num
+        t1, t2 = p._t, q._t
+        if not t1 or not t2:
             continue
+        d = p._deg + q._deg
+        if d > MAX_EXPONENT:
+            p = _mul(p, q)
+            t1, t2, d = {0: 1}, p._t, p._deg
+        elif len(t1) > len(t2):
+            t1, t2 = t2, t1
+        if d > deg:
+            deg = d
+        dp = x.dpow + y.dpow
+        bucket = buckets.get(dp)
+        if bucket is None:
+            bucket = buckets[dp] = {}
         get = bucket.get
-        for k, c in t.items():
-            s = get(k, 0) + c
-            if s:
-                bucket[k] = s
-            else:
-                del bucket[k]
-    if not buckets:
-        return RingElem.zero()
-    d = max(buckets)
-    total: dict[int, int] = {}
-    top = 0
+        for k1, c1 in t1.items():
+            for k2, c2 in t2.items():
+                k = k1 + k2
+                bucket[k] = get(k, 0) + c1 * c2
+    top = max(buckets, default=0)
+    total = buckets.pop(top, {})
+    bound = deg
+    get = total.get
     for dp, terms in buckets.items():
-        num = _mul(_poly(terms, deg), _d_power(d - dp))
-        total = _add(total, num._t)
-        top = max(top, num._deg)
-    return RingElem(_poly(total, top), d)
+        terms = {k: c for k, c in terms.items() if c}
+        if terms:
+            num = _mul(_poly(terms, deg), _d_power(top - dp))
+            bound = max(bound, num._deg)
+            for k, c in num._t.items():
+                total[k] = get(k, 0) + c
+    if 0 in total.values():
+        total = {k: c for k, c in total.items() if c}
+    return _elem(*_normalize(_poly(total, bound), top))
+
+
+def ring_sum(values) -> RingElem:
+    """Sum of many elements, normalized once: `sum_of_products` with every
+    second factor 1."""
+    return sum_of_products((x, R_ONE) for x in values)
 
 
 def depends_on_z_only(x: RingElem) -> bool:

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 from .maps import PlanarMap, Surgery, canonical_signature, debug_mode
 from .diagrams import PlanarTrivalentGraph, Tangle
-from .ring import RingElem, constants, ring_sum
+from .ring import RingElem, constants, sum_of_products
 
 class InternalError(RuntimeError):
     """A self-check failed: an implementation bug, not bad input.
@@ -589,15 +589,15 @@ def _restrict(g: PlanarMap, halves) -> tuple[PlanarMap, dict[int, int]]:
     return type(g)._build(twin, nxt, wide, frozenset(), 0), idmap
 
 
-def _split(c: RingElem, t: Tangle, ctx: EvalContext
-           ) -> tuple[RingElem, Tangle | None]:
-    """Fold into the coefficient what fell away from t.
+def _split(t: Tangle, ctx: EvalContext
+           ) -> tuple[RingElem | None, Tangle | None]:
+    """What fell away from t, as a factor.
 
     A tangle keeps the components that touch its endpoints, and a closed
     graph its largest component.  Every free loop and every other component
     contributes alpha times its value, the value from a nested `evaluate`.
-    Returns (coefficient, kept tangle), or (value, None) when no component
-    is left.
+    Returns (factor, kept tangle): the factor is None when it is 1, and the
+    kept tangle None when no component is left.
     """
     g = t.g
     loops = g.free_loops
@@ -608,16 +608,16 @@ def _split(c: RingElem, t: Tangle, ctx: EvalContext
     elif comps:
         rest = sorted(comps, key=len)[:-1]
     else:
-        return (c * constants().alpha ** (loops - 1) if loops > 1 else c), None
+        return (constants().alpha ** (loops - 1) if loops > 1 else None), None
     if not rest and not loops:
-        return c, t
+        return None, t
     factor = constants().alpha ** (len(rest) + loops)
     for comp in rest:
         factor = factor * evaluate(_restrict(g, comp)[0], ctx)
     dropped = {h for comp in rest for h in comp}
     kept, idmap = _restrict(g, [h for h in range(g.n_half) if h not in dropped])
-    return c * factor, Tangle(kept, [idmap[h] for h in t.top],
-                              [idmap[h] for h in t.bot])
+    return factor, Tangle(kept, [idmap[h] for h in t.top],
+                          [idmap[h] for h in t.bot])
 
 
 def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
@@ -639,7 +639,10 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
     Each term is split first (`_split`), and each kept piece waits in a
     level keyed by its half-edge count, merged by signature:
     `canonical_signature` for a closed graph, `Tangle.signature` for an
-    open tangle.  The largest level is expanded first.  A piece's
+    open tangle.  A level holds factor pairs (the parent's coefficient, the
+    rule's coefficient times what fell away), and a piece's coefficient is
+    formed by one `ring.sum_of_products` only when the piece is expanded;
+    `value` is one more.  The largest level is expanded first.  A piece's
     reducible face (`reducible_face`) is rewritten by its rule, and a closed
     piece with none goes through the move search first.  An open tangle with
     none is rewritten by the square relation when a square flip opens a wide
@@ -651,19 +654,22 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
     no signature is emitted twice.  A lone input term is not signed: it is
     alone in its level.
     """
-    scalars: list[RingElem] = []
+    one = RingElem.one()
+    scalars: list[tuple[RingElem, RingElem]] = []
     levels: dict[int, dict] = {}
 
-    def put(c: RingElem, t: Tangle, sign: bool = True) -> None:
-        c, t = _split(c, t, ctx)
+    def put(x: RingElem, y: RingElem, t: Tangle, sign: bool = True) -> None:
+        f, t = _split(t, ctx)
+        if f is not None:
+            y = y * f
         if t is None:
-            scalars.append(c)
+            scalars.append((x, y))
         else:
             key = None
             if sign:
                 key = t.signature() if t.top else canonical_signature(t.g)
             level = levels.setdefault(t.g.n_half, {})
-            level.setdefault(key, ([], t))[0].append(c)
+            level.setdefault(key, ([], t))[0].append((x, y))
 
     def admit(c: RingElem, t: Tangle, key: tuple) -> None:
         """Queue a closed term under the signature its caller computed."""
@@ -672,24 +678,25 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
                                 "its graph's")
         loops, encs = key
         if len(encs) != 1:
-            put(c, t, len(terms) > 1)
+            put(c, one, t, len(terms) > 1)
             return
         g = t.g
+        y = one
         if loops:
-            c = c * constants().alpha ** loops
+            y = constants().alpha ** loops
             t = Tangle(type(g)._build(g.twin, g.nxt, g.wide, g.over, 0), [], [])
         level = levels.setdefault(g.n_half, {})
-        level.setdefault((0, encs), ([], t))[0].append(c)
+        level.setdefault((0, encs), ([], t))[0].append((c, y))
 
     for term in terms:
         if len(term) == 3:
             admit(*term)
         else:
-            put(term[0], term[1], len(terms) > 1)
+            put(term[0], one, term[1], len(terms) > 1)
     reduced = []
     while levels:
         for key, (cs, t) in levels.pop(max(levels)).items():
-            c = cs[0] if len(cs) == 1 else ring_sum(cs)
+            c = sum_of_products(cs)
             if c.is_zero():
                 continue
             g = t.g
@@ -707,7 +714,7 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
                     if mv.kind == "square":
                         combo = square_move(g, mv.arg)
                         for coeff, piece, _ in combo[1:]:
-                            put(c * coeff, Tangle(piece, [], []))
+                            put(c, coeff, Tangle(piece, [], []))
                         g = combo[0][1]
                     else:
                         g = mv.after
@@ -717,9 +724,9 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
             kind, face = found
             ctx.record(kind, face)
             for coeff, g2, idmap in apply_rule(g, kind, face):
-                put(c * coeff, Tangle(g2, [idmap[h] for h in t.top],
-                                      [idmap[h] for h in t.bot]))
-    return ring_sum(scalars), reduced
+                put(c, coeff, Tangle(g2, [idmap[h] for h in t.top],
+                                     [idmap[h] for h in t.bot]))
+    return sum_of_products(scalars), reduced
 
 
 def evaluate(g, ctx: EvalContext | None = None) -> RingElem:

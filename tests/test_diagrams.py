@@ -256,6 +256,52 @@ def test_tangles():
         stack(identity_tangle(2), identity_tangle(3))
 
 
+def _surgery_stack(upper, lower):
+    """The stack as a surgery on the disjoint union: the reference for
+    `stack`'s direct weld."""
+    off = upper.g.n_half
+    g = disjoint_union(upper.g, lower.g)
+    s = Surgery(g)
+    for hb, ht in zip(upper.bot, lower.top):
+        s.kill(g.node_of(hb))
+        s.kill(g.node_of(ht + off))
+        s.pair(hb, ht + off)
+    out, idmap = s.finish()
+    return Tangle(out, [idmap[h] for h in upper.top],
+                  [idmap[h + off] for h in lower.bot])
+
+
+def _arrays(t):
+    g = t.g
+    return (type(g), g.twin, g.nxt, g.wide, g.over, g.free_loops, t.top, t.bot)
+
+
+def test_stack_welds_like_a_surgery():
+    rng = random.Random(15)
+    makers = (lambda n, i: identity_tangle(n), t_tangle, c_tangle)
+
+    def word(n):
+        t = rng.choice(makers)(n, rng.randint(1, n - 1))
+        for _ in range(rng.randint(0, 3)):
+            t = _surgery_stack(t, rng.choice(makers)(n, rng.randint(1, n - 1)))
+        return t
+
+    # a cup under a cap closes into a free loop
+    cup_cap = (t_tangle(3, 2), t_tangle(3, 2))
+    assert stack(*cup_cap).g.free_loops == 1
+    cases = [cup_cap, (t_tangle(2, 1), c_tangle(2, 1)),
+             (c_tangle(4, 2), identity_tangle(4))]
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        cases.append((word(n), word(n)))
+    loops = 0
+    for upper, lower in cases:
+        got = stack(upper, lower)
+        assert _arrays(got) == _arrays(_surgery_stack(upper, lower))
+        loops += got.g.free_loops
+    assert loops
+
+
 def test_tangle_signature_pins_boundary():
     # cup-cap on strands (1,2) differs from (2,3) even though the closed
     # graphs agree

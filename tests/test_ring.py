@@ -5,7 +5,7 @@ from dubrovnik.ring import (MAX_EXPONENT, DivisionFailure, LaurentPoly, R_A,
                             R_A_minus_B, R_B, R_ONE, R_ZERO, R_a, R_a_inv,
                             RingElem, constants, normalize, parse_ring_text,
                             qlaurent_text, ring_sum, specialize_soN,
-                            to_canonical_text)
+                            sum_of_products, to_canonical_text)
 
 C = constants()
 
@@ -80,6 +80,32 @@ def test_ring_axioms(x, y, z):
 @given(elems, elems)
 def test_ring_sum_matches_fold(x, y):
     assert ring_sum([x, y, x]) == x + y + x
+
+
+def test_sum_of_products_fixed_cases():
+    inv = RingElem(LaurentPoly.const(1), 1)         # 1/(A-B)
+    inv2 = RingElem(LaurentPoly.const(1), 2)
+    # all-zero pairs
+    zero = sum_of_products([(R_ZERO, C.alpha), (C.beta, R_ZERO)])
+    assert zero == R_ZERO and zero.dpow == 0
+    assert sum_of_products([]) == R_ZERO
+    # mixed denominator powers
+    pairs = [(C.alpha, C.gamma), (R_A, R_B), (inv2, C.delta), (inv, R_a)]
+    assert sum_of_products(pairs) == (C.alpha * C.gamma + R_A * R_B
+                                      + inv2 * C.delta + inv * R_a)
+    # a sum that cancels to 0
+    nil = sum_of_products([(C.delta, inv), (-C.delta, inv), (R_A, R_B),
+                           (R_B, -R_A)])
+    assert nil == R_ZERO and nil.dpow == 0 and not nil.num.terms
+    # a sum divisible by (A-B)^2 comes back at a lower power:
+    # A^2/(A-B)^2 - 2AB/(A-B)^2 + B^2/(A-B)^2 = 1
+    one = sum_of_products([(R_A * inv, R_A * inv),
+                           (RingElem.const(-2) * inv, R_A * R_B * inv),
+                           (R_B * inv, R_B * inv)])
+    assert one == R_ONE and one.dpow == 0
+    # (A-B)/(A-B)^2 + a/(A-B) = (1 + a)/(A-B)
+    low = sum_of_products([(R_A_minus_B, inv2), (R_a, inv)])
+    assert low == (R_ONE + R_a) * inv and low.dpow == 1
 
 
 @settings(max_examples=80, deadline=None)
@@ -253,6 +279,23 @@ def test_every_result_is_canonical_under_the_reference(rx, ry, k):
         assert d == 0 or (num and not ref_vanishes_at_A_eq_B(num))
 
 
+# elements whose numerators often carry (A - B) before normalization
+mixed_elems = st.one_of(elems, st.builds(lambda r: RingElem(LaurentPoly(r[0]), r[1]),
+                                         raws))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(mixed_elems, mixed_elems), max_size=6))
+def test_sum_of_products_matches_fold(pairs):
+    want = R_ZERO
+    for x, y in pairs:
+        want = want + x * y
+    got = sum_of_products(pairs)
+    assert got == want
+    assert got.dpow == 0 or (got.num.terms and not ref_vanishes_at_A_eq_B(
+        dict(got.num.terms)))
+
+
 def test_zero_factor_has_no_denominator():
     inv = RingElem(LaurentPoly.const(1), 1)
     for r in (inv * R_ZERO, R_ZERO * inv, inv * (R_A_minus_B - R_A_minus_B)):
@@ -275,10 +318,14 @@ def test_exponents_past_the_packable_range_raise():
     with pytest.raises(OverflowError):
         half * half
     with pytest.raises(OverflowError):
+        sum_of_products([(R_ONE, R_A), (half, half)])
+    with pytest.raises(OverflowError):
         R_a ** (top + 1)
     with pytest.raises(OverflowError):
         (R_A + R_B) ** 2 * RingElem.mono(0, top - 1, 0)
     # A loose degree bound alone never raises: the exact check decides.
     up, down = RingElem.mono(top, 0, 0), RingElem.mono(-top, 0, 0)
     assert up * down * (up + R_ONE) * down == R_ONE + down
+    assert sum_of_products([(up, down), (up + R_ONE, down)]) == \
+        R_ONE + R_ONE + down
     assert parse_ring_text(to_canonical_text(up * R_A)) == up * R_A
