@@ -10,9 +10,9 @@ flips manufactures a reducible face first.  An independently written
 import random
 
 from dubrovnik import (EvalContext, alternating_walk_reduce, collapse,
-                       evaluate, evaluate4, kauffman_via_4valent,
+                       evaluate, evaluate4, h_rotate, kauffman_via_4valent,
                        kauffman_state_sum, parse_braid, braid_to_link,
-                       reducible_face, to_canonical_text)
+                       reducible_face, square_flip, to_canonical_text)
 from dubrovnik.corpus import dodecahedral_graphs, random_trivalent_graph
 
 # Reduction traces: which rule fired on which face.
@@ -29,9 +29,14 @@ dodeca = dodecahedral_graphs(1)[0]
 print("\ndodecahedral graph, face lengths:",
       sorted(len(f) for f in dodeca.faces()))
 print("directly reducible face:", reducible_face(dodeca))
-script = alternating_walk_reduce(dodeca)
-print("move script:", [m.kind for m in script],
-      "-> reducible face:", reducible_face(script[-1].after))
+# The move search returns the first move of a shortest script; the engine
+# applies it as a rule and looks again.
+g, kinds = dodeca, []
+while (move := alternating_walk_reduce(g)) is not None:
+    kind, face = move
+    kinds.append(kind)
+    g = h_rotate(g, *face)[0] if kind == "rotate" else square_flip(g, face)[0]
+print("moves applied:", kinds, "-> reducible face:", reducible_face(g))
 
 # Confluence: randomized rule order cannot change the value.
 rng = random.Random(0)

@@ -14,20 +14,18 @@ from .maps import (InvalidMap, MapBuilder, NonPlanar, PlanarMap, Surgery,
                    canonical_signature)
 from .diagrams import (BadEdge, BadIncidence, BraidWord, LinkDiagram,
                        OddVertexCount, ParseError, PlanarTrivalentGraph,
-                       RangeError, REGraphDiagram, StateRecord, Tangle,
+                       RangeError, REGraphDiagram, StateResolver, Tangle,
                        WideEdgeCrossing, braid_to_link, c_tangle,
                        close_tangle, connected_sum, disjoint_union,
                        identity_tangle, link_components, mirror,
-                       parse_braid, parse_pd,
-                       parse_regraph, resolve_state, smooth_crossing, stack,
-                       states, switch_crossing, t_tangle, writhe)
+                       parse_braid, parse_pd, parse_regraph, smooth_crossing,
+                       stack, switch_crossing, t_tangle)
 from .skein import (EvalContext, InternalError, alternating_walk_reduce,
                     apply_lollipop, apply_wide_digon, evaluate, h_rotate,
                     reducible_face, square_flip, square_move)
 from .invariants import (InvariantResult, MissingWrithe, MixedArity, bracket,
                          eval_braid, kauffman_state_sum, n2_closed_form,
-                         normalized, regraph_invariant, rho_expand, so_n,
-                         trace)
+                         normalized, rho_expand, so_n, trace)
 from .fourvalent import (OracleContext, OracleError, Planar4Graph, collapse,
                          evaluate4, kauffman_via_4valent)
 

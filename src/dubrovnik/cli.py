@@ -79,6 +79,8 @@ class JobSpec:
             raise ValueError(f"unknown input kind {self.kind!r}")
         if self.normalized and self.kind != "braid":
             raise ValueError("--normalized requires a braid input")
+        if self.so_n is not None and self.so_n < 2:
+            raise ValueError("N must be at least 2")
         if self.fmt not in ("text", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
         if self.n2_fast and self.so_n not in (None, 2):
@@ -308,9 +310,13 @@ def main(argv=None) -> int:
 
     if args.command == "verify":
         from .verify import ALL_SUITES, run_all
-        suites = ALL_SUITES
-        if args.suite:
+        suites = None
+        if args.suite is not None:
             suites = [s for s in ALL_SUITES if args.suite in s.__name__]
+            if not suites:
+                print(f"error: no suite name contains {args.suite!r}",
+                      file=sys.stderr)
+                return 1
         failed = 0
         for name, ok, detail in run_all(suites):
             print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}", flush=True)

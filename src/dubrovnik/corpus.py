@@ -15,7 +15,7 @@ import random
 import networkx as nx
 
 from .diagrams import (BraidWord, MapBuilder, PlanarTrivalentGraph,
-                       REGraphDiagram, closure_diagram, resolve_state)
+                       REGraphDiagram, StateResolver, closure_diagram)
 
 
 def random_braid(rng: random.Random, max_strands: int = 4,
@@ -73,6 +73,12 @@ def clasped_handcuff() -> REGraphDiagram:
     return regraph_from_word(2, [("W", 1), 1, 1])
 
 
+def _state(resolver: StateResolver, choices) -> PlanarTrivalentGraph:
+    """The state graph of the resolver's diagram for `choices`."""
+    twin, nxt, wide, loops, _, _ = resolver.resolve_arrays(choices)
+    return PlanarTrivalentGraph._build(twin, nxt, wide, frozenset(), loops)
+
+
 def n2_vanishing_diagrams(rng: random.Random, count: int):
     """Yield `count` one-crossing knotted-graph diagrams whose three
     resolutions at the crossing have equal numbers of components (free loops
@@ -86,9 +92,10 @@ def n2_vanishing_diagrams(rng: random.Random, count: int):
         d = regraph_from_word(n, word)
         if len(d.crossing_nodes()) != 1:
             continue
+        resolver = StateResolver(d)
         pieces = set()
         for ch in "ABW":
-            g = resolve_state(d, ch).graph
+            g = _state(resolver, ch)
             pieces.add(len(g.components()) + g.free_loops)
         if len(pieces) == 1:
             found += 1
@@ -105,7 +112,7 @@ def random_trivalent_graph(rng: random.Random, max_vertices: int = 12
                            max_crossings=rng.randint(0, 4), max_wide=3)
         cross = len(d.crossing_nodes())
         choices = [rng.choice("ABW") for _ in range(cross)]
-        g = resolve_state(d, choices).graph
+        g = _state(StateResolver(d), choices)
         if 0 < g.vertex_count() <= max_vertices:
             return g
 

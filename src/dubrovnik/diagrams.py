@@ -25,7 +25,6 @@ B*(cup-cap) + (wide gadget), and a positive kink contributes the factor a.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 
@@ -118,10 +117,6 @@ def parse_braid(text: str) -> BraidWord:
     else:
         n = 1 + max((abs(v) for v in letters), default=0)
     return BraidWord(n, tuple(letters))
-
-
-def writhe(b: BraidWord) -> int:
-    return b.writhe()
 
 
 # -- diagram classes -----------------------------------------------------------
@@ -403,14 +398,6 @@ def smooth_crossing(d: PlanarMap, node: int, kind: str) -> PlanarMap:
 
 # -- state enumeration ------------------------------------------------------------------
 
-@dataclass
-class StateRecord:
-    graph: PlanarTrivalentGraph
-    na: int
-    nb: int
-    choices: tuple[str, ...]
-
-
 class StateResolver:
     """Precomputed tables for resolving the crossings of one diagram.
 
@@ -482,7 +469,8 @@ class StateResolver:
         return twin, nxt, wide
 
     def resolve_arrays(self, choices):
-        """Raw (twin, nxt, wide, free_loops, na, nb) arrays for one state.
+        """Raw (twin, nxt, wide, free_loops, na, nb) arrays for the state
+        with `choices` ('A', 'B' or 'W' per crossing, in `cnodes` order).
 
         twin is the state's own list; nxt and wide are shared with every
         state of the same wide-edge count.
@@ -545,30 +533,6 @@ class StateResolver:
                         seen[t] = True
                         t = how[cross_of[t]][t]
         return twin, nxt, wide, loops, choices.count("A"), choices.count("B")
-
-    def resolve(self, choices) -> StateRecord:
-        twin, nxt, wide, loops, na, nb = self.resolve_arrays(choices)
-        g = PlanarTrivalentGraph._build(twin, nxt, wide, frozenset(), loops)
-        return StateRecord(g, na, nb, tuple(choices))
-
-
-def resolve_state(d: PlanarMap, choices) -> StateRecord:
-    """Resolve every crossing according to choices ('A' | 'B' | 'W' each)."""
-    cnodes = d.crossing_nodes()
-    if len(choices) != len(cnodes):
-        raise ValueError("one choice per crossing required")
-    for ch in choices:
-        if ch not in "ABW":
-            raise ValueError(f"bad resolution choice {ch!r}")
-    return StateResolver(d).resolve(choices)
-
-
-def states(d: PlanarMap):
-    """All 3^c resolutions of the diagram's crossings."""
-    resolver = StateResolver(d)
-    c = len(resolver.cnodes)
-    for choices in itertools.product("ABW", repeat=c):
-        yield resolver.resolve(choices)
 
 
 # -- tangles ------------------------------------------------------------------------------

@@ -139,15 +139,6 @@ def kauffman_state_sum(d: PlanarMap, ctx: EvalContext | None = None) -> Invarian
     return InvariantResult(value, None, count, "stateSum")
 
 
-def regraph_invariant(d: PlanarMap, ctx: EvalContext | None = None) -> InvariantResult:
-    """The invariant of a knotted rigid-edge trivalent graph diagram.
-
-    On crossingless inputs this is the graph polynomial itself; on link
-    diagrams it coincides with the Kauffman state sum.
-    """
-    return kauffman_state_sum(d, ctx)
-
-
 def eval_braid(b: BraidWord, ctx: EvalContext | None = None) -> InvariantResult:
     r = kauffman_state_sum(braid_to_link(b), ctx)
     r.writhe = b.writhe()

@@ -13,8 +13,8 @@ V - E + F = 2.  Circles carry no half-edges, so they are held in the
 free_loops counter.
 
 A map is validated (`validate`) where it enters the program: a class
-constructor, `MapBuilder.finish`, `from_json`.  A map the program builds
-itself (`PlanarMap._build`: surgery results, states, components, tangle
+constructor or `MapBuilder.finish`.  A map the program builds itself
+(`PlanarMap._build`: surgery results, states, components, tangle
 generators) is validated only when `debug_mode()` is true.
 
 All mutation happens through :class:`Surgery`, which removes a set of nodes,
@@ -185,31 +185,6 @@ class PlanarMap:
     def vertex_count(self) -> int:
         """Trivalent vertices (degree-3 nodes)."""
         return sum(1 for cyc in self.nodes() if len(cyc) == 3)
-
-    # -- serialization -----------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "nodes": [list(cyc) for cyc in self.nodes()],
-            "halfedges": {
-                "twin": list(self.twin),
-                "next": list(self.nxt),
-                "kind": ["wide" if w else "standard" for w in self.wide],
-            },
-            "over": sorted(self.over),
-            "freeLoops": self.free_loops,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PlanarMap":
-        he = data["halfedges"]
-        return cls(
-            twin=list(he["twin"]),
-            nxt=list(he["next"]),
-            wide=[k == "wide" for k in he["kind"]],
-            over=frozenset(data.get("over", ())),
-            free_loops=data.get("freeLoops", 0),
-        )
 
     def __repr__(self) -> str:
         return (f"<{type(self).__name__} nodes={self.n_nodes()} "
@@ -425,7 +400,6 @@ class Surgery:
         self.binds: dict[int, int] = {}      # dead slot -> fresh id
         self.fresh: list[_Fresh] = []
         self.fresh_nodes: list[list[int]] = []
-        self.extra_loops = 0
 
     def kill(self, node_idx: int) -> None:
         if node_idx in self.dead_nodes:
@@ -531,7 +505,7 @@ class Surgery:
 
         # closed strands living entirely on paired dead slots -> free loops
         visited: set[int] = set()
-        loops = self.extra_loops
+        loops = 0
         for s0 in self.pairs:
             if s0 in visited:
                 continue

@@ -21,19 +21,21 @@ three strands.  Reducible configurations are recognized on faces:
     4-gon (std, wide, std, wide)   digon after two rotations
 
 Every one of these removes at least two vertices net, so reduction
-terminates.  When no face matches a closed graph (all faces have length 5
-or more, e.g. a dodecahedral pattern), a breadth-first search over
-wide-edge rotations and square flips finds a sequence of moves ending in a
-reducible graph; such a sequence exists for every connected planar
-trivalent graph.
+terminates.
 
-On open tangles the square relation is also an oriented rewrite: a tangle
-with no reducible face away from its boundary is rewritten by the square
-relation when flipping one of its six-vertex squares opens a wide digon,
-so an alternating c1 c2 c1 c2 ... gadget chain shortens instead of
-growing with every letter of a braid sweep.  The flipped term keeps its
-size, but its next rule is that digon; the other eight terms have at least
-four vertices fewer.
+A piece with no reducible face (away from a tangle's boundary) is first
+rewritten by the square relation when flipping one of its six-vertex
+squares opens a wide digon, so an alternating c1 c2 c1 c2 ... gadget chain
+shortens instead of growing with every letter of a braid sweep.  The
+flipped term keeps its size, but its next rule is that digon; the other
+eight terms have at least four vertices fewer.  An open tangle with no
+such square is reduced.  A closed graph with none (e.g. a dodecahedral
+pattern, all faces of length 5) takes one move, a wide-edge rotation or a
+square flip, chosen by a breadth-first search as the first move of a
+shortest sequence ending in a reducible graph; such a sequence exists for
+every connected planar trivalent graph.  The move is applied like any
+other rule, and it leaves a graph whose shortest sequence is one move
+shorter.
 
 One engine, `reduce_terms`, reduces every input: link states, knotted-graph
 states, closed braid tangles and the open tangles of the braid sweep.  A
@@ -276,13 +278,15 @@ def apply_wide_digon(g: PlanarMap, face: tuple[int, ...]) -> list:
 def apply_rule(g: PlanarMap, kind: str, face: tuple[int, ...]) -> list:
     """(coefficient, graph, old half-edge id -> new id) triples rewriting a
     face: beta times the curl removed for a lollipop or curl2, the square
-    relation (`square_move`) for a "square", else the wide-digon
-    expansion."""
+    relation (`square_move`) for a "square", the rotated graph alone for a
+    "rotate" of the wide edge at (w,), else the wide-digon expansion."""
     if kind in ("lollipop", "curl2"):
         reduced, idmap = apply_lollipop(g, face)
         return [(constants().beta, reduced, idmap)]
     if kind == "square":
         return square_move(g, face)
+    if kind == "rotate":
+        return [(RingElem.one(), *h_rotate(g, face[0]))]
     return apply_wide_digon(g, face)
 
 
@@ -468,18 +472,11 @@ def _digon_square(g: PlanarMap, rng=None) -> tuple[int, ...] | None:
 
 # -- fallback search ------------------------------------------------------------
 
-@dataclass
-class Move:
-    kind: str                     # "rotate" | "square"
-    arg: object                   # wide half-edge or face tuple (before it)
-    after: PlanarTrivalentGraph
-
-
 def _search_moves(g: PlanarMap):
     """Candidate moves: every wide-edge rotation and square flip."""
     for w in range(g.n_half):
         if g.wide[w] and w < g.twin[w]:
-            yield ("rotate", w)
+            yield ("rotate", (w,))
     for face in g.faces():
         if is_square_face(g, face):
             yield ("square", face)
@@ -490,40 +487,44 @@ SEARCH_BUDGET = 50000
 
 
 def alternating_walk_reduce(g: PlanarTrivalentGraph, rng=None, sig=None
-                            ) -> list[Move]:
-    """Move script turning g into a graph with a reducible configuration.
+                            ) -> tuple[str, tuple[int, ...]] | None:
+    """The first move, as (kind, face), of a shortest script of wide-edge
+    rotations ("rotate", (w,)) and square flips ("square", face) that
+    turns g into a graph with a reducible face; None when g has one.
 
-    Breadth-first search over wide-edge rotations and square flips, with
-    graphs deduplicated by canonical signature.  Alternating strands switch
-    sides at every wide edge, which forces a region bounded by at most two
-    strands; clearing it with these moves always succeeds, so the search
-    terminates (`SEARCH_BUDGET` is an implementation-bug guard, not a
-    mathematical limit).  `sig` is g's canonical signature when the
-    caller already has it.
+    Breadth-first search, with graphs deduplicated by canonical signature.
+    Alternating strands switch sides at every wide edge, which forces a
+    region bounded by at most two strands; clearing it with these moves
+    always succeeds, so the search terminates (`SEARCH_BUDGET` is an
+    implementation-bug guard, not a mathematical limit).  The script is a
+    shortest one whatever order `rng` shuffles the moves into, so applying
+    its first move leaves a graph whose shortest script is one move
+    shorter.  `sig` is g's canonical signature when the caller already
+    has it.
     """
     if reducible_face(g) is not None:
-        return []
+        return None
     seen = {canonical_signature(g) if sig is None else sig}
-    frontier: deque[tuple[PlanarTrivalentGraph, list[Move]]] = deque([(g, [])])
+    frontier = deque([(g, None)])
     explored = 0
     while frontier:
-        cur, path = frontier.popleft()
+        cur, first = frontier.popleft()
         moves = list(_search_moves(cur))
         if rng is not None:
             rng.shuffle(moves)
-        for kind, arg in moves:
+        for move in moves:
+            kind, face = move
             if kind == "rotate":
-                nxt_g, _ = h_rotate(cur, arg)
+                nxt_g, _ = h_rotate(cur, face[0])
             else:
-                nxt_g, _ = square_flip(cur, arg)
+                nxt_g, _ = square_flip(cur, face)
             sig = canonical_signature(nxt_g)
             if sig in seen:
                 continue
             seen.add(sig)
-            new_path = path + [Move(kind, arg, nxt_g)]
             if reducible_face(nxt_g) is not None:
-                return new_path
-            frontier.append((nxt_g, new_path))
+                return first or move
+            frontier.append((nxt_g, first or move))
             explored += 1
             if explored > SEARCH_BUDGET:
                 raise InternalError("fallback search budget exhausted")
@@ -545,8 +546,9 @@ class EvalContext:
     serving it.  In `stats`:
 
     * "components" counts the closed connected pieces the engine expanded
-      (each distinct piece of one reduction once; open transition rows are
-      not counted);
+      (each distinct piece of one reduction once, and each move of the
+      move search applied to a piece as one more expansion; open
+      transition rows are not counted);
     * "memo_hits" the `evaluate` calls answered from `memo`;
     * "state_hits" the states whose value came from `results` (all 3^c of
       a diagram served from there);
@@ -565,8 +567,8 @@ class EvalContext:
 
     def record(self, rule: str, face) -> None:
         """Append {"rule", "face"} to `trace`: the half-edges of the face
-        rewritten (a square's for "square"), or the one half-edge of a
-        wide edge the move search rotated."""
+        rewritten (a square's for "square"), or for "rotate" the one
+        half-edge of the wide edge rotated."""
         if self.trace is not None:
             self.trace.append({"rule": rule, "face": list(face)})
 
@@ -643,16 +645,18 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
     rule's coefficient times what fell away), and a piece's coefficient is
     formed by one `ring.sum_of_products` only when the piece is expanded;
     `value` is one more.  The largest level is expanded first.  A piece's
-    reducible face (`reducible_face`) is rewritten by its rule, and a closed
-    piece with none goes through the move search first.  An open tangle with
-    none is rewritten by the square relation when a square flip opens a wide
-    digon (`_digon_square`), and is emitted as reduced otherwise.  Every
-    other rule removes half-edges, so all paths into a piece have added
-    their coefficients by the time its level is expanded.  A flipped term
-    keeps its size and re-enters a level of its own size, which is expanded
-    next; it has a digon, so it is rewritten there and never emitted, and
-    no signature is emitted twice.  A lone input term is not signed: it is
-    alone in its level.
+    reducible face (`reducible_face`) is rewritten by its rule.  A piece
+    with none takes one branch: it is rewritten by the square relation when
+    a square flip opens a wide digon (`_digon_square`); otherwise an open
+    tangle is emitted as reduced, and a closed piece takes the first move
+    that `alternating_walk_reduce` finds, a rotation or a square relation,
+    as its rule.  Every other rule removes half-edges, so all paths into a
+    piece have added their coefficients by the time its level is expanded.
+    A flipped or rotated term keeps its size and re-enters a level of its
+    own size, which is expanded next.  A flipped term has a digon, so it is
+    rewritten there and never emitted, and no signature is emitted twice; a
+    moved closed term is one move nearer a reducible face.  A lone input
+    term is not signed: it is alone in its level.
     """
     one = RingElem.one()
     scalars: list[tuple[RingElem, RingElem]] = []
@@ -701,24 +705,15 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
                 continue
             g = t.g
             found = reducible_face(g, t.top + t.bot, ctx.rng)
-            if found is None and t.top:
+            if found is None:
                 face = _digon_square(g, ctx.rng)
-                if face is None:
+                if face is not None:
+                    found = ("square", face)
+                elif t.top:
                     reduced.append((c, key or t.signature(), t))
                     continue
-                found = ("square", face)
-            elif found is None:
-                for mv in alternating_walk_reduce(g, rng=ctx.rng, sig=key):
-                    ctx.record(mv.kind, (mv.arg,) if mv.kind == "rotate"
-                               else mv.arg)
-                    if mv.kind == "square":
-                        combo = square_move(g, mv.arg)
-                        for coeff, piece, _ in combo[1:]:
-                            put(c, coeff, Tangle(piece, [], []))
-                        g = combo[0][1]
-                    else:
-                        g = mv.after
-                found = reducible_face(g, (), ctx.rng)
+                else:
+                    found = alternating_walk_reduce(g, ctx.rng, key)
             if not t.top:
                 ctx.stats["components"] += 1
             kind, face = found

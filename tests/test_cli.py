@@ -75,6 +75,22 @@ def test_n2_fast_refuses_other_n():
     assert main(["eval-graph", "W(1,2;2,1)", "--n2-fast", "--so-n", "3"]) == 1
 
 
+def test_so_n_below_two_is_refused_before_the_state_sum(monkeypatch):
+    import dubrovnik.cli as cli
+    calls = []
+    real = cli.kauffman_state_sum
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(cli, "kauffman_state_sum", counting)
+    with pytest.raises(ValueError, match="N must be at least 2"):
+        run(JobSpec("braid", "n=3; 1 2 1 2", so_n=1))
+    assert not calls
+    assert main(["eval-braid", "1 1", "--so-n", "0"]) == 1
+
+
 def test_normalized_requires_braid():
     with pytest.raises(ValueError):
         JobSpec("pd", "X(1,1,2,2)", normalized=True)
@@ -340,6 +356,15 @@ def test_batch_unreadable_job_file_exit_code(tmp_path, capsys):
 def test_verify_subset(capsys):
     assert main(["verify", "--suite", "ring"]) == 0
     assert "[PASS] ring identities" in capsys.readouterr().out
+
+
+def test_verify_unknown_suite_is_an_error(capsys):
+    from dubrovnik.verify import run_all
+    assert next(run_all([]), None) is None
+    assert main(["verify", "--suite", "nosuchsuite"]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("error: no suite name contains")
 
 
 def test_mutation_breaks_ring_suite(monkeypatch):

@@ -13,8 +13,8 @@ from dubrovnik.diagrams import (BadEdge, BadIncidence, BraidWord, LinkDiagram,
                                 connected_sum, disjoint_union,
                                 identity_tangle, mirror, parse_braid,
                                 link_components, parse_pd, parse_regraph,
-                                resolve_state, smooth_crossing, stack, states,
-                                switch_crossing, t_tangle, writhe)
+                                smooth_crossing, stack, switch_crossing,
+                                t_tangle)
 from dubrovnik.maps import (NonPlanar, Surgery, canonical_signature,
                             signature_of_arrays)
 
@@ -33,11 +33,11 @@ def test_parse_braid():
 
 
 def test_writhe():
-    assert writhe(parse_braid("1 1")) == 2
-    assert writhe(parse_braid("")) == 0
-    assert writhe(parse_braid("1 -1")) == 0
+    assert parse_braid("1 1").writhe() == 2
+    assert parse_braid("").writhe() == 0
+    assert parse_braid("1 -1").writhe() == 0
     b = parse_braid("n=3; 1 -2 2 1")
-    assert writhe(b) == -writhe(b.mirror())
+    assert b.writhe() == -b.mirror().writhe()
 
 
 def test_braid_to_link():
@@ -132,35 +132,45 @@ def test_switch_crossing():
     assert switch_crossing(ds, node).over == d.over
 
 
+def _states(d):
+    """{choices: (state graph, na, nb)} over all 3^c resolutions of d."""
+    resolver = StateResolver(d)
+    out = {}
+    for choices in itertools.product("ABW", repeat=len(resolver.cnodes)):
+        twin, nxt, wide, loops, na, nb = resolver.resolve_arrays(choices)
+        g = PlanarTrivalentGraph._build(twin, nxt, wide, frozenset(), loops)
+        out["".join(choices)] = g, na, nb
+    return out
+
+
 def test_states_count_and_partition():
     d = braid_to_link(parse_braid("1 1"))
-    sts = list(states(d))
-    assert len(sts) == 9
-    # weights at A = B = 1 are all 1, so they add up to 3^crossings
-    assert sum(1 for _ in sts) == 3 ** d.crossings()
-    for st in sts:
-        wide_edges = sum(st.graph.wide) // 2
-        assert st.na + st.nb + wide_edges == d.crossings()
-        assert st.graph.vertex_count() % 2 == 0
+    sts = _states(d)
+    assert len(sts) == 9 == 3 ** d.crossings()
+    for g, na, nb in sts.values():
+        wide_edges = sum(g.wide) // 2
+        assert na + nb + wide_edges == d.crossings()
+        assert g.vertex_count() % 2 == 0
 
 
 def test_states_empty_diagram():
     d = braid_to_link(parse_braid("n=1;"))
-    sts = list(states(d))
+    sts = list(_states(d).values())
     assert len(sts) == 1
-    assert sts[0].graph.free_loops == 1
-    assert (sts[0].na, sts[0].nb) == (0, 0)
+    g, na, nb = sts[0]
+    assert g.free_loops == 1
+    assert (na, nb) == (0, 0)
 
 
 def test_kink_states():
     d = braid_to_link(parse_braid("1"))
-    recs = {st.choices[0]: st for st in states(d)}
-    assert recs["A"].graph.free_loops == 2
-    assert recs["B"].graph.free_loops == 1
-    assert recs["W"].graph.vertex_count() == 2
-    assert (recs["A"].na, recs["A"].nb) == (1, 0)
-    assert (recs["B"].na, recs["B"].nb) == (0, 1)
-    assert (recs["W"].na, recs["W"].nb) == (0, 0)
+    recs = _states(d)
+    assert recs["A"][0].free_loops == 2
+    assert recs["B"][0].free_loops == 1
+    assert recs["W"][0].vertex_count() == 2
+    assert recs["A"][1:] == (1, 0)
+    assert recs["B"][1:] == (0, 1)
+    assert recs["W"][1:] == (0, 0)
 
 
 def _widen(g, node):
@@ -330,11 +340,3 @@ def test_tangle_signature_keys_closed_pieces():
     again = Tangle(type(g)._build(twin, nxt, wide, g.over, 0),
                    [last - h for h in a.top], [last - h for h in a.bot])
     assert again.signature() == a.signature()
-
-
-def test_resolve_state_validates():
-    d = braid_to_link(parse_braid("1 1"))
-    with pytest.raises(ValueError):
-        resolve_state(d, "A")
-    with pytest.raises(ValueError):
-        resolve_state(d, "AZ")

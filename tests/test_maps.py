@@ -146,12 +146,3 @@ def test_surgery_rejects_double_use():
     s.pair(0, 1)
     with pytest.raises(InvalidMap):
         s.pair(0, 2)
-
-
-def test_json_round_trip():
-    th = build_theta()
-    data = th.to_json()
-    back = PlanarMap.from_json(data)
-    assert canonical_signature(back) == canonical_signature(th)
-    assert data["freeLoops"] == 0
-    assert sorted(data["halfedges"]["kind"])[-2:] == ["wide", "wide"]

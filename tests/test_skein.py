@@ -15,9 +15,10 @@ from dubrovnik.invariants import (diagram_job_key, kauffman_state_sum,
                                   n2_closed_form)
 from dubrovnik.maps import PlanarMap, canonical_signature
 from dubrovnik.ring import R_A, R_B, R_ONE, RingElem, constants, specialize_soN
+import dubrovnik.skein as skein
 from dubrovnik.skein import (EvalContext, InternalError,
                              alternating_walk_reduce, apply_lollipop,
-                             apply_wide_digon, evaluate, h_rotate,
+                             apply_rule, apply_wide_digon, evaluate, h_rotate,
                              is_square_face, reducible_face, square_flip,
                              square_move)
 from dubrovnik.verify import check_confluence
@@ -153,13 +154,23 @@ def test_square_move_n2_coefficients():
     assert coeffs[8] == {1: -1, -1: -1}
 
 
+def _first_moves(g):
+    """Apply the move search's first move by its rule, keeping the moved
+    term, until g has a reducible face; return the kinds applied and the
+    final graph."""
+    kinds = []
+    while (move := alternating_walk_reduce(g)) is not None:
+        kinds.append(move[0])
+        g = apply_rule(g, *move)[0][1]
+    return kinds, g
+
+
 def test_fallback_script():
     g = dodecahedral_graphs(1)[0]
-    script = alternating_walk_reduce(g)
-    assert script
-    assert reducible_face(script[-1].after) is not None
-    # replay: rotations preserve the value, squares are tracked combinations
-    from dubrovnik.invariants import n2_closed_form
+    kinds, moved = _first_moves(g)
+    assert kinds == ["rotate", "square"]
+    assert reducible_face(moved) is not None
+    # rotations preserve the value, squares are rewritten by their relation
     assert specialize_soN(evaluate(g, EvalContext()), 2) == n2_closed_form(g)
 
 
@@ -168,9 +179,9 @@ def test_fallback_searches_deeper_than_two_moves():
     # no reducible face, and no script of one or two moves gives it one
     g = matching_graphs(nx.truncated_cube_graph(), 1)[0]
     assert reducible_face(g) is None
-    script = alternating_walk_reduce(g)
-    assert len(script) >= 3
-    assert reducible_face(script[-1].after) is not None
+    kinds, moved = _first_moves(g)
+    assert kinds == ["rotate", "rotate", "square", "square"]
+    assert reducible_face(moved) is not None
     value = evaluate(g, EvalContext())
     assert value == evaluate4(collapse(g))
     assert specialize_soN(value, 2) == n2_closed_form(g)
@@ -179,7 +190,23 @@ def test_fallback_searches_deeper_than_two_moves():
 
 
 def test_fallback_not_called_when_reducible():
-    assert alternating_walk_reduce(theta()) == []
+    assert alternating_walk_reduce(theta()) is None
+
+
+def test_dodecahedral_graphs_take_few_move_searches(monkeypatch):
+    # each search returns one move, applied as a rule; a closed piece tries
+    # a digon-opening square flip before it searches
+    calls = []
+    real = skein.alternating_walk_reduce
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(skein, "alternating_walk_reduce", counting)
+    for g in dodecahedral_graphs(10):
+        evaluate(g, EvalContext())
+    assert 0 < len(calls) <= 64
 
 
 def test_confluence_small():
