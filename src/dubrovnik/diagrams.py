@@ -557,8 +557,8 @@ class Tangle:
         """Rooted encoding pinned at the boundary, invariant under relabeling.
 
         The walk from the boundary reaches only the pieces that touch it;
-        closed pieces, when there are any, are keyed by the canonical
-        signature of the half-edges the walk left out.
+        closed pieces, when there are any, add a fourth entry: the
+        canonical signature of the half-edges the walk left out.
         """
         g = self.g
         idx: dict[int, int] = {}

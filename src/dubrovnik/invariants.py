@@ -13,14 +13,17 @@ for braid closures.
 A second route goes through the braid algebra: every braid letter expands
 into A,B-weighted identity / cup-cap / wide-gadget tangles, the products
 are taken by stacking, and the trace of a tangle combination is the graph
-polynomial of its closure.  Both routes agree, which the test suite checks
-exactly.
+polynomial of its closure.  The identity, cup-cap and wide gadget on one
+pair of strands span a subalgebra, so `bracket` sweeps a braid one twist
+region (a run of letters on one generator) at a time, not one letter at a
+time.  Both routes agree, which the test suite checks exactly.
 
 Both reach the one engine, `skein.reduce_terms`: the state sum hands all
 of a diagram's weighted distinct states to one `skein.evaluate` call,
-`bracket` reduces each transition row with the engine and hands all its
-closed tangles to one `evaluate` call.  `rho_expand` and `trace` expand
-and close each term separately, as a check on `bracket`.
+`bracket` reduces each transition row with the engine, keeps it in the
+context for later calls, and hands all its closed tangles to one
+`evaluate` call.  `rho_expand` and `trace` expand and close each term
+separately, as a check on `bracket`.
 """
 
 from __future__ import annotations
@@ -205,68 +208,104 @@ def _merge(table: dict, sig, x: RingElem, y: RingElem, t: Tangle) -> None:
 def bracket(b: BraidWord, ctx: EvalContext | None = None) -> RingElem:
     """Writhe-corrected trace a^(-w) P(closure) of the expanded braid.
 
-    Computed by stacking one letter at a time onto a combination of reduced
-    tangles keyed by signature.  A letter maps a tangle t to A or B times t
-    itself, which is already reduced, plus the reduced rows of
-    stack(t, cup-cap) and stack(t, wide gadget), and merges tangles of equal
-    signature.  A row depends only on t's signature and the generator, so
-    one call reduces it once and scales it by each later coefficient and
-    letter weight.  Each tangle of the new combination collects its
-    (coefficient times letter weight, row coefficient) pairs over the
-    letter, and its coefficient is formed by one `ring.sum_of_products`,
-    so it is normalized once per letter.  Rows are reduced by
-    `skein.reduce_terms`, which rewrites only faces away from the boundary,
-    and flips a six-vertex square when that opens a wide digon, so a row
-    of an alternating gadget chain shortens: on 3 strands, `(1 2)^k` ends
-    with at most 23 tangles of at most 18 half-edges for k up to 10.  The
-    closed tangles of the final combination go to one `evaluate` call.  Stacking is bilinear and each
-    rule is a relation of the graph skein, which leaves the closure's
-    polynomial unchanged, so the result equals
-    a^(-w) trace(rho_expand(b)).  In debug mode every reuse of a row
-    recomputes it, and a difference raises InternalError.  With `ctx.rng`
-    set, rows are not memoized: the random strategy draws among square
-    flips, so a row is then not a function of its tangle, and each use
-    reduces it afresh.  With no context a fresh one is used.
+    Computed by sweeping the word one twist region at a time: a maximal
+    run of letters on one generator index i, a lone letter being a run of
+    length 1.  The identity, the cup-cap e_i and the wide gadget c_i span
+    a subalgebra (e_i e_i = alpha e_i, e_i c_i = c_i e_i = beta e_i, and
+    c_i c_i = (1-AB) + gamma e_i - (A+B) c_i by the wide-digon relation),
+    so a run is one element x + y e_i + z c_i.  Its weights come from the
+    same letter step swept over the identity tangle, whose combination
+    must stay on those three tangles (by signature; anything else raises
+    InternalError).  The main combination of reduced tangles, keyed by
+    signature, then takes one step per run: a tangle t goes to x t plus
+    y and z times the reduced rows of stack(t, e_i) and stack(t, c_i),
+    and tangles of equal signature merge.  A letter is the run step with
+    weights (A, B, 1), or (B, A, 1) for a negative letter; a run whose
+    weight vanishes on a generator, like the cancelling run `1 -1`, costs
+    no row of it.
+
+    A row depends only on t's signature and the generator, so it is
+    reduced once per context, kept in `ctx.rows`, and scaled by each later
+    coefficient and weight; the run sweeps share the identity's rows with
+    the main combination.  Each tangle of a new combination collects its
+    (coefficient times weight, row coefficient) pairs over the step, and
+    its coefficient is formed by one `ring.sum_of_products`.  Rows are
+    reduced by `skein.reduce_terms`, which rewrites only faces away from
+    the boundary, and flips a six-vertex square when that opens a wide
+    digon, so a row of an alternating gadget chain shortens: on 3 strands,
+    `(1 2)^k` ends with at most 23 tangles of at most 18 half-edges for k
+    up to 10.  The closed tangles of the final combination go to one
+    `evaluate` call.  Stacking is bilinear and each rule is a relation of
+    the graph skein, which leaves the closure's polynomial unchanged, so
+    the result equals a^(-w) trace(rho_expand(b)).
+
+    In debug mode every reuse of a row recomputes it, and a difference
+    raises InternalError.  With `ctx.rng` set, rows are neither read from
+    nor kept in `ctx.rows`: the random strategy draws among square flips,
+    so a row is then not a function of its tangle, and each use reduces it
+    afresh.  With no context a fresh one is used.
     """
     ctx = ctx or EvalContext()
     debug = debug_mode()
+    memo = ctx.rng is None
+    rows = ctx.rows
     n = b.strands
     A = RingElem.mono(0, 1, 0)
     B = RingElem.mono(0, 0, 1)
     one = RingElem.one()
-    gens = {(make, i): make(n, i) for i in {abs(x) for x in b.letters}
-            for make in (t_tangle, c_tangle)}
-    rows: dict[tuple, list] = {}
     ident = identity_tangle(n)
-    combo = {ident.signature(): (one, ident)}
-    for letter in b.letters:
-        i = abs(letter)
-        kept, cupcap = (A, B) if letter > 0 else (B, A)
+    start = {ident.signature(): (one, ident)}
+    gens: dict[int, list] = {}          # i -> [e_i, c_i]
+    basis: dict[int, list] = {}         # i -> signatures of 1, e_i, c_i
+
+    def advance(combo: dict, i: int, weights: list) -> dict:
+        """Each tangle t of `combo` goes to x t + y row(t, e_i) +
+        z row(t, c_i) for `weights` (x, y, z); a weight of None is 0."""
         new: dict = {}
+        kept = weights[0]
         for sig, (coeff, t) in combo.items():
-            _merge(new, sig, coeff, kept, t)
-            for make, weight in ((t_tangle, cupcap), (c_tangle, one)):
+            if kept is not None:
+                _merge(new, sig, coeff, kept, t)
+            for make, gen, weight in zip((t_tangle, c_tangle), gens[i],
+                                         weights[1:]):
+                if weight is None:
+                    continue
                 key = (sig, make, i)
-                row = rows.get(key)
+                row = rows.get(key) if memo else None
                 if row is None or debug:
-                    fresh = reduce_terms([(one, stack(t, gens[make, i]))],
-                                         ctx)[1]
+                    fresh = reduce_terms([(one, stack(t, gen))], ctx)[1]
                     if row is None:
                         row = fresh
-                        if ctx.rng is None:
+                        if memo:
                             rows[key] = row
                     elif ({s: c for c, s, _ in row}
                           != {s: c for c, s, _ in fresh}):
                         raise InternalError("a memoized transition row "
                                             "differs from its recomputation")
-                scale = coeff if weight is one else coeff * weight
+                scale = coeff if weight == one else coeff * weight
                 for c, s, t2 in row:
                     _merge(new, s, scale, c, t2)
-        combo = {}
+        out = {}
         for sig, (pairs, t) in new.items():
             coeff = sum_of_products(pairs)
             if not coeff.is_zero():
-                combo[sig] = (coeff, t)
+                out[sig] = (coeff, t)
+        return out
+
+    combo = start
+    for i, run in itertools.groupby(b.letters, abs):
+        if i not in gens:
+            gens[i] = [t_tangle(n, i), c_tangle(n, i)]
+            basis[i] = [*start, *(gen.signature() for gen in gens[i])]
+        local = start
+        for letter in run:
+            local = advance(local, i,
+                            [A, B, one] if letter > 0 else [B, A, one])
+        if not local.keys() <= set(basis[i]):
+            raise InternalError("a twist region left the span of the "
+                                "identity, cup-cap and wide gadget")
+        combo = advance(combo, i, [local[s][0] if s in local else None
+                                   for s in basis[i]])
     total = evaluate([(coeff, close_tangle(t)) for coeff, t in combo.values()],
                      ctx)
     return RingElem.mono(-b.writhe(), 0, 0) * total

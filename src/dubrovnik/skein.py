@@ -67,8 +67,9 @@ class InternalError(RuntimeError):
     checks: a keyed term whose signature is not its graph's, a literal
     state with two signatures, a link value that depends on more than
     z = A - B, a stored diagram value or memoized transition row that
-    differs from its recomputation, and a square flip whose predicted
-    wide digon is not what its built term shows.
+    differs from its recomputation, a square flip whose predicted wide
+    digon is not what its built term shows, and a braid twist region
+    whose combination leaves the identity, cup-cap and wide gadget.
     """
 
 
@@ -543,7 +544,10 @@ class EvalContext:
     not memoized, they merge by signature instead.  `results` maps
     `invariants.diagram_job_key` of a literal diagram to its whole
     state-sum value; debug mode recomputes a value found there instead of
-    serving it.  In `stats`:
+    serving it.  `rows` maps (tangle signature, generator maker, index) to
+    a reduced transition row of `invariants.bracket`, shared by every
+    `bracket` call in the context (not kept while `rng` is set; debug mode
+    recomputes a row found there and compares).  In `stats`:
 
     * "components" counts the closed connected pieces the engine expanded
       (each distinct piece of one reduction once, and each move of the
@@ -561,6 +565,7 @@ class EvalContext:
     rng: object = None              # random.Random for randomized strategies
     trace: list | None = None       # reduction trace (rule, face) entries
     results: dict = field(default_factory=dict)
+    rows: dict = field(default_factory=dict)
     stats: dict = field(default_factory=lambda: {
         "components": 0, "memo_hits": 0, "state_hits": 0,
         "distinct_states": 0})
@@ -638,13 +643,16 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
     and it waits under the signature without them.  A keyed graph of free
     loops only, or of several components, is split like any other term.
 
-    Each term is split first (`_split`), and each kept piece waits in a
-    level keyed by its half-edge count, merged by signature:
+    Each term is split (`_split`), and each kept piece waits in a level
+    keyed by its half-edge count, merged by signature:
     `canonical_signature` for a closed graph, `Tangle.signature` for an
-    open tangle.  A level holds factor pairs (the parent's coefficient, the
-    rule's coefficient times what fell away), and a piece's coefficient is
-    formed by one `ring.sum_of_products` only when the piece is expanded;
-    `value` is one more.  The largest level is expanded first.  A piece's
+    open tangle.  An open tangle is signed first and split only when its
+    signature shows a free loop or half-edges that the walk from its
+    boundary did not reach; most open tangles drop nothing.  A level holds
+    factor pairs (the parent's coefficient, the rule's coefficient times
+    what fell away), and a piece's coefficient is formed by one
+    `ring.sum_of_products` only when the piece is expanded; `value` is one
+    more.  The largest level is expanded first.  A piece's
     reducible face (`reducible_face`) is rewritten by its rule.  A piece
     with none takes one branch: it is rewritten by the square relation when
     a square flip opens a wide digon (`_digon_square`); otherwise an open
@@ -663,17 +671,20 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
     levels: dict[int, dict] = {}
 
     def put(x: RingElem, y: RingElem, t: Tangle, sign: bool = True) -> None:
-        f, t = _split(t, ctx)
-        if f is not None:
-            y = y * f
-        if t is None:
-            scalars.append((x, y))
-        else:
-            key = None
+        key = t.signature() if sign and t.top else None
+        # An open tangle whose boundary walk reached every half-edge and
+        # that has no free loop drops nothing, so it is not split.
+        if key is None or len(key) > 3 or key[1]:
+            f, t = _split(t, ctx)
+            if f is not None:
+                y = y * f
+            if t is None:
+                scalars.append((x, y))
+                return
             if sign:
                 key = t.signature() if t.top else canonical_signature(t.g)
-            level = levels.setdefault(t.g.n_half, {})
-            level.setdefault(key, ([], t))[0].append((x, y))
+        level = levels.setdefault(t.g.n_half, {})
+        level.setdefault(key, ([], t))[0].append((x, y))
 
     def admit(c: RingElem, t: Tangle, key: tuple) -> None:
         """Queue a closed term under the signature its caller computed."""

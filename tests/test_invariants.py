@@ -158,8 +158,102 @@ def test_bracket_reduces_each_distinct_tangle_once(monkeypatch):
     assert 0 < squares["rows"] <= 2
     assert rules["closing"] <= 6 and squares["closing"] == 0
     counts.update(stack=0)
+    # each twist region is one step of the combination, not one per letter
     bracket(parse_braid("n=3; 1 1 2 2 1 1 2 2"), EvalContext())
-    assert counts["stack"] <= 78
+    assert counts["stack"] <= 52
+    # a region of mixed signs is one step as well
+    counts.update(stack=0)
+    bracket(parse_braid("n=3; 1 -1 1 2 -2 2 1 -1 1 2 -2 2"), EvalContext())
+    assert counts["stack"] <= 52
+
+
+def test_generators_span_a_local_subalgebra():
+    # e e = alpha e, e c = c e = beta e, c c = (1-AB) + gamma e - (A+B) c
+    from dubrovnik.diagrams import stack
+    from dubrovnik.skein import reduce_terms
+    for n in (2, 3, 4):
+        for i in range(1, n):
+            one, e, c = identity_tangle(n), t_tangle(n, i), c_tangle(n, i)
+            table = {
+                (e, e): {e: C.alpha},
+                (e, c): {e: C.beta},
+                (c, e): {e: C.beta},
+                (c, c): {one: R_ONE - R_A * R_B, e: C.gamma,
+                         c: -(R_A + R_B)},
+            }
+            for (x, y), want in table.items():
+                value, row = reduce_terms([(R_ONE, stack(x, y))],
+                                          EvalContext())
+                assert value.is_zero()
+                assert ({sig: coeff for coeff, sig, _ in row}
+                        == {t.signature(): k for t, k in want.items()}), (n, i)
+
+
+# Twist regions of lengths 1 to 4, with mixed signs inside a region.
+_RUN_WORDS_SHORT = ("n=2; 1 1 -1 1", "n=3; 1 -1 1 2 2 -1",
+                    "n=3; 2 -2 -2 2 1 2 -2", "n=4; 1 1 3 -3 2 -2 2",
+                    "n=4; 3 2 2 -2 -2 1 3")
+_RUN_WORDS_LONG = ("n=3; 1 1 -1 1 2 -2 1 2", "n=4; 1 -1 2 2 2 3 -3 -2 2",
+                   "n=4; 2 -2 2 1 3 3 -3 -3 1", "n=3; 2 2 -2 -2 1 -1 1 2 2 1")
+
+
+def test_bracket_twist_regions_match_the_literal_expansion():
+    for text in _RUN_WORDS_SHORT:
+        b = parse_braid(text)
+        lit = RingElem.mono(-b.writhe(), 0, 0) * trace(rho_expand(b),
+                                                       EvalContext())
+        assert bracket(b, EvalContext()) == lit, text
+
+
+def test_bracket_twist_regions_match_the_state_sum():
+    for text in _RUN_WORDS_LONG:
+        b = parse_braid(text)
+        assert bracket(b, EvalContext()) == \
+            normalized(eval_braid(b, EvalContext())), text
+
+
+def test_bracket_cancels_a_reidemeister_two_region():
+    assert bracket(parse_braid("n=3; 2 2 1 -1 2")) == \
+        bracket(parse_braid("n=3; 2 2 2"))
+
+
+def test_bracket_checks_that_a_twist_region_stays_local(monkeypatch):
+    import dubrovnik.invariants as inv
+    from dubrovnik.diagrams import stack
+    from dubrovnik.skein import InternalError
+    # a "gadget" that is two gadgets reduces onto the real one, which is
+    # not among the region's three tangles
+    monkeypatch.setattr(inv, "c_tangle", lambda n, i: stack(
+        c_tangle(n, i), c_tangle(n, i)))
+    with pytest.raises(InternalError, match="twist region"):
+        bracket(parse_braid("n=2; 1"), EvalContext())
+
+
+def test_bracket_shares_rows_within_a_context(monkeypatch):
+    import dubrovnik.invariants as inv
+    monkeypatch.delenv("DUBROVNIK_DEBUG", raising=False)
+    words = [parse_braid(t) for t in ("n=3; 1 1 2 -1 2 2", "n=4; 1 2 3 -2 1")]
+    fresh = [bracket(b, EvalContext()) for b in words]
+    calls = []
+    real = inv.reduce_terms
+    monkeypatch.setattr(inv, "reduce_terms",
+                        lambda terms, ctx: calls.append(1) or real(terms, ctx))
+    ctx = EvalContext()
+    assert [bracket(b, ctx) for b in words] == fresh
+    first = len(calls)
+    assert first and len(ctx.rows) == first
+    # the second round reduces no row again
+    calls.clear()
+    assert [bracket(b, ctx) for b in words] == fresh
+    assert not calls
+    # debug mode recomputes every row it finds
+    monkeypatch.setenv("DUBROVNIK_DEBUG", "1")
+    assert [bracket(b, ctx) for b in words] == fresh
+    assert len(calls) >= first
+    # a randomized strategy keeps no rows
+    ctx = EvalContext(rng=random.Random(3))
+    assert [bracket(b, ctx) for b in words] == fresh
+    assert not ctx.rows
 
 
 def test_bracket_combination_plateaus_on_three_strands(monkeypatch):

@@ -241,6 +241,24 @@ def test_memo_collision_guard(monkeypatch):
         kauffman_state_sum(d, ctx2)
 
 
+def test_open_terms_are_split_only_when_something_falls_away(monkeypatch):
+    # e e holds a free loop, and e c e a dumbbell (value beta) away from
+    # the boundary; e alone drops nothing, so it is signed and not split
+    from dubrovnik.diagrams import t_tangle
+    e, c = t_tangle(3, 2), c_tangle(3, 2)
+    loop, dumbbell = stack(e, e), stack(stack(e, c), e)
+    terms = [(R_ONE, e), (R_ONE, loop), (R_ONE, dumbbell)]
+    split = []
+    real = skein._split
+    monkeypatch.setattr(skein, "_split",
+                        lambda t, ctx: split.append(t) or real(t, ctx))
+    value, row = skein.reduce_terms(terms, EvalContext())
+    assert value.is_zero()
+    assert [(coeff, sig) for coeff, sig, _ in row] == \
+        [(R_ONE + C.alpha + C.alpha * C.beta, e.signature())]
+    assert [t for t in split if t.top] == [loop, dumbbell]
+
+
 def test_reduction_trace():
     ctx = EvalContext(trace=[])
     evaluate(necklace(), ctx)
