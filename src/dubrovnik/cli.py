@@ -13,10 +13,15 @@ Exit codes: 0 success, 1 computation error, 2 verification failure.
 DUBROVNIK_DEBUG=1 turns on debug mode: every map the program derives is
 validated like an input map, a state sum signs every state and checks that
 a link's value depends on z = A - B only, the reduction engine recomputes
-the signature handed to it with each distinct state, and a diagram value
-found in the context (from the cache or from an earlier job) is recomputed
-and compared instead of served.  A mismatch raises `skein.InternalError`.
-Debug mode reads the cache to check it and never writes it.
+the signature handed to it with each distinct state, every signature
+served from the context's table of literal arrays
+(`skein.EvalContext.signature`) is recomputed, every memoized transition
+row of the braid sweep is recomputed, and a diagram value found in the
+context (from the cache or from an earlier job) is recomputed and compared
+instead of served.  A mismatch raises `skein.InternalError`.  Debug mode
+reads the cache to check it and never writes it.  The variable is read
+once per job, and once per call of an engine entry point
+(`maps.reads_debug_once`), not once per map built.
 
 The optional cache is a JSON-lines file.  Its first line names the file
 format; a file whose first line is missing or different is reported and
@@ -46,7 +51,8 @@ from .diagrams import (ParseError, braid_to_link, mirror, parse_braid,
                        parse_pd, parse_regraph)
 from .fourvalent import kauffman_via_4valent
 from .invariants import kauffman_state_sum, n2_closed_form, normalized
-from .maps import InvalidMap, NonPlanar, PlanarMap, debug_mode
+from .maps import (InvalidMap, NonPlanar, PlanarMap, debug_mode,
+                   reads_debug_once)
 from .ring import (RingElem, parse_ring_text, qlaurent_text, specialize_soN,
                    to_canonical_text)
 from .skein import EvalContext
@@ -158,6 +164,7 @@ def _parse_input(job: JobSpec) -> tuple[PlanarMap, int | None]:
     return parse_regraph(job.text), None
 
 
+@reads_debug_once
 def run(job: JobSpec, ctx: EvalContext | None = None) -> dict:
     """Execute one job; options apply in the order
     mirror -> invariant -> normalized -> specialization."""

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from .diagrams import (BraidWord, PlanarTrivalentGraph, StateResolver, Tangle,
                        braid_to_link, c_tangle, close_tangle, identity_tangle,
                        stack, t_tangle)
-from .maps import PlanarMap, debug_mode, signature_of_arrays
+from .maps import PlanarMap, debug_mode, reads_debug_once
 from .ring import (LaurentPoly, QLaurent, RingElem, depends_on_z_only,
                    qlaurent_mul, specialize_soN, sum_of_products)
 from .skein import EvalContext, InternalError, evaluate, reduce_terms
@@ -64,6 +64,7 @@ def diagram_job_key(d: PlanarMap) -> str:
     return hashlib.sha256(payload).hexdigest()[:24]
 
 
+@reads_debug_once
 def kauffman_state_sum(d: PlanarMap, ctx: EvalContext | None = None) -> InvariantResult:
     """Resolve every crossing and sum the weighted graph polynomials.
 
@@ -75,17 +76,19 @@ def kauffman_state_sum(d: PlanarMap, ctx: EvalContext | None = None) -> Invarian
       and wide (see `StateResolver`), so equal literal keys are equal
       states.
     * signature -> weight: each distinct twin array is signed once, with no
-      free loops; a literal key's signature is that one with its own
-      free-loop count, and equal signatures pool their weights.
+      free loops, through the context's table (`EvalContext.signature`);
+      a literal key's signature is that one with its own free-loop count,
+      and equal signatures pool their weights.
 
     The distinct states, counted in `ctx.stats["distinct_states"]`, then go
     to one `evaluate` call as keyed terms (weight, graph, signature), so the
     engine does not sign them again; it reduces them together, and a piece
-    that several states reach is expanded once.  In debug mode
-    (`DUBROVNIK_DEBUG` set) every state is signed as well, and a literal
-    key met with two signatures raises InternalError, as does the value of
-    a diagram with no trivalent vertex (a link) that fails
-    `ring.depends_on_z_only`.
+    that several states reach is expanded once.  A rule's output that
+    repeats the literal arrays of a state is found in the table.  In debug
+    mode (`DUBROVNIK_DEBUG` set) every state is signed as well, and the
+    table recomputes each repeat, so a literal state met with two
+    signatures raises InternalError, as does the value of a diagram with no
+    trivalent vertex (a link) that fails `ring.depends_on_z_only`.
 
     The whole-diagram value is kept in `ctx.results` under
     `diagram_job_key(d)`; a repeat of the same diagram in the same context
@@ -103,7 +106,6 @@ def kauffman_state_sum(d: PlanarMap, ctx: EvalContext | None = None) -> Invarian
     if hit is not None and not debug:
         ctx.stats["state_hits"] += count
         return InvariantResult(hit, None, count, "stateSum")
-    signed: dict[tuple, tuple] = {}
     resolver = StateResolver(d)
     literal: dict[tuple, dict[tuple[int, int, int], int]] = {}
     shapes: dict[tuple, tuple] = {}
@@ -116,13 +118,12 @@ def kauffman_state_sum(d: PlanarMap, ctx: EvalContext | None = None) -> Invarian
             shapes[tkey] = (twin, nxt, wide)
         counts[loops, na, nb] = counts.get((loops, na, nb), 0) + 1
         if debug:
-            sig = signature_of_arrays(twin, nxt, wide, loops)
-            if signed.setdefault((tkey, loops), sig) != sig:
-                raise InternalError("one literal state with two signatures")
+            # the table recomputes every repeat of a literal state
+            ctx.signature(twin, nxt, wide)
     by_sig: dict[tuple, tuple[dict, tuple]] = {}
     for tkey, counts in literal.items():
         shape = shapes[tkey]
-        encs = signature_of_arrays(*shape, 0)[1]
+        encs = ctx.signature(*shape)[1]
         for (loops, na, nb), n in counts.items():
             weight = by_sig.setdefault((loops, encs), ({}, shape))[0]
             mono = (0, na, nb)
@@ -205,6 +206,7 @@ def _merge(table: dict, sig, x: RingElem, y: RingElem, t: Tangle) -> None:
         have[0].append((x, y))
 
 
+@reads_debug_once
 def bracket(b: BraidWord, ctx: EvalContext | None = None) -> RingElem:
     """Writhe-corrected trace a^(-w) P(closure) of the expanded braid.
 

@@ -15,7 +15,9 @@ free_loops counter.
 A map is validated (`validate`) where it enters the program: a class
 constructor or `MapBuilder.finish`.  A map the program builds itself
 (`PlanarMap._build`: surgery results, states, components, tangle
-generators) is validated only when `debug_mode()` is true.
+generators) is validated only when `debug_mode()` is true.  The engine's
+entry points read DUBROVNIK_DEBUG once per call (`reads_debug_once`), not
+once per map built.
 
 All mutation happens through :class:`Surgery`, which removes a set of nodes,
 reconnects the dangling strands by arcs or through freshly built nodes, and
@@ -26,14 +28,43 @@ functions from maps to maps.
 
 from __future__ import annotations
 
+import functools
 import os
+from contextvars import ContextVar
 from dataclasses import dataclass
+
+# DUBROVNIK_DEBUG as read on entry to the outermost `reads_debug_once`
+# call still running, or None outside every such call.
+_debug_in_call: ContextVar[bool | None] = ContextVar("_debug_in_call",
+                                                      default=None)
 
 
 def debug_mode() -> bool:
     """Whether DUBROVNIK_DEBUG is set; the `cli` module docstring lists what
-    debug mode turns on."""
-    return bool(os.environ.get("DUBROVNIK_DEBUG"))
+    debug mode turns on.  Inside a `reads_debug_once` call this is the
+    value read when that call began."""
+    scoped = _debug_in_call.get()
+    if scoped is None:
+        return bool(os.environ.get("DUBROVNIK_DEBUG"))
+    return scoped
+
+
+def reads_debug_once(fn):
+    """Make `fn` read DUBROVNIK_DEBUG once per call: every `debug_mode()`
+    inside it (each map built, each rule applied, each nested entry point)
+    sees the value read when the outermost such call began.  Nothing is
+    kept once it returns, so a change of the variable between calls takes
+    effect."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kw):
+        if _debug_in_call.get() is not None:
+            return fn(*args, **kw)
+        token = _debug_in_call.set(bool(os.environ.get("DUBROVNIK_DEBUG")))
+        try:
+            return fn(*args, **kw)
+        finally:
+            _debug_in_call.reset(token)
+    return wrapper
 
 
 class NonPlanar(ValueError):
@@ -193,38 +224,49 @@ class PlanarMap:
 
 # -- canonical signatures ------------------------------------------------------
 
+# Bits of each walk position in an encoding entry; a map has fewer
+# half-edges than 2**_POS_BITS.
+_POS_BITS = 20
+
+
 def _encode_from(twin: list[int], nxt: list[int], wide: list[bool],
-                 h0: int, idx: list[int], stamp: int,
-                 best: tuple | None = None) -> tuple | None:
+                 h0: int, best: tuple | None = None) -> tuple | None:
     """Deterministic rooted encoding of one component starting at h0.
 
-    `idx` is a scratch array of stamps; entries older than `stamp` count as
-    unvisited, so the buffer can be reused across roots without clearing.
+    The encoding holds one integer per half-edge in walk order,
+    a << 21 | b << 1 | wide, where a and b are the walk positions of its
+    twin and its rotation successor.  The fields have a fixed width,
+    whatever the map's size, so an integer determines its triple, and
+    integers compare as the (a, b, wide) triples would.
+
     Given `best`, an encoding of the same component, the walk returns None
     as soon as its prefix exceeds best's, so only an encoding no larger
     than `best` is ever completed.
     """
-    idx[h0] = stamp
+    shift = _POS_BITS + 1
+    pos = [-1] * len(twin)
+    pos[h0] = 0
     order = [h0]
     out = []
     tied = best is not None
-    i = 0
-    while i < len(order):
-        h = order[i]
+    # `order` grows while it is walked: a list iterator reads its length
+    # at every step
+    for i, h in enumerate(order):
         t, n = twin[h], nxt[h]
-        if idx[t] < stamp:
-            idx[t] = stamp + len(order)
+        a = pos[t]
+        if a < 0:
+            a = pos[t] = len(order)
             order.append(t)
-        if idx[n] < stamp:
-            idx[n] = stamp + len(order)
+        b = pos[n]
+        if b < 0:
+            b = pos[n] = len(order)
             order.append(n)
-        triple = (idx[t] - stamp, idx[n] - stamp, wide[h])
-        if tied and triple != best[i]:
-            if triple > best[i]:
+        code = a << shift | b << 1 | wide[h]
+        if tied and code != best[i]:
+            if code > best[i]:
                 return None
             tied = False
-        out.append(triple)
-        i += 1
+        out.append(code)
     return tuple(out)
 
 
@@ -267,29 +309,32 @@ def signature_of_arrays(twin: list[int], nxt: list[int], wide: list[bool],
     identified.  The signature is the pair (free-loop count, sorted
     component encodings): the state sum signs states that differ only in
     free loops once, and the engine reads a keyed piece's number of
-    components from it.  Signatures are keys of in-process memo tables only;
-    nothing persists them, so the choice of roots and the encoding may
-    change freely.
+    components from it.  Each encoding is a tuple of one integer per
+    half-edge (`_encode_from`), whose fixed fields bound the map below
+    2**20 half-edges; a larger map raises ValueError.  Signatures are keys
+    of in-process memo tables only; nothing persists them, so the choice of
+    roots and the encoding may change freely.
     """
     n = len(twin)
+    if n >= 1 << _POS_BITS:
+        raise ValueError(f"a signature takes fewer than 2**{_POS_BITS} "
+                         f"half-edges, not {n}")
     seen = [False] * n
-    idx = [-1] * n
     flen = None
-    stamp = 0
     encs = []
     for h0 in range(n):
         if seen[h0]:
             continue
-        stack = [h0]
         seen[h0] = True
-        comp = []
-        while stack:
-            h = stack.pop()
-            comp.append(h)
-            for nb in (twin[h], nxt[h]):
-                if not seen[nb]:
-                    seen[nb] = True
-                    stack.append(nb)
+        comp = [h0]
+        for h in comp:                  # comp grows while it is walked
+            t, x = twin[h], nxt[h]
+            if not seen[t]:
+                seen[t] = True
+                comp.append(t)
+            if not seen[x]:
+                seen[x] = True
+                comp.append(x)
         roots = [h for h in comp if wide[h]] or comp
         if len(roots) > 2:
             if flen is None:
@@ -300,8 +345,7 @@ def signature_of_arrays(twin: list[int], nxt: list[int], wide: list[bool],
             roots = [r for r, c in zip(roots, colours) if c == least]
         best = None
         for r in roots:
-            stamp += n + 1
-            enc = _encode_from(twin, nxt, wide, r, idx, stamp, best)
+            enc = _encode_from(twin, nxt, wide, r, best)
             if enc is not None:
                 best = enc
         encs.append(best)

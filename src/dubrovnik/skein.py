@@ -55,7 +55,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .maps import PlanarMap, Surgery, canonical_signature, debug_mode
+from .maps import (PlanarMap, Surgery, debug_mode, reads_debug_once,
+                   signature_of_arrays)
 from .diagrams import PlanarTrivalentGraph, Tangle
 from .ring import RingElem, constants, sum_of_products
 
@@ -64,8 +65,10 @@ class InternalError(RuntimeError):
 
     Raised when the fallback search exhausts its budget or its space, when
     one signature meets two values in the memo, and by the debug-mode
-    checks: a keyed term whose signature is not its graph's, a literal
-    state with two signatures, a link value that depends on more than
+    checks: a keyed term whose signature is not its graph's, a signature
+    served from `EvalContext.signatures` that differs from its
+    recomputation (which also catches a literal state met with two
+    signatures), a link value that depends on more than
     z = A - B, a stored diagram value or memoized transition row that
     differs from its recomputation, a square flip whose predicted wide
     digon is not what its built term shows, and a braid twist region
@@ -487,7 +490,7 @@ def _search_moves(g: PlanarMap):
 SEARCH_BUDGET = 50000
 
 
-def alternating_walk_reduce(g: PlanarTrivalentGraph, rng=None, sig=None
+def alternating_walk_reduce(g: PlanarTrivalentGraph, ctx=None, sig=None
                             ) -> tuple[str, tuple[int, ...]] | None:
     """The first move, as (kind, face), of a shortest script of wide-edge
     rotations ("rotate", (w,)) and square flips ("square", face) that
@@ -498,14 +501,19 @@ def alternating_walk_reduce(g: PlanarTrivalentGraph, rng=None, sig=None
     region bounded by at most two strands; clearing it with these moves
     always succeeds, so the search terminates (`SEARCH_BUDGET` is an
     implementation-bug guard, not a mathematical limit).  The script is a
-    shortest one whatever order `rng` shuffles the moves into, so applying
-    its first move leaves a graph whose shortest script is one move
-    shorter.  `sig` is g's canonical signature when the caller already
-    has it.
+    shortest one whatever order `ctx.rng` shuffles the moves into, so
+    applying its first move leaves a graph whose shortest script is one
+    move shorter.  Graphs are signed through `ctx.signature`, so the
+    engine, rebuilding the graph of the move it applies, finds its
+    signature in the table.  `sig` is g's canonical signature when the
+    caller already has it.  With no context a fresh one is used.
     """
     if reducible_face(g) is not None:
         return None
-    seen = {canonical_signature(g) if sig is None else sig}
+    ctx = ctx or EvalContext()
+    rng = ctx.rng
+    seen = {ctx.signature(g.twin, g.nxt, g.wide, g.free_loops)
+            if sig is None else sig}
     frontier = deque([(g, None)])
     explored = 0
     while frontier:
@@ -519,7 +527,8 @@ def alternating_walk_reduce(g: PlanarTrivalentGraph, rng=None, sig=None
                 nxt_g, _ = h_rotate(cur, face[0])
             else:
                 nxt_g, _ = square_flip(cur, face)
-            sig = canonical_signature(nxt_g)
+            sig = ctx.signature(nxt_g.twin, nxt_g.nxt, nxt_g.wide,
+                                nxt_g.free_loops)
             if sig in seen:
                 continue
             seen.add(sig)
@@ -547,7 +556,13 @@ class EvalContext:
     serving it.  `rows` maps (tangle signature, generator maker, index) to
     a reduced transition row of `invariants.bracket`, shared by every
     `bracket` call in the context (not kept while `rng` is set; debug mode
-    recomputes a row found there and compares).  In `stats`:
+    recomputes a row found there and compares).  `signatures` maps literal
+    (twin, nxt, wide) arrays to their component encodings, so that
+    `signature` signs each literal array once per context: the state sum's
+    distinct states, every closed piece of the engine, the graphs valued
+    by `evaluate` and the move search's candidates.  A signature does not
+    depend on the strategy, so the table is kept under `rng` too; debug
+    mode recomputes a signature found there and compares.  In `stats`:
 
     * "components" counts the closed connected pieces the engine expanded
       (each distinct piece of one reduction once, and each move of the
@@ -566,6 +581,7 @@ class EvalContext:
     trace: list | None = None       # reduction trace (rule, face) entries
     results: dict = field(default_factory=dict)
     rows: dict = field(default_factory=dict)
+    signatures: dict = field(default_factory=dict)
     stats: dict = field(default_factory=lambda: {
         "components": 0, "memo_hits": 0, "state_hits": 0,
         "distinct_states": 0})
@@ -576,6 +592,23 @@ class EvalContext:
         half-edge of the wide edge rotated."""
         if self.trace is not None:
             self.trace.append({"rule": rule, "face": list(face)})
+
+    def signature(self, twin: list[int], nxt: list[int], wide: list[bool],
+                  free_loops: int = 0) -> tuple:
+        """`maps.signature_of_arrays` of the arrays, computed once per
+        literal (twin, nxt, wide) in this context and then served from
+        `signatures`; debug mode recomputes a served signature and raises
+        InternalError when the two differ."""
+        key = (tuple(twin), tuple(nxt), tuple(wide))
+        encs = self.signatures.get(key)
+        if encs is None:
+            encs = self.signatures[key] = signature_of_arrays(
+                twin, nxt, wide, 0)[1]
+        elif (debug_mode()
+              and signature_of_arrays(twin, nxt, wide, 0)[1] != encs):
+            raise InternalError("a signature in the context's table differs "
+                                "from its recomputation")
+        return (free_loops, encs)
 
 
 def store_memo(ctx: EvalContext, sig, value: RingElem) -> None:
@@ -627,6 +660,7 @@ def _split(t: Tangle, ctx: EvalContext
                           [idmap[h] for h in t.bot])
 
 
+@reads_debug_once
 def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
     """Reduce a combination of (coefficient, Tangle) terms.
 
@@ -636,23 +670,26 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
     face away from their boundary.
 
     A closed term may come keyed, as (coefficient, Tangle, signature) with
-    the `canonical_signature` of its graph, which the engine then trusts
-    and does not recompute; debug mode recomputes it and raises
-    InternalError on a mismatch.  A keyed connected graph is neither split
-    nor signed: its free loops fold into the coefficient as alpha^loops,
-    and it waits under the signature without them.  A keyed graph of free
-    loops only, or of several components, is split like any other term.
+    the `maps.canonical_signature` of its graph, which the engine then
+    trusts and does not look up; debug mode recomputes it and raises
+    InternalError on a mismatch.
 
-    Each term is split (`_split`), and each kept piece waits in a level
-    keyed by its half-edge count, merged by signature:
-    `canonical_signature` for a closed graph, `Tangle.signature` for an
-    open tangle.  An open tangle is signed first and split only when its
-    signature shows a free loop or half-edges that the walk from its
-    boundary did not reach; most open tangles drop nothing.  A level holds
-    factor pairs (the parent's coefficient, the rule's coefficient times
-    what fell away), and a piece's coefficient is formed by one
-    `ring.sum_of_products` only when the piece is expanded; `value` is one
-    more.  The largest level is expanded first.  A piece's
+    Each kept piece waits in a level keyed by its half-edge count, merged
+    by signature: `EvalContext.signature` for a closed graph,
+    `Tangle.signature` for an open tangle.  Every piece is signed first
+    and split (`_split`) only when its signature shows that something
+    falls away.  A closed piece is split when its signature shows more
+    than one component or none; a connected one folds its free loops into
+    its coefficient as alpha^loops and waits under the signature without
+    them.  An open tangle is split when its signature shows a free loop or
+    half-edges that the walk from its boundary did not reach; most open
+    tangles drop nothing.  A lone open input term is not signed: it is
+    alone in its level, and it is split.
+
+    A level holds factor pairs (the parent's coefficient, the rule's
+    coefficient times what fell away), and a piece's coefficient is formed
+    by one `ring.sum_of_products` only when the piece is expanded; `value`
+    is one more.  The largest level is expanded first.  A piece's
     reducible face (`reducible_face`) is rewritten by its rule.  A piece
     with none takes one branch: it is rewritten by the square relation when
     a square flip opens a wide digon (`_digon_square`); otherwise an open
@@ -663,15 +700,23 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
     A flipped or rotated term keeps its size and re-enters a level of its
     own size, which is expanded next.  A flipped term has a digon, so it is
     rewritten there and never emitted, and no signature is emitted twice; a
-    moved closed term is one move nearer a reducible face.  A lone input
-    term is not signed: it is alone in its level.
+    moved closed term is one move nearer a reducible face.
     """
     one = RingElem.one()
     scalars: list[tuple[RingElem, RingElem]] = []
     levels: dict[int, dict] = {}
 
+    def wait(x: RingElem, y: RingElem, t: Tangle, key) -> None:
+        level = levels.setdefault(t.g.n_half, {})
+        level.setdefault(key, ([], t))[0].append((x, y))
+
     def put(x: RingElem, y: RingElem, t: Tangle, sign: bool = True) -> None:
-        key = t.signature() if sign and t.top else None
+        if not t.top:
+            g = t.g
+            put_closed(x, y, t,
+                       ctx.signature(g.twin, g.nxt, g.wide, g.free_loops))
+            return
+        key = t.signature() if sign else None
         # An open tangle whose boundary walk reached every half-edge and
         # that has no free loop drops nothing, so it is not split.
         if key is None or len(key) > 3 or key[1]:
@@ -682,30 +727,38 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
                 scalars.append((x, y))
                 return
             if sign:
-                key = t.signature() if t.top else canonical_signature(t.g)
-        level = levels.setdefault(t.g.n_half, {})
-        level.setdefault(key, ([], t))[0].append((x, y))
+                key = t.signature()
+        wait(x, y, t, key)
 
-    def admit(c: RingElem, t: Tangle, key: tuple) -> None:
-        """Queue a closed term under the signature its caller computed."""
-        if debug_mode() and canonical_signature(t.g) != key:
-            raise InternalError("a keyed term's signature differs from "
-                                "its graph's")
+    def put_closed(x: RingElem, y: RingElem, t: Tangle, key: tuple) -> None:
+        """Queue a closed piece whose signature is `key`."""
         loops, encs = key
-        if len(encs) != 1:
-            put(c, one, t, len(terms) > 1)
+        if len(encs) == 1:
+            if loops:
+                g = t.g
+                y = y * constants().alpha ** loops
+                t = Tangle(type(g)._build(g.twin, g.nxt, g.wide, g.over, 0),
+                           [], [])
+            wait(x, y, t, (0, encs))
+            return
+        f, t = _split(t, ctx)
+        if f is not None:
+            y = y * f
+        if t is None:
+            scalars.append((x, y))
             return
         g = t.g
-        y = one
-        if loops:
-            y = constants().alpha ** loops
-            t = Tangle(type(g)._build(g.twin, g.nxt, g.wide, g.over, 0), [], [])
-        level = levels.setdefault(g.n_half, {})
-        level.setdefault((0, encs), ([], t))[0].append((c, y))
+        wait(x, y, t, ctx.signature(g.twin, g.nxt, g.wide))
 
     for term in terms:
         if len(term) == 3:
-            admit(*term)
+            c, t, key = term
+            g = t.g
+            if (debug_mode() and ctx.signature(g.twin, g.nxt, g.wide,
+                                               g.free_loops) != key):
+                raise InternalError("a keyed term's signature differs from "
+                                    "its graph's")
+            put_closed(c, one, t, key)
         else:
             put(term[0], one, term[1], len(terms) > 1)
     reduced = []
@@ -724,7 +777,7 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
                     reduced.append((c, key or t.signature(), t))
                     continue
                 else:
-                    found = alternating_walk_reduce(g, ctx.rng, key)
+                    found = alternating_walk_reduce(g, ctx, key)
             if not t.top:
                 ctx.stats["components"] += 1
             kind, face = found
@@ -735,18 +788,20 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
     return sum_of_products(scalars), reduced
 
 
+@reads_debug_once
 def evaluate(g, ctx: EvalContext | None = None) -> RingElem:
     """Graph polynomial of a planar trivalent graph (1 on the unknot).
 
     Given one graph, the value is looked up in `ctx.memo` under the
-    canonical signature, or reduced by `reduce_terms` and memoized.  Given
-    a list of (coefficient, graph) terms, returns the sum of coefficient
-    times value, all terms reduced together in one run of the engine, so
-    pieces they share are expanded once; the sum is not memoized.  A term
-    may also be keyed, (coefficient, graph, canonical signature of graph),
-    and the engine then does not sign that graph again (see
-    `reduce_terms`).  With no context a fresh one is used.  A single map
-    with a crossing or a node of degree other than 3 raises ValueError.
+    canonical signature (from `ctx.signature`), or reduced by
+    `reduce_terms` and memoized.  Given a list of (coefficient, graph)
+    terms, returns the sum of coefficient times value, all terms reduced
+    together in one run of the engine, so pieces they share are expanded
+    once; the sum is not memoized.  A term may also be keyed,
+    (coefficient, graph, canonical signature of graph), and the engine
+    then does not sign that graph again (see `reduce_terms`).  With no
+    context a fresh one is used.  A single map with a crossing or a node
+    of degree other than 3 raises ValueError.
     """
     ctx = ctx or EvalContext()
     if not isinstance(g, PlanarMap):
@@ -757,11 +812,11 @@ def evaluate(g, ctx: EvalContext | None = None) -> RingElem:
                      for h in range(len(nxt))):
         raise ValueError("evaluate takes a crossingless trivalent graph; "
                          "value a diagram with invariants.kauffman_state_sum")
-    sig = canonical_signature(g)
+    sig = ctx.signature(g.twin, nxt, g.wide, g.free_loops)
     hit = ctx.memo.get(sig)
     if hit is not None:
         ctx.stats["memo_hits"] += 1
         return hit
-    value = reduce_terms([(RingElem.one(), Tangle(g, [], []))], ctx)[0]
+    value = reduce_terms([(RingElem.one(), Tangle(g, [], []), sig)], ctx)[0]
     store_memo(ctx, sig, value)
     return value

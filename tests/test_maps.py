@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from dubrovnik import maps
 from dubrovnik.maps import (InvalidMap, MapBuilder, NonPlanar, PlanarMap,
-                            Surgery, canonical_signature)
+                            Surgery, canonical_signature, signature_of_arrays)
 
 
 def build_theta():
@@ -113,6 +114,57 @@ def test_signature_classes_match_the_brute_force_oracle():
     assert all(sigs[i] != sigs[i + 2] for i in chiral)
     # and pairs isomorphic otherwise than by relabeling (achiral, repeated)
     assert len(set(oracle)) < len(maps) // 2
+
+
+def _tuple_encode_from(twin, nxt, wide, h0, best=None):
+    """The rooted encoding as (a, b, wide) triples, the form the packed
+    integers replace: an oracle for them."""
+    label, order = {h0: 0}, [h0]
+    for h in order:                       # order grows while walked
+        for x in (twin[h], nxt[h]):
+            if x not in label:
+                label[x] = len(label)
+                order.append(x)
+    enc = tuple((label[twin[h]], label[nxt[h]], wide[h]) for h in order)
+    return None if best is not None and enc > best else enc
+
+
+def test_packed_signatures_agree_with_tuple_encodings(monkeypatch):
+    import networkx as nx
+    from dubrovnik.corpus import (dodecahedral_graphs, matching_graphs,
+                                  trivalent_corpus)
+    from dubrovnik.diagrams import c_tangle, close_tangle, stack
+    rng = random.Random(17)
+    base = (trivalent_corpus(rng, 40) + dodecahedral_graphs(4)
+            + matching_graphs(nx.truncated_cube_graph(), 3))
+    for k in (6, 7, 40, 41):              # gadget chains c1 c2 c1 ...
+        t = c_tangle(3, 1)
+        for i in range(1, k):
+            t = stack(t, c_tangle(3, 1 + i % 2))
+        base.append(close_tangle(t))
+    maps_ = []
+    for g in base:
+        maps_ += [g, relabel(g, rng)]
+    assert len({g.n_half for g in maps_}) >= 10
+    packed = [canonical_signature(g) for g in maps_]
+    monkeypatch.setattr(maps, "_encode_from", _tuple_encode_from)
+    tupled = [canonical_signature(g) for g in maps_]
+    for i in range(len(maps_)):
+        for j in range(i + 1):
+            assert (packed[i] == packed[j]) == (tupled[i] == tupled[j])
+    # each integer is a << 21 | b << 1 | wide, whatever the map's size
+    mask = (1 << 20) - 1
+    for p, t in zip(packed, tupled):
+        assert p[0] == t[0]
+        assert [[(c >> 21, c >> 1 & mask, bool(c & 1)) for c in enc]
+                for enc in p[1]] == [list(enc) for enc in t[1]]
+
+
+def test_signature_refuses_maps_beyond_its_field_width():
+    # the width check comes first: nothing of the arrays is read
+    n = 1 << 20
+    with pytest.raises(ValueError):
+        signature_of_arrays(range(n), range(n), None, 0)
 
 
 def test_signature_distinguishes():

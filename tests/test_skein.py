@@ -259,6 +259,55 @@ def test_open_terms_are_split_only_when_something_falls_away(monkeypatch):
     assert [t for t in split if t.top] == [loop, dumbbell]
 
 
+def test_context_signs_each_literal_array_once(monkeypatch):
+    monkeypatch.delenv("DUBROVNIK_DEBUG", raising=False)
+    calls = []
+    real = skein.signature_of_arrays
+    monkeypatch.setattr(skein, "signature_of_arrays",
+                        lambda *arrays: calls.append(1) or real(*arrays))
+    g = necklace()
+    ctx = EvalContext()
+    assert ctx.signature(g.twin, g.nxt, g.wide, 2) == \
+        canonical_signature(PlanarMap(g.twin, g.nxt, g.wide, frozenset(), 2))
+    # equal arrays in new lists, with another free-loop count
+    again = ctx.signature(list(g.twin), list(g.nxt), list(g.wide))
+    assert again == canonical_signature(g) and len(calls) == 1
+    # a second context keeps its own table
+    EvalContext().signature(g.twin, g.nxt, g.wide)
+    assert len(calls) == 2
+
+
+def test_debug_mode_recomputes_a_signature_from_the_table(monkeypatch):
+    g, wrong = necklace(), canonical_signature(theta())[1]
+    ctx = EvalContext()
+    ctx.signature(g.twin, g.nxt, g.wide)
+    (key,) = ctx.signatures
+    ctx.signatures[key] = wrong
+    monkeypatch.delenv("DUBROVNIK_DEBUG", raising=False)
+    assert ctx.signature(g.twin, g.nxt, g.wide) == (0, wrong)
+    monkeypatch.setenv("DUBROVNIK_DEBUG", "1")
+    with pytest.raises(InternalError):
+        evaluate(g, ctx)
+
+
+def test_connected_closed_pieces_are_signed_not_split(monkeypatch):
+    from dubrovnik.diagrams import Tangle
+    split = []
+    real = skein._split
+    monkeypatch.setattr(skein, "_split",
+                        lambda t, ctx: split.append(t.g) or real(t, ctx))
+    g = necklace()
+    looped = PlanarTrivalentGraph(g.twin, g.nxt, g.wide, frozenset(), 2)
+    pair = disjoint_union(g, theta(), cls=PlanarTrivalentGraph)
+    value, _ = skein.reduce_terms(
+        [(R_ONE, Tangle(x, [], [])) for x in (g, looped, pair)], EvalContext())
+    assert value == (R_ONE + C.alpha ** 2) * evaluate(g) \
+        + C.alpha * evaluate(g) * evaluate(theta())
+    # one component: free loops fold into the coefficient; two: split
+    assert not any(x is g or x is looped for x in split)
+    assert any(x is pair for x in split)
+
+
 def test_reduction_trace():
     ctx = EvalContext(trace=[])
     evaluate(necklace(), ctx)

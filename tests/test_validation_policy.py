@@ -57,6 +57,27 @@ def test_every_surgery_checked_in_debug_mode(monkeypatch, validate_calls):
     assert finishes and unchecked == []
 
 
+def test_debug_variable_read_once_per_call(monkeypatch, validate_calls):
+    reads = []
+
+    class Environ(dict):
+        def get(self, key, default=None):
+            reads.append(key)
+            return super().get(key, default)
+
+    graph = dodecahedral_graphs(1)[0]
+    braid = parse_braid("n=3; 1 -2 1 -2 2 1")
+    validate_calls.clear()
+    monkeypatch.setattr(maps.os, "environ", Environ())
+    evaluate(graph, EvalContext())
+    bracket(braid, EvalContext())
+    assert reads == ["DUBROVNIK_DEBUG"] * 2 and validate_calls == []
+    # the next call reads it again, so a change between calls takes effect
+    monkeypatch.setattr(maps.os, "environ", Environ(DUBROVNIK_DEBUG="1"))
+    evaluate(graph, EvalContext())
+    assert reads == ["DUBROVNIK_DEBUG"] * 3 and validate_calls
+
+
 def test_debug_mode_corpus(monkeypatch):
     """Debug mode re-checks every derived map and finds them all valid."""
     monkeypatch.setenv("DUBROVNIK_DEBUG", "1")
