@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 
 from .maps import (InvalidMap, MapBuilder, NonPlanar, PlanarMap, Surgery,
-                   disjoint_union_maps, signature_of_arrays)
+                   disjoint_union, signature_of_arrays, splice)
 
 
 class ParseError(ValueError):
@@ -348,11 +348,6 @@ def mirror(d: PlanarMap) -> PlanarMap:
     return type(d)._build(d.twin, d.nxt, d.wide, over, d.free_loops)
 
 
-def disjoint_union(d1: PlanarMap, d2: PlanarMap, cls=None) -> PlanarMap:
-    cls = cls or type(d1)
-    return disjoint_union_maps(d1, d2, cls=cls)
-
-
 def connected_sum(d1: PlanarMap, h1: int, d2: PlanarMap, h2: int,
                   cls=None) -> PlanarMap:
     """Cut the standard edges at h1, h2 and join by two parallel arcs."""
@@ -361,7 +356,7 @@ def connected_sum(d1: PlanarMap, h1: int, d2: PlanarMap, h2: int,
             raise BadEdge("connected sum must cut a standard edge")
     cls = cls or type(d1)
     off = d1.n_half
-    g = disjoint_union_maps(d1, d2)
+    g = disjoint_union(d1, d2)
     twin = list(g.twin)
     t1 = twin[h1]
     t2 = twin[h2 + off]
@@ -538,20 +533,24 @@ class StateResolver:
 # -- tangles ------------------------------------------------------------------------------
 
 class Tangle:
-    """Planar trivalent graph in a rectangle with n endpoints top and bottom."""
+    """Planar trivalent graph in a rectangle with n endpoints top and bottom.
 
-    __slots__ = ("g", "top", "bot")
+    `ends` lists the endpoint half-edges, each alone on its node: the top
+    ones left to right, then the bottom ones left to right.  A closed graph
+    is a tangle with no endpoints.
+    """
 
-    def __init__(self, g: PlanarMap, top: list[int], bot: list[int]):
-        if len(top) != len(bot):
+    __slots__ = ("g", "ends")
+
+    def __init__(self, g: PlanarMap, ends: list[int]):
+        if len(ends) % 2:
             raise InvalidMap("tangle needs equal numbers of top and bottom endpoints")
         self.g = g
-        self.top = list(top)
-        self.bot = list(bot)
+        self.ends = list(ends)
 
     @property
     def n(self) -> int:
-        return len(self.top)
+        return len(self.ends) // 2
 
     def signature(self) -> tuple:
         """Rooted encoding pinned at the boundary, invariant under relabeling.
@@ -563,7 +562,7 @@ class Tangle:
         g = self.g
         idx: dict[int, int] = {}
         order: list[int] = []
-        for h in self.top + self.bot:
+        for h in self.ends:
             idx[h] = len(order)
             order.append(h)
         out = []
@@ -595,7 +594,7 @@ def identity_tangle(n: int) -> Tangle:
         b.node([h2])
         top.append(h1)
         bot.append(h2)
-    return Tangle(PlanarMap._build(*b._arrays()), top, bot)
+    return Tangle(PlanarMap._build(*b._arrays()), top + bot)
 
 
 def t_tangle(n: int, i: int) -> Tangle:
@@ -617,7 +616,7 @@ def t_tangle(n: int, i: int) -> Tangle:
             b.node([h2])
             top[j - 1] = h1
             bot[j - 1] = h2
-    return Tangle(PlanarMap._build(*b._arrays()), top, bot)
+    return Tangle(PlanarMap._build(*b._arrays()), top + bot)
 
 
 def c_tangle(n: int, i: int) -> Tangle:
@@ -645,67 +644,47 @@ def c_tangle(n: int, i: int) -> Tangle:
         b.node([h2])
         top[j - 1] = h1
         bot[j - 1] = h2
-    return Tangle(PlanarMap._build(*b._arrays()), top, bot)
+    return Tangle(PlanarMap._build(*b._arrays()), top + bot)
+
+
+def _join_ends(g: PlanarMap, tops: list[int], bots: list[int],
+               ends: list[int], cls=PlanarMap) -> Tangle:
+    """`splice` of g that joins tops[i] to bots[i] by an arc; the tangle's
+    endpoints are then `ends`.  Each joined endpoint must be alone on its
+    node and joined once."""
+    nxt = g.nxt
+    link: dict[int, int] = {}
+    for a, b in zip(tops, bots):
+        if nxt[a] != a or nxt[b] != b:
+            raise InvalidMap("a joined endpoint is not alone on its node")
+        link[a] = b
+        link[b] = a
+    if len(link) != 2 * len(tops):
+        raise InvalidMap("an endpoint is joined twice")
+    out, new = splice(g.twin, nxt, g.wide, g.over, g.free_loops, link, link,
+                      cls)
+    return Tangle(out, [new[h] for h in ends])
 
 
 def stack(upper: Tangle, lower: Tangle) -> Tangle:
-    """Concatenate: upper's bottom endpoints welded to lower's top endpoints.
+    """Concatenate: upper's bottom endpoints joined to lower's top endpoints.
 
-    The arrays are welded directly: upper's and lower's are concatenated,
-    the 2n welded endpoints (each alone on its node) are dropped, every
-    strand is chased across the welds, and a strand that closes up through
-    welds alone becomes a free loop.  The survivors keep their order, so
-    the ids are those `Surgery.finish` gives the disjoint union with the
-    welded endpoint nodes removed and paired.
+    The disjoint union of the two tangles (lower's half-edges numbered
+    after upper's) spliced along those endpoints (`_join_ends`): a strand
+    that closes up through the joins alone becomes a free loop, and the
+    survivors keep their order.
     """
-    if upper.n != lower.n:
+    n = upper.n
+    if n != lower.n:
         raise InvalidMap("tangle arity mismatch")
-    g1, g2 = upper.g, lower.g
-    off = g1.n_half
-    twin = g1.twin + [t + off for t in g2.twin]
-    nxt = g1.nxt + [x + off for x in g2.nxt]
-    weld: dict[int, int] = {}
-    for hb, ht in zip(upper.bot, lower.top):
-        ht += off
-        if nxt[hb] != hb or nxt[ht] != ht:
-            raise InvalidMap("a welded endpoint is not alone on its node")
-        weld[hb] = ht
-        weld[ht] = hb
-    keep = [h for h in range(len(twin)) if h not in weld]
-    new = [-1] * len(twin)
-    for i, h in enumerate(keep):
-        new[h] = i
-    crossed: set[int] = set()
-    tw = []
-    for h in keep:
-        t = twin[h]
-        while t in weld:
-            crossed.add(t)
-            t = twin[weld[t]]
-        tw.append(new[t])
-    loops = g1.free_loops + g2.free_loops
-    for s in weld:
-        if s not in crossed:
-            loops += 1
-            while s not in crossed:
-                crossed.add(s)
-                crossed.add(weld[s])
-                s = twin[weld[s]]
-    wide = g1.wide + g2.wide
-    over = frozenset([new[h] for h in g1.over]
-                     + [new[h + off] for h in g2.over])
-    out = PlanarMap._build(tw, [new[nxt[h]] for h in keep],
-                           [wide[h] for h in keep], over, loops)
-    return Tangle(out, [new[h] for h in upper.top],
-                  [new[h + off] for h in lower.bot])
+    off = upper.g.n_half
+    low = [h + off for h in lower.ends]
+    return _join_ends(disjoint_union(upper.g, lower.g), upper.ends[n:],
+                      low[:n], upper.ends[:n] + low[n:])
 
 
 def close_tangle(t: Tangle) -> PlanarTrivalentGraph:
-    """Join i-th top to i-th bottom endpoint by nested non-crossing arcs."""
-    s = Surgery(t.g)
-    for ht, hb in zip(t.top, t.bot):
-        s.kill(t.g.node_of(ht))
-        s.kill(t.g.node_of(hb))
-        s.pair(ht, hb)
-    out, _ = s.finish(cls=PlanarTrivalentGraph)
-    return out
+    """Join i-th top to i-th bottom endpoint by nested non-crossing arcs:
+    t spliced along its top and bottom (`_join_ends`)."""
+    return _join_ends(t.g, t.ends[:t.n], t.ends[t.n:], [],
+                      PlanarTrivalentGraph).g

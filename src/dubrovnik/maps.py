@@ -19,11 +19,13 @@ generators) is validated only when `debug_mode()` is true.  The engine's
 entry points read DUBROVNIK_DEBUG once per call (`reads_debug_once`), not
 once per map built.
 
-All mutation happens through :class:`Surgery`, which removes a set of nodes,
-reconnects the dangling strands by arcs or through freshly built nodes, and
-returns a new map (closed strands that no longer meet any node are folded
-into free_loops).  Rewrites built on top of this are therefore pure
-functions from maps to maps.
+No map is changed in place.  Every rewrite is one `splice`: it removes a
+set of half-edges, follows each kept strand across the arcs that join
+removed ones, folds cycles of arcs alone into free_loops, and returns a
+new map.  :class:`Surgery` (remove nodes, reconnect the loose strands by
+arcs or through freshly built nodes) builds the local rules on it, and
+`diagrams.stack` and `diagrams.close_tangle` splice tangle endpoints.
+Rewrites are therefore pure functions from maps to maps.
 """
 
 from __future__ import annotations
@@ -432,8 +434,9 @@ class Surgery:
 
     Dead slots (half-edges of removed nodes) are each used at most once:
     paired with another dead slot (an arc through the removed region), bound
-    to a fresh port, or void (the slot's edge disappears entirely).  Closed
-    strands that end up meeting no surviving or fresh node become free loops.
+    to a fresh port, or void (the slot's edge disappears entirely).
+    `finish` appends the fresh ports, puts each bound port in its slot's
+    place on the slot's edge, and hands the rest to `splice`.
     """
 
     def __init__(self, g: PlanarMap):
@@ -484,106 +487,87 @@ class Surgery:
     # --------------------------------------------------------------------------
 
     def finish(self, cls=PlanarMap) -> tuple[PlanarMap, dict[int, int]]:
-        """Build the new map.  Returns (map, old half-edge id -> new id)."""
+        """Build the new map.  Returns (map, old half-edge id -> new id);
+        survivors keep their order, and fresh port f is number
+        (survivors + f)."""
         g = self.g
-        dead = self.dead_slots
-        survivors = [h for h in range(g.n_half) if h not in dead]
-        ids = [-1] * g.n_half
-        for i, h in enumerate(survivors):
-            ids[h] = i
-        n_s = len(survivors)
-        n_total = n_s + len(self.fresh)
-        twin = [-1] * n_total
-        nxt = [-1] * n_total
-        wide = [False] * n_total
-
-        for h in survivors:
-            nh = ids[h]
-            wide[nh] = g.wide[h]
-            # rotation is untouched on surviving nodes
-            nxt[nh] = ids[g.nxt[h]]
-        for f, fr in enumerate(self.fresh):
-            wide[n_s + f] = fr.wide
+        n = g.n_half
+        twin = g.twin + [-1] * len(self.fresh)
+        nxt = g.nxt + [-1] * len(self.fresh)
         for cyc in self.fresh_nodes:
             for i, f in enumerate(cyc):
-                nxt[n_s + f] = n_s + cyc[(i + 1) % len(cyc)]
-
-        def settle(new_h: int, entry: int) -> None:
-            """Connect new_h to wherever the strand entering at `entry` ends."""
-            s = entry
-            for _ in range(g.n_half + 1):
-                if s not in dead:
-                    other = ids[s]
-                    break
-                if s in self.binds:
-                    other = n_s + self.binds[s]
-                    break
-                if s in self.pairs:
-                    s = g.twin[self.pairs[s]]
-                else:
-                    raise InvalidMap("strand dies at a void slot")
-            else:
-                raise InvalidMap("strand chase did not terminate")
-            twin[new_h] = other
-            twin[other] = new_h
-
-        # a survivor whose twin survives keeps it; only strands that enter
-        # a removed node are chased
-        for h in survivors:
-            t = g.twin[h]
-            if t not in dead:
-                twin[ids[h]] = ids[t]
-            elif twin[ids[h]] == -1:
-                settle(ids[h], t)
+                nxt[n + f] = n + cyc[(i + 1) % len(cyc)]
+        if -1 in nxt:
+            raise InvalidMap("surgery left dangling half-edges")
         for f, fr in enumerate(self.fresh):
-            nf = n_s + f
-            if twin[nf] != -1:
-                continue
             if fr.twin is not None:
-                twin[nf] = n_s + fr.twin
-                twin[n_s + fr.twin] = nf
+                twin[n + f] = n + fr.twin
             elif fr.bind is not None:
-                settle(nf, g.twin[fr.bind])
+                t = twin[fr.bind]
+                twin[n + f], twin[t] = t, n + f
             else:
                 raise InvalidMap("fresh half-edge with neither twin nor binding")
-
-        # closed strands living entirely on paired dead slots -> free loops
-        visited: set[int] = set()
-        loops = 0
-        for s0 in self.pairs:
-            if s0 in visited:
-                continue
-            s = s0
-            closed = True
-            chain = []
-            while s not in visited:
-                visited.add(s)
-                chain.append(s)
-                p = self.pairs[s]
-                visited.add(p)
-                chain.append(p)
-                t = g.twin[p]
-                if (t not in self.dead_slots or t in self.binds
-                        or t not in self.pairs):
-                    closed = False
-                    break
-                s = t
-            # a chain is a loop only if it returned to its start
-            if closed and chain and g.twin[chain[-1]] == chain[0]:
-                loops += 1
-
-        if any(t == -1 for t in twin) or any(x == -1 for x in nxt):
-            raise InvalidMap("surgery left dangling half-edges")
-
-        over = frozenset(ids[h] for h in g.over if h not in dead)
-        return (cls._build(twin, nxt, wide, over, g.free_loops + loops),
-                dict(zip(survivors, range(n_s))))
+        out, new = splice(twin, nxt, g.wide + [fr.wide for fr in self.fresh],
+                          g.over, g.free_loops, self.dead_slots, self.pairs,
+                          cls)
+        return out, {h: new[h] for h in range(n) if new[h] >= 0}
 
 
-def disjoint_union_maps(g1: PlanarMap, g2: PlanarMap, cls=PlanarMap) -> PlanarMap:
+def splice(twin: list[int], nxt: list[int], wide: list[bool], over,
+           free_loops: int, drop, link: dict[int, int], cls=PlanarMap
+           ) -> tuple[PlanarMap, list[int]]:
+    """The map left when the half-edges in `drop` are removed and each kept
+    strand is followed across the arcs of `link`.
+
+    `link` pairs dropped half-edges (an involution on its keys).  A strand
+    leaves a kept half-edge h for twin[h]; while that is dropped, the arc to
+    its `link` partner carries the strand on to the partner's twin, and the
+    first kept half-edge reached is h's new twin.  A dropped half-edge in
+    no arc is void: a strand that reaches one raises InvalidMap.  Cycles
+    made of arcs alone become free loops.  The kept half-edges are
+    renumbered in their order; no kept half-edge's rotation may meet a
+    dropped one.  Returns (map, new id of each old half-edge, -1 where
+    dropped).
+    """
+    keep = [h for h in range(len(twin)) if h not in drop]
+    new = [-1] * len(twin)
+    for i, h in enumerate(keep):
+        new[h] = i
+    crossed: set[int] = set()          # dropped half-edges a strand entered
+    tw = []
+    try:
+        for h in keep:
+            t = twin[h]
+            while t in drop:
+                crossed.add(t)
+                t = twin[link[t]]
+            tw.append(new[t])
+    except KeyError:
+        raise InvalidMap("strand dies at a void slot") from None
+    # each strand is walked from both ends, so every arc it crosses is
+    # entered at both halves; an arc no strand entered lies on a cycle of
+    # arcs, or on a chain of them between void slots
+    loops = free_loops
+    for s in link:
+        if s in crossed:
+            continue
+        t = s
+        while t in link and t not in crossed:
+            crossed.add(t)
+            crossed.add(link[t])
+            t = twin[link[t]]
+        loops += t == s
+    return (cls._build(tw, [new[nxt[h]] for h in keep], [wide[h] for h in keep],
+                       frozenset([new[h] for h in over if new[h] >= 0]), loops),
+            new)
+
+
+def disjoint_union(g1: PlanarMap, g2: PlanarMap, cls=None) -> PlanarMap:
+    """g1 beside g2, g2's half-edges numbered after g1's; the class is g1's
+    unless `cls` is given."""
     off = g1.n_half
-    twin = list(g1.twin) + [t + off for t in g2.twin]
-    nxt = list(g1.nxt) + [n + off for n in g2.nxt]
-    wide = list(g1.wide) + list(g2.wide)
+    twin = g1.twin + [t + off for t in g2.twin]
+    nxt = g1.nxt + [n + off for n in g2.nxt]
     over = frozenset(g1.over) | frozenset(h + off for h in g2.over)
-    return cls._build(twin, nxt, wide, over, g1.free_loops + g2.free_loops)
+    return (cls or type(g1))._build(twin, nxt, g1.wide + g2.wide, over,
+                                    g1.free_loops + g2.free_loops)

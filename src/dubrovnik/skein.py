@@ -642,8 +642,8 @@ def _split(t: Tangle, ctx: EvalContext
     g = t.g
     loops = g.free_loops
     comps = g.components()
-    if t.top:
-        ends = set(t.top + t.bot)
+    if t.ends:
+        ends = set(t.ends)
         rest = [comp for comp in comps if ends.isdisjoint(comp)]
     elif comps:
         rest = sorted(comps, key=len)[:-1]
@@ -656,8 +656,7 @@ def _split(t: Tangle, ctx: EvalContext
         factor = factor * evaluate(_restrict(g, comp)[0], ctx)
     dropped = {h for comp in rest for h in comp}
     kept, idmap = _restrict(g, [h for h in range(g.n_half) if h not in dropped])
-    return factor, Tangle(kept, [idmap[h] for h in t.top],
-                          [idmap[h] for h in t.bot])
+    return factor, Tangle(kept, [idmap[h] for h in t.ends])
 
 
 @reads_debug_once
@@ -683,8 +682,7 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
     its coefficient as alpha^loops and waits under the signature without
     them.  An open tangle is split when its signature shows a free loop or
     half-edges that the walk from its boundary did not reach; most open
-    tangles drop nothing.  A lone open input term is not signed: it is
-    alone in its level, and it is split.
+    tangles drop nothing.
 
     A level holds factor pairs (the parent's coefficient, the rule's
     coefficient times what fell away), and a piece's coefficient is formed
@@ -710,45 +708,34 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
         level = levels.setdefault(t.g.n_half, {})
         level.setdefault(key, ([], t))[0].append((x, y))
 
-    def put(x: RingElem, y: RingElem, t: Tangle, sign: bool = True) -> None:
-        if not t.top:
+    def sign(t: Tangle) -> tuple:
+        if t.ends:
+            return t.signature()
+        g = t.g
+        return ctx.signature(g.twin, g.nxt, g.wide, g.free_loops)
+
+    def put(x: RingElem, y: RingElem, t: Tangle, key=None) -> None:
+        """Queue t, whose signature is `key` when the caller has it."""
+        key = key or sign(t)
+        if t.ends:
+            # the boundary walk left out a piece, or there is a free loop
+            drops = len(key) > 3 or key[1]
+        elif len(key[1]) == 1 and key[0]:
             g = t.g
-            put_closed(x, y, t,
-                       ctx.signature(g.twin, g.nxt, g.wide, g.free_loops))
-            return
-        key = t.signature() if sign else None
-        # An open tangle whose boundary walk reached every half-edge and
-        # that has no free loop drops nothing, so it is not split.
-        if key is None or len(key) > 3 or key[1]:
+            y = y * constants().alpha ** key[0]
+            t = Tangle(type(g)._build(g.twin, g.nxt, g.wide, g.over, 0), [])
+            key, drops = (0, key[1]), False
+        else:
+            drops = len(key[1]) != 1
+        if drops:
             f, t = _split(t, ctx)
             if f is not None:
                 y = y * f
             if t is None:
                 scalars.append((x, y))
                 return
-            if sign:
-                key = t.signature()
+            key = sign(t)
         wait(x, y, t, key)
-
-    def put_closed(x: RingElem, y: RingElem, t: Tangle, key: tuple) -> None:
-        """Queue a closed piece whose signature is `key`."""
-        loops, encs = key
-        if len(encs) == 1:
-            if loops:
-                g = t.g
-                y = y * constants().alpha ** loops
-                t = Tangle(type(g)._build(g.twin, g.nxt, g.wide, g.over, 0),
-                           [], [])
-            wait(x, y, t, (0, encs))
-            return
-        f, t = _split(t, ctx)
-        if f is not None:
-            y = y * f
-        if t is None:
-            scalars.append((x, y))
-            return
-        g = t.g
-        wait(x, y, t, ctx.signature(g.twin, g.nxt, g.wide))
 
     for term in terms:
         if len(term) == 3:
@@ -758,9 +745,9 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
                                                g.free_loops) != key):
                 raise InternalError("a keyed term's signature differs from "
                                     "its graph's")
-            put_closed(c, one, t, key)
+            put(c, one, t, key)
         else:
-            put(term[0], one, term[1], len(terms) > 1)
+            put(term[0], one, term[1])
     reduced = []
     while levels:
         for key, (cs, t) in levels.pop(max(levels)).items():
@@ -768,23 +755,22 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
             if c.is_zero():
                 continue
             g = t.g
-            found = reducible_face(g, t.top + t.bot, ctx.rng)
+            found = reducible_face(g, t.ends, ctx.rng)
             if found is None:
                 face = _digon_square(g, ctx.rng)
                 if face is not None:
                     found = ("square", face)
-                elif t.top:
-                    reduced.append((c, key or t.signature(), t))
+                elif t.ends:
+                    reduced.append((c, key, t))
                     continue
                 else:
                     found = alternating_walk_reduce(g, ctx, key)
-            if not t.top:
+            if not t.ends:
                 ctx.stats["components"] += 1
             kind, face = found
             ctx.record(kind, face)
             for coeff, g2, idmap in apply_rule(g, kind, face):
-                put(c, coeff, Tangle(g2, [idmap[h] for h in t.top],
-                                     [idmap[h] for h in t.bot]))
+                put(c, coeff, Tangle(g2, [idmap[h] for h in t.ends]))
     return sum_of_products(scalars), reduced
 
 
@@ -805,7 +791,7 @@ def evaluate(g, ctx: EvalContext | None = None) -> RingElem:
     """
     ctx = ctx or EvalContext()
     if not isinstance(g, PlanarMap):
-        return reduce_terms([(c, Tangle(x, [], []), *key) for c, x, *key in g],
+        return reduce_terms([(c, Tangle(x, []), *key) for c, x, *key in g],
                             ctx)[0]
     nxt = g.nxt
     if g.over or any(nxt[h] == h or nxt[nxt[nxt[h]]] != h
@@ -817,6 +803,6 @@ def evaluate(g, ctx: EvalContext | None = None) -> RingElem:
     if hit is not None:
         ctx.stats["memo_hits"] += 1
         return hit
-    value = reduce_terms([(RingElem.one(), Tangle(g, [], []), sig)], ctx)[0]
+    value = reduce_terms([(RingElem.one(), Tangle(g, []), sig)], ctx)[0]
     store_memo(ctx, sig, value)
     return value

@@ -10,13 +10,14 @@ from dubrovnik.diagrams import (BadEdge, BadIncidence, BraidWord, LinkDiagram,
                                 PlanarTrivalentGraph, RangeError,
                                 REGraphDiagram, StateResolver, Tangle,
                                 braid_to_link, c_tangle, close_tangle,
-                                connected_sum, disjoint_union,
+                                closure_diagram, connected_sum,
+                                disjoint_union,
                                 identity_tangle, mirror, parse_braid,
                                 link_components, parse_pd, parse_regraph,
                                 smooth_crossing, stack, switch_crossing,
                                 t_tangle)
-from dubrovnik.maps import (NonPlanar, Surgery, canonical_signature,
-                            signature_of_arrays)
+from dubrovnik.maps import (InvalidMap, NonPlanar, Surgery,
+                            canonical_signature, signature_of_arrays)
 
 
 def test_parse_braid():
@@ -267,23 +268,23 @@ def test_tangles():
 
 
 def _surgery_stack(upper, lower):
-    """The stack as a surgery on the disjoint union: the reference for
-    `stack`'s direct weld."""
-    off = upper.g.n_half
+    """The stack as a surgery on the disjoint union, which removes the
+    joined endpoint nodes and pairs them: `stack` must number it alike."""
+    n, off = upper.n, upper.g.n_half
     g = disjoint_union(upper.g, lower.g)
     s = Surgery(g)
-    for hb, ht in zip(upper.bot, lower.top):
+    for hb, ht in zip(upper.ends[n:], lower.ends[:n]):
         s.kill(g.node_of(hb))
         s.kill(g.node_of(ht + off))
         s.pair(hb, ht + off)
     out, idmap = s.finish()
-    return Tangle(out, [idmap[h] for h in upper.top],
-                  [idmap[h + off] for h in lower.bot])
+    return Tangle(out, [idmap[h] for h in upper.ends[:n]]
+                  + [idmap[h + off] for h in lower.ends[n:]])
 
 
 def _arrays(t):
     g = t.g
-    return (type(g), g.twin, g.nxt, g.wide, g.over, g.free_loops, t.top, t.bot)
+    return (type(g), g.twin, g.nxt, g.wide, g.over, g.free_loops, t.ends)
 
 
 def test_stack_welds_like_a_surgery():
@@ -312,6 +313,48 @@ def test_stack_welds_like_a_surgery():
     assert loops
 
 
+def test_stacked_closures_match_resolved_braid_states():
+    # An identity letter on strands (i, i+1) is a positive crossing resolved
+    # 'A', a cup-cap letter one resolved 'B', and a gadget the wide
+    # insertion ('W', i): the state resolver chases its own strands, so
+    # this checks stack and close_tangle against code they do not share.
+    rng = random.Random(5)
+    makers = {"A": lambda n, i: identity_tangle(n), "B": t_tangle,
+              "W": c_tangle}
+    loops = 0
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        letters = [(rng.choice("ABW"), rng.randint(1, n - 1))
+                   for _ in range(rng.randint(1, 6))]
+        t = None
+        for kind, i in letters:
+            gen = makers[kind](n, i)
+            t = gen if t is None else stack(t, gen)
+        closed = close_tangle(t)
+        word = [("W", i) if kind == "W" else i for kind, i in letters]
+        choices = [kind for kind, _ in letters if kind != "W"]
+        d = closure_diagram(n, word, REGraphDiagram)
+        twin, nxt, wide, free, _, _ = \
+            StateResolver(d).resolve_arrays(choices)
+        assert canonical_signature(closed) == \
+            signature_of_arrays(twin, nxt, wide, free)
+        loops += closed.free_loops
+    assert loops > 300
+
+
+def test_joined_endpoints_must_be_alone_on_their_nodes():
+    # the first top endpoint moved onto the gadget's upper vertex
+    t = c_tangle(2, 1)
+    g, ends = t.g, t.ends
+    on_vertex = next(h for h in g.nodes()[g.node_of(g.twin[ends[0]])]
+                     if not g.wide[h])
+    bad = Tangle(g, [on_vertex] + ends[1:])
+    with pytest.raises(InvalidMap):
+        close_tangle(bad)
+    with pytest.raises(InvalidMap):
+        stack(identity_tangle(2), bad)
+
+
 def test_tangle_signature_pins_boundary():
     # cup-cap on strands (1,2) differs from (2,3) even though the closed
     # graphs agree
@@ -327,7 +370,7 @@ def test_tangle_signature_keys_closed_pieces():
     a = stack(stack(t_tangle(2, 1), c_tangle(2, 1)), t_tangle(2, 1))
     tt = stack(t_tangle(2, 1), t_tangle(2, 1))
     b = Tangle(type(tt.g)._build(tt.g.twin, tt.g.nxt, tt.g.wide, tt.g.over, 0),
-               tt.top, tt.bot)
+               tt.ends)
     assert a.g.n_half == b.g.n_half + 6 and a.g.free_loops == 0
     assert a.signature() != b.signature()
     # the closed piece's key is canonical: reversing the half-edge numbers
@@ -338,5 +381,5 @@ def test_tangle_signature_keys_closed_pieces():
         rev[last - h] = (last - g.twin[h], last - g.nxt[h], g.wide[h])
     twin, nxt, wide = (list(col) for col in zip(*rev))
     again = Tangle(type(g)._build(twin, nxt, wide, g.over, 0),
-                   [last - h for h in a.top], [last - h for h in a.bot])
+                   [last - h for h in a.ends])
     assert again.signature() == a.signature()

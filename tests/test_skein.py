@@ -256,7 +256,11 @@ def test_open_terms_are_split_only_when_something_falls_away(monkeypatch):
     assert value.is_zero()
     assert [(coeff, sig) for coeff, sig, _ in row] == \
         [(R_ONE + C.alpha + C.alpha * C.beta, e.signature())]
-    assert [t for t in split if t.top] == [loop, dumbbell]
+    assert [t for t in split if t.ends] == [loop, dumbbell]
+    # a lone input term is signed like any other
+    split.clear()
+    skein.reduce_terms([(R_ONE, e)], EvalContext())
+    assert split == []
 
 
 def test_context_signs_each_literal_array_once(monkeypatch):
@@ -300,7 +304,7 @@ def test_connected_closed_pieces_are_signed_not_split(monkeypatch):
     looped = PlanarTrivalentGraph(g.twin, g.nxt, g.wide, frozenset(), 2)
     pair = disjoint_union(g, theta(), cls=PlanarTrivalentGraph)
     value, _ = skein.reduce_terms(
-        [(R_ONE, Tangle(x, [], [])) for x in (g, looped, pair)], EvalContext())
+        [(R_ONE, Tangle(x, [])) for x in (g, looped, pair)], EvalContext())
     assert value == (R_ONE + C.alpha ** 2) * evaluate(g) \
         + C.alpha * evaluate(g) * evaluate(theta())
     # one component: free loops fold into the coefficient; two: split
