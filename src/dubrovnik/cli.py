@@ -144,7 +144,10 @@ def cache_load(path: str, ctx: EvalContext) -> int:
             row = json.loads(line)
             if "diagram" not in row:
                 raise CacheCorrupt(f"unknown row kind {sorted(row)}")
-            results[row["diagram"]] = parse_ring_text(row["value"])
+            value = row["value"]
+            if not isinstance(value, str):
+                raise CacheCorrupt(f"value {value!r} is not text")
+            results[row["diagram"]] = parse_ring_text(value)
     except (ValueError, KeyError, TypeError) as e:
         print(f"cache file {path} is corrupt ({e}); ignoring it",
               file=sys.stderr)

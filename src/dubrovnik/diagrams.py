@@ -387,8 +387,7 @@ def smooth_crossing(d: PlanarMap, node: int, kind: str) -> PlanarMap:
         s.pair(r2, r1)
     else:
         raise ValueError("smoothing kind must be 'A' or 'B'")
-    out, _ = s.finish(cls=type(d))
-    return out
+    return s.finish()[0]
 
 
 # -- state enumeration ------------------------------------------------------------------

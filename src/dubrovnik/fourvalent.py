@@ -108,45 +108,37 @@ def _apply_curl4(g: PlanarMap, face: tuple[int, ...]) -> PlanarMap:
     return out
 
 
+def _terms4(g: PlanarMap, nodes, terms) -> list:
+    """(coefficient, graph) per (coefficient, vertex, arcs) entry of
+    `terms`, each with `nodes` removed: a fresh rigid vertex whose strands
+    read `vertex` CCW, unless that is None, and the slots of each arc
+    paired."""
+    out = []
+    for coeff, vertex, arcs in terms:
+        s = Surgery(g)
+        for v in nodes:
+            s.kill(v)
+        if vertex:
+            s.node(vertex)
+        for x, y in arcs:
+            s.pair(x, y)
+        out.append((coeff, s.finish(cls=Planar4Graph)[0]))
+    return out
+
+
 def _apply_digon4(g: PlanarMap, face: tuple[int, ...]) -> list:
-    C = constants()
     h1, h2 = face
-    v1, v2 = g.node_of(h1), g.node_of(h2)
     a1 = g.nxt[h1]
     a2 = g.nxt[a1]
     b1 = g.nxt[h2]
     b2 = g.nxt[b1]
-
-    def surgery() -> Surgery:
-        s = Surgery(g)
-        s.kill(v1)
-        s.kill(v2)
-        return s
-
-    s = surgery()
-    s.pair(a2, b1)
-    s.pair(a1, b2)
-    through, _ = s.finish(cls=Planar4Graph)
-
-    s = surgery()
-    s.pair(a1, a2)
-    s.pair(b1, b2)
-    across, _ = s.finish(cls=Planar4Graph)
-
-    s = surgery()
-    _vertex4(s, a1, a2, b1, b2)
-    vertex, _ = s.finish(cls=Planar4Graph)
-
-    one = RingElem.one()
     AB = RingElem.mono(0, 1, 1)
     A_plus_B = RingElem.mono(0, 1, 0) + RingElem.mono(0, 0, 1)
-    return [(one - AB, through), (C.gamma, across), (-A_plus_B, vertex)]
-
-
-def _vertex4(s: Surgery, b1: int, b2: int, b3: int, b4: int) -> None:
-    """Fresh rigid vertex whose strands read (b1 b2 b3 b4) CCW."""
-    ports = [s.port(bind=b) for b in (b1, b2, b3, b4)]
-    s.fresh_node(ports)
+    return _terms4(g, (g.node_of(h1), g.node_of(h2)), [
+        (RingElem.one() - AB, None, [(a2, b1), (a1, b2)]),
+        (constants().gamma, None, [(a1, a2), (b1, b2)]),
+        (-A_plus_B, (a1, a2, b1, b2), []),
+    ])
 
 
 def _match_triangle4(g: PlanarMap, face: tuple[int, ...]):
@@ -171,56 +163,29 @@ def triangle_flip4(g: PlanarMap, face: tuple[int, ...]) -> list:
     if m is None:
         raise ValueError("face does not match the triangle configuration")
     (T1, T2, T3, B1, B2, B3), nodes = m
-    C = constants()
-    one = RingElem.one()
+    delta = constants().delta
     AB = RingElem.mono(0, 1, 1)
-
-    def surgery() -> Surgery:
-        s = Surgery(g)
-        for n in set(nodes):
-            s.kill(n)
-        return s
-
-    out = []
     # flipped stack: internal strands bl-cr, dr-el, br-er
-    s = surgery()
-    bl = s.port(); cr = s.port(); s.fresh_twin(bl, cr)
-    dr = s.port(); el = s.port(); s.fresh_twin(dr, el)
-    br = s.port(); er = s.port(); s.fresh_twin(br, er)
-    aL = s.port(bind=T2); aR = s.port(bind=T3)
-    cL = s.port(bind=T1)
-    dL = s.port(bind=B1)
-    fL = s.port(bind=B2); fR = s.port(bind=B3)
-    s.fresh_node([aR, aL, bl, br])
-    s.fresh_node([cr, cL, dL, dr])
-    s.fresh_node([er, el, fL, fR])
-    flipped, _ = s.finish(cls=Planar4Graph)
-    out.append((one, flipped))
-
-    def vertex_term(coeff, order, arcs):
-        s = surgery()
-        _vertex4(s, *order)
-        for x, y in arcs:
-            s.pair(x, y)
-        gr, _ = s.finish(cls=Planar4Graph)
-        out.append((coeff, gr))
-
-    def arcs_term(coeff, arcs):
-        s = surgery()
-        for x, y in arcs:
-            s.pair(x, y)
-        gr, _ = s.finish(cls=Planar4Graph)
-        out.append((coeff, gr))
-
-    vertex_term(-AB, (T3, T2, B2, B3), [(T1, B1)])
-    vertex_term(AB, (T2, T1, B1, B2), [(T3, B3)])
-    vertex_term(-AB, (B3, T1, B1, B2), [(T2, T3)])
-    vertex_term(AB, (T3, B1, B2, B3), [(T1, T2)])
-    vertex_term(-AB, (T2, T1, B1, T3), [(B2, B3)])
-    vertex_term(AB, (T3, T2, T1, B3), [(B1, B2)])
-    arcs_term(-C.delta, [(T1, T2), (B1, B2), (T3, B3)])
-    arcs_term(C.delta, [(T2, T3), (B2, B3), (T1, B1)])
-    return out
+    s = Surgery(g)
+    for v in nodes:
+        s.kill(v)
+    bl, cr = s.edge()
+    dr, el = s.edge()
+    br, er = s.edge()
+    s.node([T2, bl, br, T3])
+    s.node([cr, T1, B1, dr])
+    s.node([er, el, B2, B3])
+    flipped = (RingElem.one(), s.finish(cls=Planar4Graph)[0])
+    return [flipped] + _terms4(g, nodes, [
+        (-AB, (T3, T2, B2, B3), [(T1, B1)]),
+        (AB, (T2, T1, B1, B2), [(T3, B3)]),
+        (-AB, (B3, T1, B1, B2), [(T2, T3)]),
+        (AB, (T3, B1, B2, B3), [(T1, T2)]),
+        (-AB, (T2, T1, B1, T3), [(B2, B3)]),
+        (AB, (T3, T2, T1, B3), [(B1, B2)]),
+        (-delta, None, [(T1, T2), (B1, B2), (T3, B3)]),
+        (delta, None, [(T2, T3), (B2, B3), (T1, B1)]),
+    ])
 
 
 # Graphs the oracle's search may queue before it gives up.
@@ -340,7 +305,7 @@ def kauffman_via_4valent(d: PlanarMap, ctx: OracleContext | None = None) -> Ring
                 s.pair(r0, r3)
                 s.pair(r2, r1)
             else:
-                _vertex4(s, r0, r1, r2, r3)
+                s.node([r0, r1, r2, r3])
         g, _ = s.finish(cls=Planar4Graph)
         total = total + RingElem.mono(0, na, nb) * evaluate4(g, ctx)
     return total

@@ -22,10 +22,12 @@ once per map built.
 No map is changed in place.  Every rewrite is one `splice`: it removes a
 set of half-edges, follows each kept strand across the arcs that join
 removed ones, folds cycles of arcs alone into free_loops, and returns a
-new map.  :class:`Surgery` (remove nodes, reconnect the loose strands by
-arcs or through freshly built nodes) builds the local rules on it, and
-`diagrams.stack` and `diagrams.close_tangle` splice tangle endpoints.
-Rewrites are therefore pure functions from maps to maps.
+new map with the new id of each old half-edge.  :class:`Surgery` builds
+the local rules on it in `MapBuilder`'s terms: it removes nodes, pairs
+their loose slots by arcs, and puts slots straight onto new nodes joined
+by fresh edges.  `diagrams.stack` and `diagrams.close_tangle` splice
+tangle endpoints.  Rewrites are therefore pure functions from maps to
+maps.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from __future__ import annotations
 import functools
 import os
 from contextvars import ContextVar
-from dataclasses import dataclass
 
 # DUBROVNIK_DEBUG as read on entry to the outermost `reads_debug_once`
 # call still running, or None outside every such call.
@@ -422,95 +423,87 @@ class MapBuilder:
 
 # -- surgery ----------------------------------------------------------------------
 
-@dataclass
-class _Fresh:
-    wide: bool
-    twin: int | None = None      # fresh partner
-    bind: int | None = None      # dead slot whose strand this port continues
-
-
 class Surgery:
-    """Remove nodes and reconnect the loose strands.
+    """Remove nodes and write what replaces them, in `MapBuilder`'s terms.
 
-    Dead slots (half-edges of removed nodes) are each used at most once:
-    paired with another dead slot (an arc through the removed region), bound
-    to a fresh port, or void (the slot's edge disappears entirely).
-    `finish` appends the fresh ports, puts each bound port in its slot's
-    place on the slot's edge, and hands the rest to `splice`.
+    A slot is a half-edge of a removed node.  Each slot is used at most
+    once: paired with another slot (an arc through the removed region, by
+    `pair`), put on a new node (by `node`, where it keeps its edge), or
+    left void (its edge disappears entirely).  `edge` makes fresh twinned
+    half-edges, and every one of them must go on exactly one new node.
     """
 
     def __init__(self, g: PlanarMap):
         self.g = g
-        self.dead_nodes: set[int] = set()
         self.dead_slots: set[int] = set()
+        self.used: set[int] = set()
         self.pairs: dict[int, int] = {}
-        self.binds: dict[int, int] = {}      # dead slot -> fresh id
-        self.fresh: list[_Fresh] = []
-        self.fresh_nodes: list[list[int]] = []
+        self.wide: list[bool] = []           # of fresh half-edge n_half + i
+        self.new_nodes: list[list[int]] = []
 
     def kill(self, node_idx: int) -> None:
-        if node_idx in self.dead_nodes:
-            return
-        self.dead_nodes.add(node_idx)
         self.dead_slots.update(self.g.nodes()[node_idx])
 
+    def _use(self, h: int) -> None:
+        if h in self.used:
+            raise InvalidMap(f"half-edge {h} used twice")
+        if h not in self.dead_slots and not (
+                0 <= h - self.g.n_half < len(self.wide)):
+            raise InvalidMap(f"half-edge {h} is neither fresh nor a slot "
+                             f"of a removed node")
+        self.used.add(h)
+
     def pair(self, s1: int, s2: int) -> None:
-        for s in (s1, s2):
-            if s not in self.dead_slots:
-                raise InvalidMap(f"slot {s} is not on a removed node")
-            if s in self.pairs or s in self.binds:
-                raise InvalidMap(f"slot {s} used twice")
-        if s1 == s2:
-            raise InvalidMap("cannot pair a slot with itself")
+        if max(s1, s2) >= self.g.n_half:
+            raise InvalidMap("only slots are paired")
+        self._use(s1)
+        self._use(s2)
         self.pairs[s1] = s2
         self.pairs[s2] = s1
 
-    def port(self, wide: bool = False, bind: int | None = None) -> int:
-        """Fresh half-edge; optionally continue the strand of a dead slot."""
-        f = len(self.fresh)
-        self.fresh.append(_Fresh(wide=wide, bind=bind))
-        if bind is not None:
-            if bind not in self.dead_slots:
-                raise InvalidMap(f"slot {bind} is not on a removed node")
-            if bind in self.pairs or bind in self.binds:
-                raise InvalidMap(f"slot {bind} used twice")
-            self.binds[bind] = f
-        return f
+    def edge(self, wide: bool = False) -> tuple[int, int]:
+        """A fresh twinned pair of half-edges."""
+        h = self.g.n_half + len(self.wide)
+        self.wide += [wide, wide]
+        return h, h + 1
 
-    def fresh_twin(self, f1: int, f2: int) -> None:
-        self.fresh[f1].twin = f2
-        self.fresh[f2].twin = f1
-
-    def fresh_node(self, ports: list[int]) -> None:
-        self.fresh_nodes.append(list(ports))
+    def node(self, halves: list[int]) -> None:
+        """A new node with rotation `halves`: fresh half-edges and slots."""
+        for h in halves:
+            self._use(h)
+        self.new_nodes.append(list(halves))
 
     # --------------------------------------------------------------------------
 
-    def finish(self, cls=PlanarMap) -> tuple[PlanarMap, dict[int, int]]:
-        """Build the new map.  Returns (map, old half-edge id -> new id);
-        survivors keep their order, and fresh port f is number
-        (survivors + f)."""
+    def finish(self, cls=None) -> tuple[PlanarMap, list[int]]:
+        """Build the new map, of g's class unless `cls` is given.  Returns
+        (map, new id of each half-edge of g, -1 where dropped).  Survivors
+        are numbered first, in their order, then the fresh half-edges in the
+        order `edge` made them, then the placed slots in the order the
+        `node` calls list them; each placed slot hands its place on its
+        edge to its new id."""
         g = self.g
         n = g.n_half
-        twin = g.twin + [-1] * len(self.fresh)
-        nxt = g.nxt + [-1] * len(self.fresh)
-        for cyc in self.fresh_nodes:
-            for i, f in enumerate(cyc):
-                nxt[n + f] = n + cyc[(i + 1) % len(cyc)]
+        k = n + len(self.wide)
+        placed = [h for cyc in self.new_nodes for h in cyc if h < n]
+        ids = list(range(k))
+        for i, h in enumerate(placed):
+            ids[h] = k + i
+        twin = g.twin + [n + (i ^ 1) for i in range(k - n)]
+        for h in placed:
+            t = twin[h]
+            twin.append(t)
+            twin[t] = ids[h]
+        nxt = g.nxt + [-1] * (len(twin) - n)
+        for cyc in self.new_nodes:
+            for h, h2 in zip(cyc, cyc[1:] + cyc[:1]):
+                nxt[ids[h]] = ids[h2]
         if -1 in nxt:
-            raise InvalidMap("surgery left dangling half-edges")
-        for f, fr in enumerate(self.fresh):
-            if fr.twin is not None:
-                twin[n + f] = n + fr.twin
-            elif fr.bind is not None:
-                t = twin[fr.bind]
-                twin[n + f], twin[t] = t, n + f
-            else:
-                raise InvalidMap("fresh half-edge with neither twin nor binding")
-        out, new = splice(twin, nxt, g.wide + [fr.wide for fr in self.fresh],
-                          g.over, g.free_loops, self.dead_slots, self.pairs,
-                          cls)
-        return out, {h: new[h] for h in range(n) if new[h] >= 0}
+            raise InvalidMap("a fresh half-edge is on no node")
+        out, new = splice(twin, nxt, g.wide + self.wide
+                          + [g.wide[h] for h in placed], g.over, g.free_loops,
+                          self.dead_slots, self.pairs, cls or type(g))
+        return out, new[:n]
 
 
 def splice(twin: list[int], nxt: list[int], wide: list[bool], over,

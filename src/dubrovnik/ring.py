@@ -685,11 +685,13 @@ def to_canonical_text(x: RingElem) -> str:
 
 # A term as to_canonical_text writes it: sign, coefficient, then a, A and B
 # each at most once and in this order.  Any other term is read through
-# _TERM and _VAR, which allow each variable any number of times.  The
-# patterns are compiled on first use (re caches them), not at import.
-_CANON_TERM = (r"(-?)(\d*)(?:\*?(a)(?:\^(-?\d+))?)?"
+# _TERM and _VAR, which allow each variable any number of times.  Both
+# begin with a lookahead, so a term is never empty and never begins with
+# "*".  The patterns are compiled on first use (re caches them), not at
+# import.
+_CANON_TERM = (r"(-?)(?=[\daAB])(\d*)(?:\*?(a)(?:\^(-?\d+))?)?"
                r"(?:\*?(A)(?:\^(-?\d+))?)?(?:\*?(B)(?:\^(-?\d+))?)?")
-_TERM = r"^(?P<coeff>\d+)?(?P<vars>(?:\*?[aAB](?:\^-?\d+)?)*)$"
+_TERM = r"^(?=[\daAB])(?P<coeff>\d+)?(?P<vars>(?:\*?[aAB](?:\^-?\d+)?)*)$"
 _VAR = r"([aAB])(?:\^(-?\d+))?"
 
 
@@ -717,7 +719,8 @@ def _general_term(tok: str) -> tuple[int, int, int, int]:
 
 
 def parse_ring_text(text: str) -> RingElem:
-    """Parse the canonical text grammar back into a RingElem."""
+    """Parse the canonical text grammar back into a RingElem; malformed
+    text (an empty term, a term that begins with "*") raises ValueError."""
     text = text.strip()
     if text == "0":
         return RingElem.zero()

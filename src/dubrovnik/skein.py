@@ -138,7 +138,7 @@ def reducible_face(g: PlanarMap, ends=(), rng=None
 
 # -- value-preserving moves ---------------------------------------------------
 
-def h_rotate(g: PlanarMap, w: int) -> tuple[PlanarTrivalentGraph, dict[int, int]]:
+def h_rotate(g: PlanarMap, w: int) -> tuple[PlanarTrivalentGraph, list[int]]:
     """Rotate the wide edge at half-edge w (H-pattern <-> I-pattern).
 
     The four attached strands keep their cyclic order (x1 x2 y1 y2) around
@@ -156,20 +156,12 @@ def h_rotate(g: PlanarMap, w: int) -> tuple[PlanarTrivalentGraph, dict[int, int]
     s = Surgery(g)
     s.kill(p)
     s.kill(q)
-    nw1 = s.port(wide=True)
-    nw2 = s.port(wide=True)
-    s.fresh_twin(nw1, nw2)
-    px2 = s.port(bind=x2)
-    py1 = s.port(bind=y1)
-    py2 = s.port(bind=y2)
-    px1 = s.port(bind=x1)
-    s.fresh_node([nw1, px2, py1])
-    s.fresh_node([nw2, py2, px1])
-    return s.finish(cls=type(g))
+    _new_gadget(s, x2, y1, y2, x1)
+    return s.finish()
 
 
 def apply_lollipop(g: PlanarMap, face: tuple[int, ...]
-                   ) -> tuple[PlanarTrivalentGraph, dict[int, int]]:
+                   ) -> tuple[PlanarTrivalentGraph, list[int]]:
     """Remove a curl (1-gon, or 2-gon through a wide edge); factor beta."""
     if len(face) == 1:
         h = face[0]
@@ -190,25 +182,38 @@ def apply_lollipop(g: PlanarMap, face: tuple[int, ...]
     s.kill(v)
     s.kill(u)
     s.pair(p1, p2)
-    return s.finish(cls=type(g))
+    return s.finish()
 
 
 def _new_gadget(s: Surgery, b1: int, b2: int, b3: int, b4: int) -> None:
-    """Fresh wide edge whose four strands read (b1 b2 b3 b4) CCW around it."""
-    w1 = s.port(wide=True)
-    w2 = s.port(wide=True)
-    s.fresh_twin(w1, w2)
-    p1 = s.port(bind=b1)
-    p2 = s.port(bind=b2)
-    p3 = s.port(bind=b3)
-    p4 = s.port(bind=b4)
-    s.fresh_node([w1, p1, p2])
-    s.fresh_node([w2, p3, p4])
+    """Fresh wide edge whose ends carry the slots (b1 b2 b3 b4), read CCW
+    around it."""
+    w1, w2 = s.edge(wide=True)
+    s.node([w1, b1, b2])
+    s.node([w2, b3, b4])
+
+
+def _rewrite(g: PlanarMap, nodes, terms) -> list:
+    """A local relation that removes `nodes`, as (coefficient, graph, new id
+    of each half-edge of g) triples, one per (coefficient, gadget, arcs)
+    entry of `terms`: the term joins the four slots of `gadget` by a fresh
+    wide edge (`_new_gadget`) unless it is None, and pairs the slots of
+    each arc."""
+    out = []
+    for coeff, gadget, arcs in terms:
+        s = Surgery(g)
+        for v in nodes:
+            s.kill(v)
+        if gadget:
+            _new_gadget(s, *gadget)
+        for x, y in arcs:
+            s.pair(x, y)
+        out.append((coeff, *s.finish()))
+    return out
 
 
 def _digon_terms(g: PlanarMap, h1: int, h2: int) -> list:
     """Expand the 2-gon (std,std) face (h1, h2) by the wide-digon relation."""
-    C = constants()
     v1, v2 = g.node_of(h1), g.node_of(h2)
     w1 = g.nxt[h1]
     w2 = g.nxt[h2]
@@ -222,39 +227,17 @@ def _digon_terms(g: PlanarMap, h1: int, h2: int) -> list:
     a2 = g.nxt[a1]
     b1 = g.nxt[g.twin[w2]]
     b2 = g.nxt[b1]
-
-    def surgery() -> Surgery:
-        s = Surgery(g)
-        for n in (v1, v2, p2, q2):
-            s.kill(n)
-        return s
-
-    s = surgery()
-    s.pair(a2, b1)
-    s.pair(a1, b2)
-    through, m1 = s.finish(cls=type(g))
-
-    s = surgery()
-    s.pair(a1, a2)
-    s.pair(b1, b2)
-    across, m2 = s.finish(cls=type(g))
-
-    s = surgery()
-    _new_gadget(s, a1, a2, b1, b2)
-    gadget, m3 = s.finish(cls=type(g))
-
-    one = RingElem.one()
     AB = RingElem.mono(0, 1, 1)
     A_plus_B = RingElem.mono(0, 1, 0) + RingElem.mono(0, 0, 1)
-    return [
-        (one - AB, through, m1),
-        (C.gamma, across, m2),
-        (-(A_plus_B), gadget, m3),
-    ]
+    return _rewrite(g, (v1, v2, p2, q2), [
+        (RingElem.one() - AB, None, [(a2, b1), (a1, b2)]),  # through-strands
+        (constants().gamma, None, [(a1, a2), (b1, b2)]),    # across-arcs
+        (-A_plus_B, (a1, a2, b1, b2), []),                  # one gadget
+    ])
 
 
-def _compose(m1: dict[int, int], m2: dict[int, int]) -> dict[int, int]:
-    return {h: m2[v] for h, v in m1.items() if v in m2}
+def _compose(m1: list[int], m2: list[int]) -> list[int]:
+    return [v if v < 0 else m2[v] for v in m1]
 
 
 def apply_wide_digon(g: PlanarMap, face: tuple[int, ...]) -> list:
@@ -262,7 +245,7 @@ def apply_wide_digon(g: PlanarMap, face: tuple[int, ...]) -> list:
 
     The 3-gon and 4-gon variants are first straightened by rotating their
     boundary wide edges, which shortens the face without changing the value.
-    Returns (coefficient, graph, old half-edge id -> new id) triples.
+    Returns (coefficient, graph, new id of each half-edge of g) triples.
     """
     kind = _classify_face(g, face)
     if kind == "digon":
@@ -280,13 +263,13 @@ def apply_wide_digon(g: PlanarMap, face: tuple[int, ...]) -> list:
 
 
 def apply_rule(g: PlanarMap, kind: str, face: tuple[int, ...]) -> list:
-    """(coefficient, graph, old half-edge id -> new id) triples rewriting a
-    face: beta times the curl removed for a lollipop or curl2, the square
-    relation (`square_move`) for a "square", the rotated graph alone for a
-    "rotate" of the wide edge at (w,), else the wide-digon expansion."""
+    """(coefficient, graph, new id of each half-edge of g, -1 where
+    dropped) triples rewriting a face: beta times the curl removed for a
+    lollipop or curl2, the square relation (`square_move`) for a "square",
+    the rotated graph alone for a "rotate" of the wide edge at (w,), else
+    the wide-digon expansion."""
     if kind in ("lollipop", "curl2"):
-        reduced, idmap = apply_lollipop(g, face)
-        return [(constants().beta, reduced, idmap)]
+        return [(constants().beta, *apply_lollipop(g, face))]
     if kind == "square":
         return square_move(g, face)
     if kind == "rotate":
@@ -344,80 +327,56 @@ def is_square_face(g: PlanarMap, face: tuple[int, ...]) -> bool:
     return _match_square(g, face) is not None
 
 
-def _square_surgery(g: PlanarMap, face: tuple[int, ...]):
-    """The boundary strands (T1,T2,T3,B1,B2,B3) of the square at `face`,
-    and a maker of surgeries that remove its six nodes."""
+def square_flip(g: PlanarMap, face: tuple[int, ...]
+                ) -> tuple[PlanarTrivalentGraph, list[int]]:
+    """The flipped square alone (the c2 c1 c2 stack), with the new id of
+    each half-edge of g."""
     m = _match_square(g, face)
     if m is None:
         raise ValueError("face does not match the square configuration")
-    strands, nodes = m
-
-    def surgery() -> Surgery:
-        s = Surgery(g)
-        for n in nodes:
-            s.kill(n)
-        return s
-
-    return strands, surgery
-
-
-def square_flip(g: PlanarMap, face: tuple[int, ...]
-                ) -> tuple[PlanarTrivalentGraph, dict[int, int]]:
-    """The flipped square alone (the c2 c1 c2 stack), with the map from
-    old half-edge ids to new ones."""
-    (T1, T2, T3, B1, B2, B3), surgery = _square_surgery(g, face)
-    s = surgery()
-    wa1 = s.port(wide=True); wa2 = s.port(wide=True); s.fresh_twin(wa1, wa2)
-    wc1 = s.port(wide=True); wc2 = s.port(wide=True); s.fresh_twin(wc1, wc2)
-    we1 = s.port(wide=True); we2 = s.port(wide=True); s.fresh_twin(we1, we2)
-    bl = s.port(); cr = s.port(); s.fresh_twin(bl, cr)
-    dr = s.port(); el = s.port(); s.fresh_twin(dr, el)
-    br = s.port(); er = s.port(); s.fresh_twin(br, er)
-    aL = s.port(bind=T2); aR = s.port(bind=T3)
-    cL = s.port(bind=T1)
-    dL = s.port(bind=B1)
-    fL = s.port(bind=B2); fR = s.port(bind=B3)
-    s.fresh_node([wa1, aR, aL])      # top vertex of the upper gadget
-    s.fresh_node([wa2, bl, br])      # its lower vertex
-    s.fresh_node([wc1, cr, cL])      # middle gadget
-    s.fresh_node([wc2, dL, dr])
-    s.fresh_node([we1, er, el])      # lower gadget
-    s.fresh_node([we2, fL, fR])
-    return s.finish(cls=type(g))
+    (T1, T2, T3, B1, B2, B3), nodes = m
+    s = Surgery(g)
+    for v in nodes:
+        s.kill(v)
+    wa1, wa2 = s.edge(wide=True)
+    wc1, wc2 = s.edge(wide=True)
+    we1, we2 = s.edge(wide=True)
+    bl, cr = s.edge()
+    dr, el = s.edge()
+    br, er = s.edge()
+    s.node([T2, wa1, T3])           # top vertex of the upper gadget
+    s.node([wa2, bl, br])           # its lower vertex
+    s.node([wc1, cr, T1])           # middle gadget
+    s.node([wc2, B1, dr])
+    s.node([we1, er, el])           # lower gadget
+    s.node([we2, B2, B3])
+    return s.finish()
 
 
 def square_move(g: PlanarMap, face: tuple[int, ...]) -> list:
     """Rewrite a six-vertex square by the square relation.
 
-    Returns (coefficient, graph, old half-edge id -> new id) triples; the
-    first is the flipped square (`square_flip`).  The flipped term keeps the
-    vertex count; the other eight terms drop at least four vertices, so only
-    the flipped term can postpone reduction.
+    Returns (coefficient, graph, new id of each half-edge of g) triples;
+    the first is the flipped square (`square_flip`).  The flipped term
+    keeps the vertex count; the other eight terms drop at least four
+    vertices, so only the flipped term can postpone reduction.
     """
-    out = [(RingElem.one(), *square_flip(g, face))]
-    (T1, T2, T3, B1, B2, B3), surgery = _square_surgery(g, face)
-    C = constants()
+    flipped = (RingElem.one(), *square_flip(g, face))
+    (T1, T2, T3, B1, B2, B3), nodes = _match_square(g, face)
+    delta = constants().delta
     AB = RingElem.mono(0, 1, 1)
-
-    def term(coeff: RingElem, order, arcs: list[tuple[int, int]]) -> None:
-        s = surgery()
-        if order:
-            _new_gadget(s, *order)
-        for x, y in arcs:
-            s.pair(x, y)
-        out.append((coeff, *s.finish(cls=type(g))))
-
-    # - AB (c2 - c1 + t2 c1 - t1 c2 + c1 t2 - c2 t1)
-    term(-AB, (T3, T2, B2, B3), [(T1, B1)])              # c2
-    term(AB, (T2, T1, B1, B2), [(T3, B3)])               # c1
-    term(-AB, (B3, T1, B1, B2), [(T2, T3)])              # t2 c1
-    term(AB, (T3, B1, B2, B3), [(T1, T2)])               # t1 c2
-    term(-AB, (T2, T1, B1, T3), [(B2, B3)])              # c1 t2
-    term(AB, (T3, T2, T1, B3), [(B1, B2)])               # c2 t1
-    # - delta (t1 - t2)
-    term(-C.delta, None, [(T1, T2), (B1, B2), (T3, B3)])  # t1
-    term(C.delta, None, [(T2, T3), (B2, B3), (T1, B1)])   # t2
-    return out
+    return [flipped] + _rewrite(g, nodes, [
+        # - AB (c2 - c1 + t2 c1 - t1 c2 + c1 t2 - c2 t1)
+        (-AB, (T3, T2, B2, B3), [(T1, B1)]),              # c2
+        (AB, (T2, T1, B1, B2), [(T3, B3)]),               # c1
+        (-AB, (B3, T1, B1, B2), [(T2, T3)]),              # t2 c1
+        (AB, (T3, B1, B2, B3), [(T1, T2)]),               # t1 c2
+        (-AB, (T2, T1, B1, T3), [(B2, B3)]),              # c1 t2
+        (AB, (T3, T2, T1, B3), [(B1, B2)]),               # c2 t1
+        # - delta (t1 - t2)
+        (-delta, None, [(T1, T2), (B1, B2), (T3, B3)]),   # t1
+        (delta, None, [(T2, T3), (B2, B3), (T1, B1)]),    # t2
+    ])
 
 
 def _opens_digon(g: PlanarMap, strands, nodes) -> bool:

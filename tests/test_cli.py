@@ -166,7 +166,7 @@ def test_cache_hits_speed_repeat(no_debug_env, tmp_path, monkeypatch):
     assert calls["resolve_arrays"] == 3 ** 4 and calls["evaluate"] > 0
 
 
-def test_cache_corrupt(tmp_path, capsys):
+def test_cache_corrupt(no_debug_env, tmp_path, capsys):
     path = tmp_path / "cache.jsonl"
     path.write_text('{"signature": "not base64!!", "value": "0"}\n')
     ctx = EvalContext()
@@ -176,6 +176,19 @@ def test_cache_corrupt(tmp_path, capsys):
     # an empty cache file is all misses, not an error
     path.write_text("")
     assert cache_load(str(path), ctx) == 0
+    # a row whose value is not text, or text that does not parse ("" once
+    # read as 1), voids the whole file, and the next store replaces it
+    good = json.dumps({"diagram": "good", "value": "A"})
+    for value in (5, None, "", "  ", "-", "/(A-B)^2", "*A"):
+        bad = json.dumps({"diagram": "bad", "value": value})
+        path.write_text(f"{CACHE_VERSION}\n{good}\n{bad}\n")
+        assert cache_load(str(path), ctx) == 0
+        assert "corrupt" in capsys.readouterr().err
+        assert not ctx.results
+        assert main(["eval-braid", "1 1", "--cache", str(path)]) == 0
+        capsys.readouterr()
+        assert '"bad"' not in path.read_text()
+        assert cache_load(str(path), EvalContext()) > 0
 
 
 def test_cache_rejects_old_format(no_debug_env, tmp_path, capsys):

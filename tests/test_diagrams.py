@@ -182,12 +182,10 @@ def _widen(g, node):
     slots = [cyc[(k + j) % 4] for j in range(4)]
     s = Surgery(g)
     s.kill(node)
-    w1, w2 = s.port(wide=True), s.port(wide=True)
-    s.fresh_twin(w1, w2)
-    ports = [s.port(bind=h) for h in slots]
-    s.fresh_node([w1, ports[0], ports[1]])
-    s.fresh_node([w2, ports[2], ports[3]])
-    return s.finish(cls=type(g))
+    w1, w2 = s.edge(wide=True)
+    s.node([w1, slots[0], slots[1]])
+    s.node([w2, slots[2], slots[3]])
+    return s.finish()
 
 
 def _resolve_one_by_one(d, choices):
@@ -195,16 +193,16 @@ def _resolve_one_by_one(d, choices):
     for A and B, `_widen` for W."""
     g = REGraphDiagram(d.twin, d.nxt, d.wide, d.over, d.free_loops)
     marks = [d.nodes()[n][0] for n in d.crossing_nodes()]
-    for i, ch in enumerate(choices):
-        node = g.node_of(marks[i])
+    for ch in choices:
+        node = g.node_of(marks.pop(0))
         if ch == "W":
-            g, idmap = _widen(g, node)
+            g, ids = _widen(g, node)
         else:
             dead = set(g.nodes()[node])
-            idmap = {h: j for j, h in enumerate(
+            ids = {h: j for j, h in enumerate(
                 h for h in range(g.n_half) if h not in dead)}
             g = smooth_crossing(g, node, ch)
-        marks = [idmap.get(h) for h in marks]
+        marks = [ids[h] for h in marks]
     return g
 
 

@@ -191,10 +191,18 @@ def test_surgery_free_loop():
 
 
 def test_surgery_rejects_double_use():
-    th = build_theta()
-    s = Surgery(th)
-    s.kill(0)
-    s.kill(1)
-    s.pair(0, 1)
-    with pytest.raises(InvalidMap):
-        s.pair(0, 2)
+    """A slot (half-edge of a removed node) is used once, only slots and
+    fresh half-edges go on new nodes, and every fresh one goes on one."""
+    misuses = [
+        (lambda s: (s.pair(0, 2), s.pair(0, 4)), "used twice"),
+        (lambda s: (s.node([2]), s.node([2])), "used twice"),
+        (lambda s: (s.pair(0, 2), s.node([0])), "used twice"),
+        (lambda s: (s.node([2]), s.pair(2, 4)), "used twice"),
+        (lambda s: s.node([1]), "neither fresh nor a slot"),
+        (lambda s: (s.edge(), s.node([0, 2, 4]), s.finish()), "on no node"),
+    ]
+    for misuse, message in misuses:
+        s = Surgery(build_theta())
+        s.kill(0)               # slots 0, 2, 4; node 1 keeps 1, 3, 5
+        with pytest.raises(InvalidMap, match=message):
+            misuse(s)

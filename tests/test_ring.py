@@ -175,6 +175,16 @@ def test_text_round_trip(x):
     assert parse_ring_text(to_canonical_text(x)) == x
 
 
+@pytest.mark.parametrize("text", ["", "  ", "-", "/(A-B)^2", "()/(A-B)^1",
+                                  "*A", "A + *B", "-*A"])
+def test_parse_ring_text_rejects_malformed(text):
+    """No text reads as a value unless each of its terms is written out:
+    once "" and "  " read as 1, "-" as -1, a bare denominator as
+    1/(A-B)^d, and "*A" as A."""
+    with pytest.raises(ValueError):
+        parse_ring_text(text)
+
+
 # -- an independent reference kernel over {(ea, eA, eB): coeff} dicts ---------
 
 REF_D = {(0, 1, 0): 1, (0, 0, 1): -1}     # A - B

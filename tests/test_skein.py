@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import sys
@@ -115,10 +116,10 @@ def test_h_rotate_involution_and_invariance():
         w = rng.choice(wides)
         r1, m1 = h_rotate(g, w)
         assert evaluate(r1, EvalContext()) == evaluate(g, EvalContext())
-        w_back = [h for h in (m1.get(w), ) if h is not None]
+        assert len(m1) == g.n_half and m1[w] == m1[g.twin[w]] == -1
         # rotating the same edge again restores the graph
         new_w = [h for h in range(r1.n_half)
-                 if r1.wide[h] and h not in m1.values()]
+                 if r1.wide[h] and h not in m1]
         r2, _ = h_rotate(r1, new_w[0])
         assert canonical_signature(r2) == canonical_signature(g)
 
@@ -349,3 +350,41 @@ def test_deep_graph_needs_no_deep_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert value == C.beta ** k
+
+
+def test_rewrite_numbering_is_pinned():
+    """Every rule applied at every site of a fixed corpus numbers its
+    outputs as pinned here, whatever order an engine strategy takes."""
+    from dubrovnik.fourvalent import (_apply_curl4, _apply_digon4,
+                                      _face_kind4, triangle_flip4)
+    from dubrovnik.skein import _reducible_faces
+    rng = random.Random(7)
+    corpus = [random_trivalent_graph(rng, 12) for _ in range(20)]
+    corpus += dodecahedral_graphs(2)
+    corpus += matching_graphs(nx.truncated_cube_graph(), 1)
+    outs = []
+    for g in corpus:
+        for kind, face in _reducible_faces(g):
+            outs += [m for _, m, _ in apply_rule(g, kind, face)]
+        for w in range(g.n_half):
+            if g.wide[w] and w < g.twin[w]:
+                outs.append(h_rotate(g, w)[0])
+        for face in g.faces():
+            if is_square_face(g, face):
+                outs += [m for _, m, _ in square_move(g, face)]
+        g4 = collapse(g)
+        for face in g4.faces():
+            kind = _face_kind4(g4, face)
+            if kind == "curl":
+                outs.append(_apply_curl4(g4, face))
+            elif kind == "digon":
+                outs += [m for _, m in _apply_digon4(g4, face)]
+            elif kind == "triangle":
+                outs += [m for _, m in triangle_flip4(g4, face)]
+    digest = hashlib.sha256()
+    for m in outs:
+        digest.update(repr((type(m).__name__, m.twin, m.nxt, m.wide,
+                            sorted(m.over), m.free_loops)).encode())
+    assert len(outs) == 681
+    assert digest.hexdigest() == ("beaaeb8c8d4bd6b3e852b686b84d78bd"
+                                  "1ad650cdaf5e08abce096ef950dba9c5")
