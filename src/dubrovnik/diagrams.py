@@ -348,13 +348,13 @@ def mirror(d: PlanarMap) -> PlanarMap:
     return type(d)._build(d.twin, d.nxt, d.wide, over, d.free_loops)
 
 
-def connected_sum(d1: PlanarMap, h1: int, d2: PlanarMap, h2: int,
-                  cls=None) -> PlanarMap:
-    """Cut the standard edges at h1, h2 and join by two parallel arcs."""
+def connected_sum(d1: PlanarMap, h1: int, d2: PlanarMap, h2: int
+                  ) -> PlanarMap:
+    """Cut the standard edges at h1, h2 and join by two parallel arcs; the
+    class is d1's."""
     for d, h in ((d1, h1), (d2, h2)):
         if d.wide[h]:
             raise BadEdge("connected sum must cut a standard edge")
-    cls = cls or type(d1)
     off = d1.n_half
     g = disjoint_union(d1, d2)
     twin = list(g.twin)
@@ -362,7 +362,7 @@ def connected_sum(d1: PlanarMap, h1: int, d2: PlanarMap, h2: int,
     t2 = twin[h2 + off]
     twin[h1], twin[h2 + off] = h2 + off, h1
     twin[t1], twin[t2] = t2, t1
-    return cls(twin, g.nxt, g.wide, g.over, g.free_loops)
+    return type(d1)(twin, g.nxt, g.wide, g.over, g.free_loops)
 
 
 def switch_crossing(d: PlanarMap, node: int) -> PlanarMap:
@@ -552,98 +552,52 @@ class Tangle:
         return len(self.ends) // 2
 
     def signature(self) -> tuple:
-        """Rooted encoding pinned at the boundary, invariant under relabeling.
-
-        The walk from the boundary reaches only the pieces that touch it;
-        closed pieces, when there are any, add a fourth entry: the
-        canonical signature of the half-edges the walk left out.
-        """
+        """`maps.signature_of_arrays` rooted at the boundary, invariant
+        under relabeling: (free loops, encodings), the walk from `ends` in
+        order first, then the closed pieces it does not reach."""
         g = self.g
-        idx: dict[int, int] = {}
-        order: list[int] = []
-        for h in self.ends:
-            idx[h] = len(order)
-            order.append(h)
-        out = []
-        i = 0
-        while i < len(order):
-            h = order[i]
-            i += 1
-            for nb in (g.twin[h], g.nxt[h]):
-                if nb not in idx:
-                    idx[nb] = len(order)
-                    order.append(nb)
-            out.append((idx[g.twin[h]], idx[g.nxt[h]], g.wide[h]))
-        if len(order) == g.n_half:
-            return (self.n, g.free_loops, tuple(out))
-        rest = [h for h in range(g.n_half) if h not in idx]
-        at = {h: i for i, h in enumerate(rest)}
-        closed = signature_of_arrays([at[g.twin[h]] for h in rest],
-                                     [at[g.nxt[h]] for h in rest],
-                                     [g.wide[h] for h in rest], 0)
-        return (self.n, g.free_loops, tuple(out), closed)
+        return signature_of_arrays(g.twin, g.nxt, g.wide, g.free_loops,
+                                   self.ends)
+
+
+def _generator(n: int, i: int, kind: str | None) -> Tangle:
+    """The identity on n strands (kind None), or with strands (i, i+1),
+    1-based, replaced by a cup-cap ("t") or by the wide gadget ("c").  The
+    gadget's half-edges are numbered first, then the strands and the
+    cup-cap's arcs left to right."""
+    b = MapBuilder()
+    ends = [0] * (2 * n)                  # top left to right, then bottom
+    if kind == "c":
+        w1, w2 = b.edge(wide=True)
+        tl, tr, bl, br = (b.edge() for _ in range(4))
+        # upper vertex (w, right, left), lower vertex (w, left, right): CCW
+        b.node([w1, tr[0], tl[0]])
+        b.node([w2, bl[0], br[0]])
+        ends[i - 1], ends[i], ends[n + i - 1], ends[n + i] = \
+            tl[1], tr[1], bl[1], br[1]
+    for j in range(n):
+        if kind == "t" and j == i - 1:
+            ends[j], ends[j + 1] = b.edge()            # top arc
+            ends[n + j], ends[n + j + 1] = b.edge()    # bottom arc
+        elif not kind or not i - 1 <= j <= i:
+            ends[j], ends[n + j] = b.edge()
+    for h in ends:
+        b.node([h])
+    return Tangle(PlanarMap._build(*b._arrays()), ends)
 
 
 def identity_tangle(n: int) -> Tangle:
-    b = MapBuilder()
-    top, bot = [], []
-    for _ in range(n):
-        h1, h2 = b.edge()
-        b.node([h1])
-        b.node([h2])
-        top.append(h1)
-        bot.append(h2)
-    return Tangle(PlanarMap._build(*b._arrays()), top + bot)
+    return _generator(n, 0, None)
 
 
 def t_tangle(n: int, i: int) -> Tangle:
     """Cup-cap generator on strands (i, i+1), 1-based."""
-    b = MapBuilder()
-    top: list[int] = [0] * n
-    bot: list[int] = [0] * n
-    for j in range(1, n + 1):
-        if j == i:
-            h1, h2 = b.edge()        # top arc: endpoints i, i+1
-            h3, h4 = b.edge()        # bottom arc
-            for h in (h1, h2, h3, h4):
-                b.node([h])
-            top[j - 1], top[j] = h1, h2
-            bot[j - 1], bot[j] = h3, h4
-        elif j != i + 1:
-            h1, h2 = b.edge()
-            b.node([h1])
-            b.node([h2])
-            top[j - 1] = h1
-            bot[j - 1] = h2
-    return Tangle(PlanarMap._build(*b._arrays()), top + bot)
+    return _generator(n, i, "t")
 
 
 def c_tangle(n: int, i: int) -> Tangle:
     """Wide-edge generator on strands (i, i+1), 1-based."""
-    b = MapBuilder()
-    top: list[int] = [0] * n
-    bot: list[int] = [0] * n
-    w1, w2 = b.edge(wide=True)
-    tl, tl2 = b.edge()
-    tr, tr2 = b.edge()
-    bl, bl2 = b.edge()
-    br, br2 = b.edge()
-    # upper vertex (w, right, left), lower vertex (w, left, right): CCW
-    b.node([w1, tr, tl])
-    b.node([w2, bl, br])
-    for h in (tl2, tr2, bl2, br2):
-        b.node([h])
-    top[i - 1], top[i] = tl2, tr2
-    bot[i - 1], bot[i] = bl2, br2
-    for j in range(1, n + 1):
-        if j in (i, i + 1):
-            continue
-        h1, h2 = b.edge()
-        b.node([h1])
-        b.node([h2])
-        top[j - 1] = h1
-        bot[j - 1] = h2
-    return Tangle(PlanarMap._build(*b._arrays()), top + bot)
+    return _generator(n, i, "c")
 
 
 def _join_ends(g: PlanarMap, tops: list[int], bots: list[int],

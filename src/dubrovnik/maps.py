@@ -28,6 +28,11 @@ their loose slots by arcs, and puts slots straight onto new nodes joined
 by fresh edges.  `diagrams.stack` and `diagrams.close_tangle` splice
 tangle endpoints.  Rewrites are therefore pure functions from maps to
 maps.
+
+One encoder signs closed graphs and open tangles alike
+(`signature_of_arrays`): a closed component is walked from canonically
+chosen roots, a tangle's boundary from its endpoints in order, and both
+give a key (free loops, encodings).
 """
 
 from __future__ import annotations
@@ -233,8 +238,10 @@ _POS_BITS = 20
 
 
 def _encode_from(twin: list[int], nxt: list[int], wide: list[bool],
-                 h0: int, best: tuple | None = None) -> tuple | None:
-    """Deterministic rooted encoding of one component starting at h0.
+                 roots, best: tuple | None = None) -> tuple | None:
+    """Deterministic encoding of the half-edges reachable from `roots`,
+    which take walk positions 0, 1, ... in their order: one root for a
+    closed component, a tangle's endpoints for its boundary.
 
     The encoding holds one integer per half-edge in walk order,
     a << 21 | b << 1 | wide, where a and b are the walk positions of its
@@ -242,14 +249,15 @@ def _encode_from(twin: list[int], nxt: list[int], wide: list[bool],
     whatever the map's size, so an integer determines its triple, and
     integers compare as the (a, b, wide) triples would.
 
-    Given `best`, an encoding of the same component, the walk returns None
-    as soon as its prefix exceeds best's, so only an encoding no larger
-    than `best` is ever completed.
+    Given `best`, an encoding from other roots of the same half-edges, the
+    walk returns None as soon as its prefix exceeds best's, so only an
+    encoding no larger than `best` is ever completed.
     """
     shift = _POS_BITS + 1
     pos = [-1] * len(twin)
-    pos[h0] = 0
-    order = [h0]
+    order = list(roots)
+    for i, r in enumerate(order):
+        pos[r] = i
     out = []
     tied = best is not None
     # `order` grows while it is walked: a list iterator reads its length
@@ -273,6 +281,24 @@ def _encode_from(twin: list[int], nxt: list[int], wide: list[bool],
     return tuple(out)
 
 
+def _reach(twin: list[int], nxt: list[int], seen: list[bool], roots
+           ) -> list[int]:
+    """The half-edges reachable from `roots` by twin and nxt, roots first,
+    that `seen` did not yet mark; marks them."""
+    comp = list(roots)
+    for h in comp:
+        seen[h] = True
+    for h in comp:                      # comp grows while it is walked
+        t, x = twin[h], nxt[h]
+        if not seen[t]:
+            seen[t] = True
+            comp.append(t)
+        if not seen[x]:
+            seen[x] = True
+            comp.append(x)
+    return comp
+
+
 def _face_lengths(twin: list[int], nxt: list[int]) -> list[int]:
     """Length of the face (orbit of h -> nxt[twin[h]]) through each half-edge."""
     flen = [0] * len(twin)
@@ -291,8 +317,9 @@ def _face_lengths(twin: list[int], nxt: list[int]) -> list[int]:
 
 
 def signature_of_arrays(twin: list[int], nxt: list[int], wide: list[bool],
-                        free_loops: int) -> tuple:
-    """Canonical signature computed straight from the map arrays.
+                        free_loops: int, ends=()) -> tuple:
+    """Canonical signature computed straight from the map arrays: the pair
+    (free-loop count, encodings), one encoding per component.
 
     A component is encoded by the least of its rooted encodings over a set
     of candidate roots.  The signature is canonical when every
@@ -309,35 +336,42 @@ def signature_of_arrays(twin: list[int], nxt: list[int], wide: list[bool],
     remain, flen being the length of the face through a half-edge.
     Isomorphisms carry faces to faces of the same length, so they keep
     colours, and the least class is again such a set.  Reflections are not
-    identified.  The signature is the pair (free-loop count, sorted
-    component encodings): the state sum signs states that differ only in
-    free loops once, and the engine reads a keyed piece's number of
-    components from it.  Each encoding is a tuple of one integer per
-    half-edge (`_encode_from`), whose fixed fields bound the map below
-    2**20 half-edges; a larger map raises ValueError.  Signatures are keys
-    of in-process memo tables only; nothing persists them, so the choice of
-    roots and the encoding may change freely.
+    identified.  The component encodings are sorted.
+
+    `ends`, a tangle's endpoints in boundary order, pins the walk of the
+    half-edges reachable from them: those get one encoding, walked from
+    `ends` in order with no choice of root, and it comes first, before the
+    sorted encodings of the closed pieces.  An endpoint is alone on its
+    node, which no half-edge of a closed trivalent piece is, so a boundary
+    encoding never equals a closed piece's, and its entries for the
+    endpoints fix len(ends).  So open tangles and closed graphs share one
+    key shape, and the engine reads from the number of encodings whether
+    anything falls away.
+
+    The free-loop count is kept apart because the state sum signs states
+    that differ only in free loops once.  Each encoding is a tuple of one
+    integer per half-edge (`_encode_from`), whose fixed fields bound the
+    map below 2**20 half-edges; a larger map raises ValueError.  Signatures
+    are keys of in-process memo tables only; nothing persists them, so the
+    choice of roots and the encoding may change freely.
     """
     n = len(twin)
     if n >= 1 << _POS_BITS:
         raise ValueError(f"a signature takes fewer than 2**{_POS_BITS} "
                          f"half-edges, not {n}")
+    boundary = ()
     seen = [False] * n
+    if ends:
+        boundary = (_encode_from(twin, nxt, wide, ends),)
+        if len(boundary[0]) == n:
+            return (free_loops, boundary)
+        _reach(twin, nxt, seen, ends)
     flen = None
     encs = []
     for h0 in range(n):
         if seen[h0]:
             continue
-        seen[h0] = True
-        comp = [h0]
-        for h in comp:                  # comp grows while it is walked
-            t, x = twin[h], nxt[h]
-            if not seen[t]:
-                seen[t] = True
-                comp.append(t)
-            if not seen[x]:
-                seen[x] = True
-                comp.append(x)
+        comp = _reach(twin, nxt, seen, (h0,))
         roots = [h for h in comp if wide[h]] or comp
         if len(roots) > 2:
             if flen is None:
@@ -348,12 +382,12 @@ def signature_of_arrays(twin: list[int], nxt: list[int], wide: list[bool],
             roots = [r for r, c in zip(roots, colours) if c == least]
         best = None
         for r in roots:
-            enc = _encode_from(twin, nxt, wide, r, best)
+            enc = _encode_from(twin, nxt, wide, (r,), best)
             if enc is not None:
                 best = enc
         encs.append(best)
     encs.sort()
-    return (free_loops, tuple(encs))
+    return (free_loops, boundary + tuple(encs))
 
 
 def canonical_signature(g: PlanarMap) -> tuple:
@@ -555,12 +589,11 @@ def splice(twin: list[int], nxt: list[int], wide: list[bool], over,
             new)
 
 
-def disjoint_union(g1: PlanarMap, g2: PlanarMap, cls=None) -> PlanarMap:
-    """g1 beside g2, g2's half-edges numbered after g1's; the class is g1's
-    unless `cls` is given."""
+def disjoint_union(g1: PlanarMap, g2: PlanarMap) -> PlanarMap:
+    """g1 beside g2, of g1's class, g2's half-edges numbered after g1's."""
     off = g1.n_half
     twin = g1.twin + [t + off for t in g2.twin]
     nxt = g1.nxt + [n + off for n in g2.nxt]
     over = frozenset(g1.over) | frozenset(h + off for h in g2.over)
-    return (cls or type(g1))._build(twin, nxt, g1.wide + g2.wide, over,
-                                    g1.free_loops + g2.free_loops)
+    return type(g1)._build(twin, nxt, g1.wide + g2.wide, over,
+                           g1.free_loops + g2.free_loops)

@@ -449,7 +449,7 @@ def _search_moves(g: PlanarMap):
 SEARCH_BUDGET = 50000
 
 
-def alternating_walk_reduce(g: PlanarTrivalentGraph, ctx=None, sig=None
+def alternating_walk_reduce(g: PlanarTrivalentGraph, rng=None
                             ) -> tuple[str, tuple[int, ...]] | None:
     """The first move, as (kind, face), of a shortest script of wide-edge
     rotations ("rotate", (w,)) and square flips ("square", face) that
@@ -460,19 +460,14 @@ def alternating_walk_reduce(g: PlanarTrivalentGraph, ctx=None, sig=None
     region bounded by at most two strands; clearing it with these moves
     always succeeds, so the search terminates (`SEARCH_BUDGET` is an
     implementation-bug guard, not a mathematical limit).  The script is a
-    shortest one whatever order `ctx.rng` shuffles the moves into, so
-    applying its first move leaves a graph whose shortest script is one
-    move shorter.  Graphs are signed through `ctx.signature`, so the
-    engine, rebuilding the graph of the move it applies, finds its
-    signature in the table.  `sig` is g's canonical signature when the
-    caller already has it.  With no context a fresh one is used.
+    shortest one whatever order a `random.Random` `rng` shuffles the moves
+    into, so applying its first move leaves a graph whose shortest script
+    is one move shorter.  The search keeps its own set of signatures
+    (`signature_of_arrays`) and writes nothing into a context's table.
     """
     if reducible_face(g) is not None:
         return None
-    ctx = ctx or EvalContext()
-    rng = ctx.rng
-    seen = {ctx.signature(g.twin, g.nxt, g.wide, g.free_loops)
-            if sig is None else sig}
+    seen = {signature_of_arrays(g.twin, g.nxt, g.wide, g.free_loops)}
     frontier = deque([(g, None)])
     explored = 0
     while frontier:
@@ -486,8 +481,8 @@ def alternating_walk_reduce(g: PlanarTrivalentGraph, ctx=None, sig=None
                 nxt_g, _ = h_rotate(cur, face[0])
             else:
                 nxt_g, _ = square_flip(cur, face)
-            sig = ctx.signature(nxt_g.twin, nxt_g.nxt, nxt_g.wide,
-                                nxt_g.free_loops)
+            sig = signature_of_arrays(nxt_g.twin, nxt_g.nxt, nxt_g.wide,
+                                      nxt_g.free_loops)
             if sig in seen:
                 continue
             seen.add(sig)
@@ -518,10 +513,12 @@ class EvalContext:
     recomputes a row found there and compares).  `signatures` maps literal
     (twin, nxt, wide) arrays to their component encodings, so that
     `signature` signs each literal array once per context: the state sum's
-    distinct states, every closed piece of the engine, the graphs valued
-    by `evaluate` and the move search's candidates.  A signature does not
-    depend on the strategy, so the table is kept under `rng` too; debug
-    mode recomputes a signature found there and compares.  In `stats`:
+    distinct states, every closed piece of the engine (the graph of each
+    move applied included) and the graphs valued by `evaluate`.  The move
+    search's candidates are signed outside it, so a search adds only what
+    the engine keeps.  A signature does not depend on the strategy, so the
+    table is kept under `rng` too; debug mode recomputes a signature found
+    there and compares.  In `stats`:
 
     * "components" counts the closed connected pieces the engine expanded
       (each distinct piece of one reduction once, and each move of the
@@ -634,14 +631,13 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
 
     Each kept piece waits in a level keyed by its half-edge count, merged
     by signature: `EvalContext.signature` for a closed graph,
-    `Tangle.signature` for an open tangle.  Every piece is signed first
-    and split (`_split`) only when its signature shows that something
-    falls away.  A closed piece is split when its signature shows more
-    than one component or none; a connected one folds its free loops into
-    its coefficient as alpha^loops and waits under the signature without
-    them.  An open tangle is split when its signature shows a free loop or
-    half-edges that the walk from its boundary did not reach; most open
-    tangles drop nothing.
+    `Tangle.signature` for an open tangle, both (free loops, encodings)
+    from `maps.signature_of_arrays`.  Every piece is signed first, and one
+    rule reads the key: a piece with one encoding (a connected closed
+    graph, or a tangle whose boundary walk reaches every half-edge) folds
+    its free loops into its coefficient as alpha^loops and waits under the
+    key without them; any other is split (`_split`).  Most pieces drop
+    nothing.
 
     A level holds factor pairs (the parent's coefficient, the rule's
     coefficient times what fell away), and a piece's coefficient is formed
@@ -676,17 +672,14 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
     def put(x: RingElem, y: RingElem, t: Tangle, key=None) -> None:
         """Queue t, whose signature is `key` when the caller has it."""
         key = key or sign(t)
-        if t.ends:
-            # the boundary walk left out a piece, or there is a free loop
-            drops = len(key) > 3 or key[1]
-        elif len(key[1]) == 1 and key[0]:
-            g = t.g
-            y = y * constants().alpha ** key[0]
-            t = Tangle(type(g)._build(g.twin, g.nxt, g.wide, g.over, 0), [])
-            key, drops = (0, key[1]), False
+        if len(key[1]) == 1:
+            if key[0]:
+                g = t.g
+                y = y * constants().alpha ** key[0]
+                t = Tangle(type(g)._build(g.twin, g.nxt, g.wide, g.over, 0),
+                           t.ends)
+                key = (0, key[1])
         else:
-            drops = len(key[1]) != 1
-        if drops:
             f, t = _split(t, ctx)
             if f is not None:
                 y = y * f
@@ -723,7 +716,7 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
                     reduced.append((c, key, t))
                     continue
                 else:
-                    found = alternating_walk_reduce(g, ctx, key)
+                    found = alternating_walk_reduce(g, ctx.rng)
             if not t.ends:
                 ctx.stats["components"] += 1
             kind, face = found

@@ -116,10 +116,11 @@ def test_signature_classes_match_the_brute_force_oracle():
     assert len(set(oracle)) < len(maps) // 2
 
 
-def _tuple_encode_from(twin, nxt, wide, h0, best=None):
+def _tuple_encode_from(twin, nxt, wide, roots, best=None):
     """The rooted encoding as (a, b, wide) triples, the form the packed
     integers replace: an oracle for them."""
-    label, order = {h0: 0}, [h0]
+    order = list(roots)
+    label = {h: i for i, h in enumerate(order)}
     for h in order:                       # order grows while walked
         for x in (twin[h], nxt[h]):
             if x not in label:
