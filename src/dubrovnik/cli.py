@@ -12,16 +12,15 @@ Exit codes: 0 success, 1 computation error, 2 verification failure.
 
 DUBROVNIK_DEBUG=1 turns on debug mode: every map the program derives is
 validated like an input map, a state sum signs every state and checks that
-a link's value depends on z = A - B only, the reduction engine recomputes
-the signature handed to it with each distinct state, every signature
-served from the context's table of literal arrays
-(`skein.EvalContext.signature`) is recomputed, every memoized transition
-row of the braid sweep is recomputed, and a diagram value found in the
-context (from the cache or from an earlier job) is recomputed and compared
-instead of served.  A mismatch raises `skein.InternalError`.  Debug mode
-reads the cache to check it and never writes it.  The variable is read
-once per job, and once per call of an engine entry point
-(`maps.reads_debug_once`), not once per map built.
+a link's value depends on z = A - B only, every signature served from the
+context's table of literal arrays (`skein.EvalContext.signature`) is
+recomputed, every memoized transition row of the braid sweep is
+recomputed, and a diagram value found in the context (from the cache or
+from an earlier job) is recomputed and compared instead of served.  A
+mismatch raises `skein.InternalError`.  Debug mode reads the cache to
+check it and never writes it.  The variable is read once per job, and
+once per call of an engine entry point (`maps.reads_debug_once`), not
+once per map built.
 
 The optional cache is a JSON-lines file.  Its first line names the file
 format; a file whose first line is missing or different is reported and
@@ -53,8 +52,8 @@ from .fourvalent import kauffman_via_4valent
 from .invariants import kauffman_state_sum, n2_closed_form, normalized
 from .maps import (InvalidMap, NonPlanar, PlanarMap, debug_mode,
                    reads_debug_once)
-from .ring import (RingElem, parse_ring_text, qlaurent_text, specialize_soN,
-                   to_canonical_text)
+from .ring import (LaurentPoly, RingElem, parse_ring_text, qlaurent_text,
+                   specialize_soN, to_canonical_text)
 from .skein import EvalContext
 
 
@@ -87,6 +86,8 @@ class JobSpec:
             raise ValueError("--normalized requires a braid input")
         if self.so_n is not None and self.so_n < 2:
             raise ValueError("N must be at least 2")
+        if self.max_crossings < 0:
+            raise ValueError("the crossing ceiling must be at least 0")
         if self.fmt not in ("text", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
         if self.n2_fast and self.so_n not in (None, 2):
@@ -245,9 +246,7 @@ def _render(doc: dict, job: JobSpec) -> str:
     if doc.get("value") is not None:
         terms = {(t["expa"], t["expA"], t["expB"]): t["coeff"]
                  for t in doc["value"]["terms"]}
-        from .ring import LaurentPoly
-        val = RingElem(LaurentPoly(terms), doc["value"]["denomPow"],
-                       _canonical=True)
+        val = RingElem(LaurentPoly(terms), doc["value"]["denomPow"])
         lines.append(to_canonical_text(val))
     if "specialized" in doc:
         lines.append(doc["specialized"])
@@ -257,7 +256,7 @@ def _render(doc: dict, job: JobSpec) -> str:
 # -- argument parsing ----------------------------------------------------------------
 
 def _add_common(p: argparse.ArgumentParser, graph: bool = False) -> None:
-    p.add_argument("input", help="diagram text")
+    p.add_argument("text", metavar="input", help="diagram text")
     p.add_argument("--so-n", type=int, default=None, metavar="N",
                    help="specialize to the SO(N) polynomial in q")
     p.add_argument("--mirror", action="store_true",
@@ -265,30 +264,15 @@ def _add_common(p: argparse.ArgumentParser, graph: bool = False) -> None:
     p.add_argument("--oracle-check", action="store_true",
                    help="also run the 4-valent path and compare")
     p.add_argument("--max-crossings", type=int, default=14)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--cache", default=None, metavar="PATH",
+    p.add_argument("--format", dest="fmt", choices=("text", "json"),
+                   default="text")
+    p.add_argument("--cache", dest="cache_path", default=None, metavar="PATH",
                    help="JSON-lines evaluation cache")
     p.add_argument("--trace", action="store_true",
                    help="report the reduction trace (JSON, stderr)")
     if graph:
         p.add_argument("--n2-fast", action="store_true",
                        help="use the N=2 closed form (crossingless input only)")
-
-
-def _job_from_args(kind: str, args) -> JobSpec:
-    return JobSpec(
-        kind=kind,
-        text=args.input,
-        so_n=args.so_n,
-        n2_fast=getattr(args, "n2_fast", False),
-        mirror=args.mirror,
-        normalized=getattr(args, "normalized", False),
-        oracle_check=args.oracle_check,
-        max_crossings=args.max_crossings,
-        fmt=args.format,
-        cache_path=args.cache,
-        trace=args.trace,
-    )
 
 
 def main(argv=None) -> int:
@@ -358,8 +342,10 @@ def main(argv=None) -> int:
         return rc
 
     kind = {"eval-braid": "braid", "eval-pd": "pd", "eval-graph": "regraph"}
+    fields = vars(args)
     try:
-        job = _job_from_args(kind[args.command], args)
+        # each remaining argparse destination is a JobSpec field
+        job = JobSpec(kind=kind[fields.pop("command")], **fields)
         doc = run(job)
     except (ParseError, InvalidMap, NonPlanar, CeilingExceeded,
             ValueError, OSError) as e:

@@ -11,9 +11,10 @@ computed there directly from the graphical-calculus relations:
 
 The pattern matchers and rewrites here are written independently of the
 trivalent engine (sharing only the coefficient ring and the map substrate),
-so agreement of the two paths is a genuine cross-check.  Links get a third
-route: resolve each crossing into the two smoothings plus a rigid 4-valent
-vertex and sum the weighted evaluations.
+so agreement of the two paths is a genuine cross-check.  Diagrams get a
+third route: resolve each crossing into the two smoothings plus a rigid
+4-valent vertex, contract each wide edge of a knotted graph the same way,
+and sum the weighted evaluations (Kauffman-Vogel's rigid-vertex calculus).
 """
 
 from __future__ import annotations
@@ -284,14 +285,22 @@ def _eval_component4(g: Planar4Graph, ctx: OracleContext) -> RingElem:
 
 
 def kauffman_via_4valent(d: PlanarMap, ctx: OracleContext | None = None) -> RingElem:
-    """State sum with a rigid 4-valent vertex as the third resolution."""
+    """State sum with a rigid 4-valent vertex as the third resolution; the
+    diagram's wide edges are contracted to rigid vertices in every state."""
     from .diagrams import _crossing_rotation
     ctx = ctx or _ORACLE_CTX
     import itertools
     cnodes = d.crossing_nodes()
+    wides = [w for w in range(d.n_half) if d.wide[w] and w < d.twin[w]]
     total = RingElem.zero()
     for choices in itertools.product("ABW", repeat=len(cnodes)):
         s = Surgery(d)
+        for w in wides:
+            # the diagram's own wide edges contract as in `collapse`
+            x1, y1 = d.nxt[w], d.nxt[d.twin[w]]
+            s.kill(d.node_of(w))
+            s.kill(d.node_of(d.twin[w]))
+            s.node([x1, d.nxt[x1], y1, d.nxt[y1]])
         na = nb = 0
         for node, ch in zip(cnodes, choices):
             r0, r1, r2, r3 = _crossing_rotation(d, node)

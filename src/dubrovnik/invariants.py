@@ -81,14 +81,15 @@ def kauffman_state_sum(d: PlanarMap, ctx: EvalContext | None = None) -> Invarian
       and equal signatures pool their weights.
 
     The distinct states, counted in `ctx.stats["distinct_states"]`, then go
-    to one `evaluate` call as keyed terms (weight, graph, signature), so the
-    engine does not sign them again; it reduces them together, and a piece
-    that several states reach is expanded once.  A rule's output that
-    repeats the literal arrays of a state is found in the table.  In debug
-    mode (`DUBROVNIK_DEBUG` set) every state is signed as well, and the
-    table recomputes each repeat, so a literal state met with two
-    signatures raises InternalError, as does the value of a diagram with no
-    trivalent vertex (a link) that fails `ring.depends_on_z_only`.
+    to one `evaluate` call as (weight, graph) pairs; the engine signs each
+    one itself, a lookup that the table already holds, reduces them
+    together, and expands a piece that several states reach once.  A
+    rule's output that repeats the literal arrays of a state is found in
+    the table too.  In debug mode (`DUBROVNIK_DEBUG` set) every state is
+    signed as well, and the table recomputes each repeat, so a literal
+    state met with two signatures raises InternalError, as does the value
+    of a diagram with no trivalent vertex (a link) that fails
+    `ring.depends_on_z_only`.
 
     The whole-diagram value is kept in `ctx.results` under
     `diagram_job_key(d)`; a repeat of the same diagram in the same context
@@ -129,10 +130,8 @@ def kauffman_state_sum(d: PlanarMap, ctx: EvalContext | None = None) -> Invarian
             mono = (0, na, nb)
             weight[mono] = weight.get(mono, 0) + n
     ctx.stats["distinct_states"] += len(by_sig)
-    # A weight over (A-B)^0 is canonical as it stands.
-    value = evaluate([(RingElem(LaurentPoly(weight), 0, _canonical=True),
-                       PlanarTrivalentGraph._build(*shape, frozenset(), sig[0]),
-                       sig)
+    value = evaluate([(RingElem(LaurentPoly(weight)),
+                       PlanarTrivalentGraph._build(*shape, frozenset(), sig[0]))
                       for sig, (weight, shape) in by_sig.items()], ctx)
     if debug and d.vertex_count() == 0 and not depends_on_z_only(value):
         raise InternalError("a link value depends on more than z = A - B")

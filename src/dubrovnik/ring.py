@@ -136,10 +136,6 @@ class LaurentPoly:
         return _Terms(self._t)
 
     @staticmethod
-    def zero() -> "LaurentPoly":
-        return _poly({}, 0)
-
-    @staticmethod
     def const(n: int) -> "LaurentPoly":
         return _poly({0: n} if n else {}, 0)
 
@@ -156,17 +152,8 @@ class LaurentPoly:
     def __hash__(self) -> int:
         return hash(frozenset(self._t.items()))
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return _poly(_add(self._t, other._t), max(self._deg, other._deg))
-
     def __neg__(self) -> "LaurentPoly":
         return _poly({k: -c for k, c in self._t.items()}, self._deg)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return _mul(self, other)
 
     def __repr__(self) -> str:
         return f"LaurentPoly({dict(self.terms.items())!r})"
@@ -276,14 +263,18 @@ def _quotient(t: dict[int, int]) -> dict[int, int] | None:
 
 
 class RingElem:
-    """Canonical element num / (A - B)^dpow of the localized Laurent ring."""
+    """Canonical element num / (A - B)^dpow of the localized Laurent ring.
+
+    The constructor always brings num / (A - B)^dpow to canonical form; a
+    power of 0 is canonical as it stands.
+    """
 
     __slots__ = ("num", "dpow")
 
-    def __init__(self, num: LaurentPoly, dpow: int = 0, _canonical: bool = False):
+    def __init__(self, num: LaurentPoly, dpow: int = 0):
         if dpow < 0:
             raise ValueError("denominator power must be non-negative")
-        if not _canonical:
+        if dpow:
             num, dpow = _normalize(num, dpow)
         self.num = num
         self.dpow = dpow
@@ -391,7 +382,8 @@ class RingElem:
 
 
 def _elem(num: LaurentPoly, dpow: int) -> RingElem:
-    """A RingElem from a numerator and power already in canonical form."""
+    """A RingElem from a numerator and power already in canonical form:
+    the one builder that skips normalization, private to the ring."""
     x = _new(RingElem)
     x.num = num
     x.dpow = dpow
@@ -511,7 +503,7 @@ R_A = RingElem.mono(0, 1, 0)
 R_B = RingElem.mono(0, 0, 1)
 R_a = RingElem.mono(1, 0, 0)
 R_a_inv = RingElem.mono(-1, 0, 0)
-R_A_minus_B = RingElem(_D, 0, _canonical=True)
+R_A_minus_B = _elem(_D, 0)
 
 
 class Constants:
@@ -684,43 +676,21 @@ def to_canonical_text(x: RingElem) -> str:
 
 
 # A term as to_canonical_text writes it: sign, coefficient, then a, A and B
-# each at most once and in this order.  Any other term is read through
-# _TERM and _VAR, which allow each variable any number of times.  Both
-# begin with a lookahead, so a term is never empty and never begins with
-# "*".  The patterns are compiled on first use (re caches them), not at
-# import.
+# each at most once and in this order.  The lookahead keeps a term from
+# being empty or beginning with "*".  The pattern is compiled on first use
+# (re caches it), not at import.
 _CANON_TERM = (r"(-?)(?=[\daAB])(\d*)(?:\*?(a)(?:\^(-?\d+))?)?"
                r"(?:\*?(A)(?:\^(-?\d+))?)?(?:\*?(B)(?:\^(-?\d+))?)?")
-_TERM = r"^(?=[\daAB])(?P<coeff>\d+)?(?P<vars>(?:\*?[aAB](?:\^-?\d+)?)*)$"
-_VAR = r"([aAB])(?:\^(-?\d+))?"
-
-
-def _general_term(tok: str) -> tuple[int, int, int, int]:
-    """(coeff, ea, eA, eB) of one term, its sign included in coeff."""
-    tok = tok.strip()
-    sgn = 1
-    if tok.startswith("-"):
-        sgn = -1
-        tok = tok[1:]
-    mt = re.match(_TERM, tok)
-    if not mt:
-        raise ValueError(f"bad term {tok!r}")
-    coeff = int(mt.group("coeff")) if mt.group("coeff") else 1
-    ea = eA = eB = 0
-    for name, exp in re.findall(_VAR, mt.group("vars") or ""):
-        e = int(exp) if exp else 1
-        if name == "a":
-            ea += e
-        elif name == "A":
-            eA += e
-        else:
-            eB += e
-    return sgn * coeff, ea, eA, eB
 
 
 def parse_ring_text(text: str) -> RingElem:
-    """Parse the canonical text grammar back into a RingElem; malformed
-    text (an empty term, a term that begins with "*") raises ValueError."""
+    """Parse what `to_canonical_text` writes back into a RingElem.
+
+    Every term must match the canonical term grammar; any other term (an
+    empty one, one that begins with "*", or one that repeats a variable or
+    writes them out of order, like "B*A") raises ValueError.  An exponent
+    past `MAX_EXPONENT` raises OverflowError.
+    """
     text = text.strip()
     if text == "0":
         return RingElem.zero()
@@ -732,34 +702,31 @@ def parse_ring_text(text: str) -> RingElem:
         if text.startswith("(") and text.endswith(")"):
             text = text[1:-1]
     toks = re.split(r"\s+(\+|-)\s+", text)
-    # A term's exponents are sums of exponents written in the text, so this
-    # bounds them all; only a text past the packable range checks each term.
-    deg = sum(map(abs, map(int, re.findall(r"\^(-?\d+)", text)))) + len(text)
-    checked = deg > MAX_EXPONENT
+    # Each variable appears at most once in a term, so the largest exponent
+    # written (or 1, left implicit) bounds every exponent.
+    deg = max([1, *map(abs, map(int, re.findall(r"\^(-?\d+)", text)))])
+    if deg > MAX_EXPONENT:
+        raise OverflowError(f"exponent {deg} is out of range")
     terms: dict[int, int] = {}
     get = terms.get
     canon = re.compile(_CANON_TERM).fullmatch
     for i in range(0, len(toks), 2):
-        tok = toks[i]
-        mt = canon(tok)
-        if mt:
-            neg, coeff, a, xa, A, xA, B, xB = mt.groups()
-            coeff = int(coeff) if coeff else 1
-            if neg:
-                coeff = -coeff
-            ea = int(xa or 1) if a else 0
-            eA = int(xA or 1) if A else 0
-            eB = int(xB or 1) if B else 0
-        else:
-            coeff, ea, eA, eB = _general_term(tok)
+        mt = canon(toks[i])
+        if mt is None:
+            raise ValueError(f"bad term {toks[i]!r}")
+        neg, coeff, a, xa, A, xA, B, xB = mt.groups()
+        coeff = int(coeff) if coeff else 1
+        if neg:
+            coeff = -coeff
         if i and toks[i - 1] == "-":
             coeff = -coeff
-        key = _pack(ea, eA, eB) if checked else (ea * _S + eA) * _S + eB
+        ea = int(xa or 1) if a else 0
+        eA = int(xA or 1) if A else 0
+        eB = int(xB or 1) if B else 0
+        key = (ea * _S + eA) * _S + eB
         s = get(key, 0) + coeff
         if s:
             terms[key] = s
         elif key in terms:
             del terms[key]
-    if checked:
-        deg = _degree(terms)
     return RingElem(_poly(terms, deg), dpow)

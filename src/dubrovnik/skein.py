@@ -65,14 +65,13 @@ class InternalError(RuntimeError):
 
     Raised when the fallback search exhausts its budget or its space, when
     one signature meets two values in the memo, and by the debug-mode
-    checks: a keyed term whose signature is not its graph's, a signature
-    served from `EvalContext.signatures` that differs from its
-    recomputation (which also catches a literal state met with two
-    signatures), a link value that depends on more than
-    z = A - B, a stored diagram value or memoized transition row that
-    differs from its recomputation, a square flip whose predicted wide
-    digon is not what its built term shows, and a braid twist region
-    whose combination leaves the identity, cup-cap and wide gadget.
+    checks: a signature served from `EvalContext.signatures` that differs
+    from its recomputation (which also catches a literal state met with
+    two signatures), a link value that depends on more than z = A - B, a
+    stored diagram value or memoized transition row that differs from its
+    recomputation, a square flip whose predicted wide digon is not what
+    its built term shows, and a braid twist region whose combination
+    leaves the identity, cup-cap and wide gadget.
     """
 
 
@@ -624,10 +623,10 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
     signature, tangle) triples of distinct open tangles with no reducible
     face away from their boundary.
 
-    A closed term may come keyed, as (coefficient, Tangle, signature) with
-    the `maps.canonical_signature` of its graph, which the engine then
-    trusts and does not look up; debug mode recomputes it and raises
-    InternalError on a mismatch.
+    The engine signs every term itself.  A closed term whose literal
+    arrays the caller has signed already through `EvalContext.signature`
+    (as the state sum does its states) is served from the context's table,
+    not signed again.
 
     Each kept piece waits in a level keyed by its half-edge count, merged
     by signature: `EvalContext.signature` for a closed graph,
@@ -669,9 +668,8 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
         g = t.g
         return ctx.signature(g.twin, g.nxt, g.wide, g.free_loops)
 
-    def put(x: RingElem, y: RingElem, t: Tangle, key=None) -> None:
-        """Queue t, whose signature is `key` when the caller has it."""
-        key = key or sign(t)
+    def put(x: RingElem, y: RingElem, t: Tangle) -> None:
+        key = sign(t)
         if len(key[1]) == 1:
             if key[0]:
                 g = t.g
@@ -689,17 +687,8 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
             key = sign(t)
         wait(x, y, t, key)
 
-    for term in terms:
-        if len(term) == 3:
-            c, t, key = term
-            g = t.g
-            if (debug_mode() and ctx.signature(g.twin, g.nxt, g.wide,
-                                               g.free_loops) != key):
-                raise InternalError("a keyed term's signature differs from "
-                                    "its graph's")
-            put(c, one, t, key)
-        else:
-            put(term[0], one, term[1])
+    for c, t in terms:
+        put(c, one, t)
     reduced = []
     while levels:
         for key, (cs, t) in levels.pop(max(levels)).items():
@@ -735,16 +724,13 @@ def evaluate(g, ctx: EvalContext | None = None) -> RingElem:
     `reduce_terms` and memoized.  Given a list of (coefficient, graph)
     terms, returns the sum of coefficient times value, all terms reduced
     together in one run of the engine, so pieces they share are expanded
-    once; the sum is not memoized.  A term may also be keyed,
-    (coefficient, graph, canonical signature of graph), and the engine
-    then does not sign that graph again (see `reduce_terms`).  With no
-    context a fresh one is used.  A single map with a crossing or a node
-    of degree other than 3 raises ValueError.
+    once; the sum is not memoized.  With no context a fresh one is used.
+    A single map with a crossing or a node of degree other than 3 raises
+    ValueError.
     """
     ctx = ctx or EvalContext()
     if not isinstance(g, PlanarMap):
-        return reduce_terms([(c, Tangle(x, []), *key) for c, x, *key in g],
-                            ctx)[0]
+        return reduce_terms([(c, Tangle(x, [])) for c, x in g], ctx)[0]
     nxt = g.nxt
     if g.over or any(nxt[h] == h or nxt[nxt[nxt[h]]] != h
                      for h in range(len(nxt))):
@@ -755,6 +741,6 @@ def evaluate(g, ctx: EvalContext | None = None) -> RingElem:
     if hit is not None:
         ctx.stats["memo_hits"] += 1
         return hit
-    value = reduce_terms([(RingElem.one(), Tangle(g, []), sig)], ctx)[0]
+    value = reduce_terms([(RingElem.one(), Tangle(g, []))], ctx)[0]
     store_memo(ctx, sig, value)
     return value

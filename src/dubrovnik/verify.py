@@ -241,10 +241,12 @@ def check_n2(graphs=None, vanishing=None, ctx: EvalContext | None = None
             f"example + {len(vanishing)} vanishing diagrams")
 
 
-def check_oracle(graphs=None, braids=None, ctx: EvalContext | None = None
-                 ) -> tuple[str, bool, str]:
-    """Graphs against `evaluate4(collapse(g))`, and braid closures against
-    `kauffman_via_4valent`."""
+def check_oracle(graphs=None, braids=None, diagrams=None,
+                 ctx: EvalContext | None = None) -> tuple[str, bool, str]:
+    """Graphs against `evaluate4(collapse(g))`, and braid closures and
+    knotted-graph diagrams against `kauffman_via_4valent`.  The default
+    diagrams are the clasped handcuff and random diagrams drawn from a
+    generator of their own."""
     rng = random.Random(61)
     if graphs is None:
         graphs = [random_trivalent_graph(rng, max_vertices=12)
@@ -252,18 +254,25 @@ def check_oracle(graphs=None, braids=None, ctx: EvalContext | None = None
     if braids is None:
         braids = [random_braid(rng, max_strands=3, max_letters=6)
                   for _ in range(8)]
-    graphs, braids = list(graphs), list(braids)
+    if diagrams is None:
+        drng = random.Random(5)
+        diagrams = [clasped_handcuff()] + [
+            random_regraph(drng, max_crossings=4, max_wide=3)
+            for _ in range(30)]
+    graphs, braids, diagrams = list(graphs), list(braids), list(diagrams)
     ctx = ctx or EvalContext()
     octx = OracleContext()
     for i, g in enumerate(graphs):
         if evaluate4(collapse(g), octx) != evaluate(g, ctx):
             return ("4-valent oracle", False, f"collapse mismatch, graph {i}")
-    for b in braids:
-        d = braid_to_link(b)
+    named = [(f"link {b.letters}", braid_to_link(b)) for b in braids]
+    named += [(f"knotted graph {i}", d) for i, d in enumerate(diagrams)]
+    for name, d in named:
         if kauffman_via_4valent(d, octx) != kauffman_state_sum(d, ctx).value:
-            return ("4-valent oracle", False, f"link path mismatch: {b.letters}")
+            return ("4-valent oracle", False, f"path mismatch: {name}")
     return ("4-valent oracle", True,
-            f"{len(graphs)} collapses + {len(braids)} link diagrams")
+            f"{len(graphs)} collapses + {len(braids)} link diagrams + "
+            f"{len(diagrams)} knotted-graph diagrams")
 
 
 def check_path_agreement(braids=None, ctx: EvalContext | None = None

@@ -95,7 +95,7 @@ def test_criterion_06_path_agreement():
         small.append(random_braid(rng, max_strands=3, max_letters=6))
     links = (braid_to_link(b) for b in braid_corpus())
     ok = holds(V.check_path_agreement(braid_corpus(), _SHARED),
-               V.check_oracle((), small, _SHARED),
+               V.check_oracle((), small, (), _SHARED),
                V.check_link_z_dependence(links, _SHARED))
     report(6, ok, f"bracket vs state sum (100) and 4-valent oracle ({len(small)})",
            t0, 120)

@@ -46,7 +46,7 @@ def test_eval_braid_oracle_check(capsys):
     assert doc["oracleAgreement"] is True
     terms = {(t["expa"], t["expA"], t["expB"]): t["coeff"]
              for t in doc["value"]["terms"]}
-    val = RingElem(LaurentPoly(terms), doc["value"]["denomPow"], _canonical=True)
+    val = RingElem(LaurentPoly(terms), doc["value"]["denomPow"])
     assert val == C.alpha
 
 
@@ -96,9 +96,36 @@ def test_normalized_requires_braid():
         JobSpec("pd", "X(1,1,2,2)", normalized=True)
 
 
+def test_eval_graph_oracle_check(capsys):
+    # theta has no crossing; the clasped handcuff has two and a wide edge
+    for text in ("W(1,2;2,1)", "W(1,2;3,4) X(5,6,4,3) X(2,1,6,5)"):
+        assert main(["eval-graph", text, "--oracle-check",
+                     "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["oracleAgreement"] is True
+    assert main(["eval-graph", "W(1,2;3,4) X(5,6,4,3) X(2,1,6,5)",
+                 "--oracle-check", "--so-n", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "-q^-1 - q^-3"
+
+
 def test_ceiling():
     with pytest.raises(CeilingExceeded):
         run(JobSpec("braid", "1 1 1 1", max_crossings=3))
+    # a ceiling of 0 is valid and admits a crossingless graph
+    run(JobSpec("regraph", "W(1,2;2,1)", max_crossings=0))
+
+
+def test_negative_ceiling_is_rejected(tmp_path, capsys):
+    with pytest.raises(ValueError, match="ceiling must be at least 0"):
+        JobSpec("braid", "1 1", max_crossings=-1)
+    assert main(["eval-braid", "1 1", "--max-crossings", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "ceiling must be at least 0" in err and "exceed" not in err
+    f = tmp_path / "jobs.jsonl"
+    f.write_text(json.dumps({"kind": "braid", "text": "1 1",
+                             "max_crossings": -1}) + "\n")
+    assert main(["batch", str(f)]) == 1
+    [doc] = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert "ceiling must be at least 0" in doc["error"]
 
 
 def test_parse_error_exit_code(capsys):
@@ -177,9 +204,10 @@ def test_cache_corrupt(no_debug_env, tmp_path, capsys):
     path.write_text("")
     assert cache_load(str(path), ctx) == 0
     # a row whose value is not text, or text that does not parse ("" once
-    # read as 1), voids the whole file, and the next store replaces it
+    # read as 1) or is not canonical ("B*A"), voids the whole file, and the
+    # next store replaces it
     good = json.dumps({"diagram": "good", "value": "A"})
-    for value in (5, None, "", "  ", "-", "/(A-B)^2", "*A"):
+    for value in (5, None, "", "  ", "-", "/(A-B)^2", "*A", "B*A"):
         bad = json.dumps({"diagram": "bad", "value": value})
         path.write_text(f"{CACHE_VERSION}\n{good}\n{bad}\n")
         assert cache_load(str(path), ctx) == 0

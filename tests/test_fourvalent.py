@@ -61,16 +61,21 @@ def _passes(result):
 def test_collapse_functoriality():
     rng = random.Random(51)
     _passes(check_oracle([random_trivalent_graph(rng, max_vertices=12)
-                          for _ in range(30)], []))
+                          for _ in range(30)], [], ()))
 
 
 def test_collapse_functoriality_girth5():
-    _passes(check_oracle(dodecahedral_graphs(2), []))
+    _passes(check_oracle(dodecahedral_graphs(2), [], ()))
 
 
 def test_link_path_equality():
     _passes(check_oracle([], [parse_braid(txt) for txt in
-                              ["n=1;", "1 1", "1 1 1", "n=3; 1 2 1 2"]]))
+                              ["n=1;", "1 1", "1 1 1", "n=3; 1 2 1 2"]], ()))
+
+
+def test_knotted_graph_path_equality():
+    # the clasped handcuff and random diagrams with crossings and wide edges
+    _passes(check_oracle([], []))
 
 
 def test_order_independence():

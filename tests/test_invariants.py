@@ -522,35 +522,6 @@ def test_debug_state_sum_signs_every_state(monkeypatch):
         kauffman_state_sum(braid_to_link(parse_braid("1 -1")), EvalContext())
 
 
-def test_keyed_terms_fail_loudly_and_are_not_signed_again(monkeypatch):
-    import dubrovnik.invariants as inv
-    import dubrovnik.skein as sk
-    from dubrovnik.maps import canonical_signature
-    from dubrovnik.skein import InternalError
-    theta = parse_regraph("W(1,2;2,1)")
-    wrong = canonical_signature(parse_regraph("W(1,1;2,2) W(3,4;4,3)"))
-    monkeypatch.setenv("DUBROVNIK_DEBUG", "1")
-    with pytest.raises(InternalError):
-        evaluate([(R_ONE, theta, wrong)], EvalContext())
-    monkeypatch.delenv("DUBROVNIK_DEBUG")
-    # the state sum signs its states through the table before it hands
-    # them over; the engine looks up its own pieces, never a keyed
-    # connected state
-    handed, signed = [], []
-    real_evaluate, real_sign = inv.evaluate, sk.EvalContext.signature
-    monkeypatch.setattr(inv, "evaluate", lambda terms, ctx: (
-        handed.extend(terms) or real_evaluate(terms, ctx)))
-    monkeypatch.setattr(sk.EvalContext, "signature", lambda ctx, *arrays: (
-        handed and signed.append(arrays[0]) or real_sign(ctx, *arrays)))
-    ctx = EvalContext()
-    kauffman_state_sum(braid_to_link(parse_braid("n=3; 1 2 1 2 1 2")), ctx)
-    connected = {id(term[1].twin) for term in handed
-                 if len(term[1].components()) == 1}
-    assert connected and signed
-    assert connected.isdisjoint(id(twin) for twin in signed)
-    assert ctx.stats["distinct_states"] == len(handed)
-
-
 def test_state_sum_makes_one_evaluate_call_per_diagram(monkeypatch):
     import dubrovnik.invariants as inv
     from dubrovnik.maps import signature_of_arrays
@@ -558,8 +529,8 @@ def test_state_sum_makes_one_evaluate_call_per_diagram(monkeypatch):
     monkeypatch.delenv("DUBROVNIK_DEBUG", raising=False)
     calls = []
     real = inv.evaluate
-    monkeypatch.setattr(inv, "evaluate",
-                        lambda terms, ctx: calls.append(1) or real(terms, ctx))
+    monkeypatch.setattr(inv, "evaluate", lambda terms, ctx: (
+        calls.append(terms) or real(terms, ctx)))
     diagrams = _crossed_regraphs(67, 4) + [
         braid_to_link(parse_braid("n=3; 1 2 1 2 1 2"))]
     ctx = EvalContext()
@@ -569,8 +540,13 @@ def test_state_sum_makes_one_evaluate_call_per_diagram(monkeypatch):
                 for ch in itertools.product("ABW", repeat=len(resolver.cnodes))}
         assert len(sigs) > 1
         calls.clear()
+        before = ctx.stats["distinct_states"]
         kauffman_state_sum(d, ctx)
-        assert len(calls) == 1
+        # one plain (weight, graph) pair per distinct signature, counted
+        [terms] = calls
+        assert {len(term) for term in terms} == {2}
+        assert len(terms) == len(sigs)
+        assert ctx.stats["distinct_states"] - before == len(sigs)
 
 
 def test_debug_repeat_without_context_recomputes(monkeypatch):

@@ -176,11 +176,13 @@ def test_text_round_trip(x):
 
 
 @pytest.mark.parametrize("text", ["", "  ", "-", "/(A-B)^2", "()/(A-B)^1",
-                                  "*A", "A + *B", "-*A"])
+                                  "*A", "A + *B", "-*A",
+                                  "B*A", "A*A", "a^2*a", "A*a"])
 def test_parse_ring_text_rejects_malformed(text):
-    """No text reads as a value unless each of its terms is written out:
-    once "" and "  " read as 1, "-" as -1, a bare denominator as
-    1/(A-B)^d, and "*A" as A."""
+    """No text reads as a value unless each of its terms is written out as
+    `to_canonical_text` writes it: once "" and "  " read as 1, "-" as -1,
+    a bare denominator as 1/(A-B)^d, "*A" as A, and a term that repeats a
+    variable or writes a, A and B out of order as their product."""
     with pytest.raises(ValueError):
         parse_ring_text(text)
 
@@ -323,7 +325,7 @@ def test_exponents_past_the_packable_range_raise():
     with pytest.raises(OverflowError):
         parse_ring_text(f"a*A^{top + 1}")
     with pytest.raises(OverflowError):
-        parse_ring_text(f"B^{top}*B")
+        parse_ring_text(f"a^-{top + 1}")
     half = RingElem.mono(0, 0, top // 2 + 1)
     with pytest.raises(OverflowError):
         half * half
