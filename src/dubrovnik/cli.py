@@ -15,31 +15,33 @@ validated like an input map, a state sum signs every state and checks that
 a link's value depends on z = A - B only, every signature served from the
 context's table of literal arrays (`skein.EvalContext.signature`) is
 recomputed, every memoized transition row of the braid sweep is
-recomputed, and a diagram value found in the context (from the cache or
-from an earlier job) is recomputed and compared instead of served.  A
-mismatch raises `skein.InternalError`.  Debug mode reads the cache to
-check it and never writes it.  The variable is read once per job, and
-once per call of an engine entry point (`maps.reads_debug_once`), not
-once per map built.
+recomputed, and a diagram value found in the cache is recomputed and
+compared instead of served.  A mismatch raises `skein.InternalError`.
+Debug mode reads the cache to check it and never writes it.  The variable
+is read once per job, and once per call of an engine entry point
+(`maps.reads_debug_once`), not once per map built.
 
 The optional cache is a JSON-lines file.  Its first line names the file
-format; a file whose first line is missing or different is reported and
-ignored, and the next store replaces it.  Every further row is
+format; a file whose first line is missing or different, or that is not
+UTF-8 text, is reported and ignored, and the next store replaces it.
+Every further row is
 
     {"diagram": <diagram key>, "value": <canonical polynomial text>}
 
-the whole value of one literal diagram, keyed by
-`invariants.diagram_job_key`, which is what makes a repeated run on the
-same input skip the state sum.  The reduction memo is not persisted, so
-canonical signatures never leave the process.  Stores write a temporary
-file and rename it over the old one, so a crash mid-store leaves the
-previous file intact.
+the whole value of one literal diagram, keyed by `diagram_job_key`.  `run`
+alone reads and writes these rows: it looks the diagram up before the
+state sum and serves a stored value without enumerating states, so a
+repeated run on the same input skips the state sum.  The reduction memo
+is not persisted, so canonical signatures never leave the process.  Stores
+write a temporary file and rename it over the old one, so a crash
+mid-store leaves the previous file intact.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import os
 import sys
@@ -49,12 +51,12 @@ from dataclasses import dataclass
 from .diagrams import (ParseError, braid_to_link, mirror, parse_braid,
                        parse_pd, parse_regraph)
 from .fourvalent import kauffman_via_4valent
-from .invariants import kauffman_state_sum, n2_closed_form, normalized
+from .invariants import InvariantResult, kauffman_state_sum, normalized
 from .maps import (InvalidMap, NonPlanar, PlanarMap, debug_mode,
                    reads_debug_once)
 from .ring import (LaurentPoly, RingElem, parse_ring_text, qlaurent_text,
                    specialize_soN, to_canonical_text)
-from .skein import EvalContext
+from .skein import EvalContext, InternalError
 
 
 class CeilingExceeded(ValueError):
@@ -70,7 +72,6 @@ class JobSpec:
     kind: str                     # braid | pd | regraph
     text: str
     so_n: int | None = None
-    n2_fast: bool = False
     mirror: bool = False
     normalized: bool = False
     oracle_check: bool = False
@@ -90,9 +91,6 @@ class JobSpec:
             raise ValueError("the crossing ceiling must be at least 0")
         if self.fmt not in ("text", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
-        if self.n2_fast and self.so_n not in (None, 2):
-            raise ValueError("--n2-fast gives the N=2 value only; "
-                             f"it cannot specialize to N={self.so_n}")
 
 
 # -- cache -----------------------------------------------------------------------
@@ -100,13 +98,20 @@ class JobSpec:
 CACHE_VERSION = json.dumps({"format": "dubrovnik-cache/3"})
 
 
-def cache_store(path: str, ctx: EvalContext) -> None:
-    """Write the whole-diagram results, replacing `path` atomically."""
+def diagram_job_key(d: PlanarMap) -> str:
+    """Short stable identifier of the literal diagram (not up to isomorphism)."""
+    payload = repr((tuple(d.twin), tuple(d.nxt), tuple(d.wide),
+                    sorted(d.over), d.free_loops)).encode()
+    return hashlib.sha256(payload).hexdigest()[:24]
+
+
+def cache_store(path: str, rows: dict) -> None:
+    """Write the whole-diagram rows, replacing `path` atomically."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as f:
             f.write(CACHE_VERSION + "\n")
-            for key, value in ctx.results.items():
+            for key, value in rows.items():
                 f.write(json.dumps({"diagram": key,
                                     "value": to_canonical_text(value)})
                         + "\n")
@@ -118,18 +123,20 @@ def cache_store(path: str, ctx: EvalContext) -> None:
         raise
 
 
-def cache_load(path: str, ctx: EvalContext) -> int:
-    """Load the diagram rows into the context and return their number.
+def cache_load(path: str, rows: dict) -> int:
+    """Add the file's diagram rows to `rows` and return their number.
 
-    A file with a missing or different version line, or a malformed row, is
-    reported and ignored as a whole.  The rows go to `ctx.results`, where
-    debug mode recomputes each value as it is reached instead of serving it
-    (see `invariants.kauffman_state_sum`).
+    A file that is not UTF-8 text, has a missing or different version line,
+    or holds a malformed row is reported and ignored as a whole.
     """
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             lines = f.read().splitlines()
     except FileNotFoundError:
+        return 0
+    except UnicodeDecodeError as e:
+        print(f"cache file {path} is stale or corrupt ({e}); ignoring it",
+              file=sys.stderr)
         return 0
     if not lines:
         return 0
@@ -137,7 +144,7 @@ def cache_load(path: str, ctx: EvalContext) -> int:
         print(f"cache file {path} is stale or corrupt (first line is not "
               f"{CACHE_VERSION}); ignoring it", file=sys.stderr)
         return 0
-    results: dict = {}
+    loaded: dict = {}
     try:
         for line in lines[1:]:
             if not line:
@@ -145,16 +152,16 @@ def cache_load(path: str, ctx: EvalContext) -> int:
             row = json.loads(line)
             if "diagram" not in row:
                 raise CacheCorrupt(f"unknown row kind {sorted(row)}")
-            value = row["value"]
-            if not isinstance(value, str):
-                raise CacheCorrupt(f"value {value!r} is not text")
-            results[row["diagram"]] = parse_ring_text(value)
+            key, value = row["diagram"], row["value"]
+            if not (isinstance(key, str) and isinstance(value, str)):
+                raise CacheCorrupt(f"row {row!r} is not text")
+            loaded[key] = parse_ring_text(value)
     except (ValueError, KeyError, TypeError) as e:
         print(f"cache file {path} is corrupt ({e}); ignoring it",
               file=sys.stderr)
         return 0
-    ctx.results.update(results)
-    return len(results)
+    rows.update(loaded)
+    return len(loaded)
 
 
 # -- running jobs -----------------------------------------------------------------
@@ -171,13 +178,16 @@ def _parse_input(job: JobSpec) -> tuple[PlanarMap, int | None]:
 @reads_debug_once
 def run(job: JobSpec, ctx: EvalContext | None = None) -> dict:
     """Execute one job; options apply in the order
-    mirror -> invariant -> normalized -> specialization."""
+    mirror -> invariant -> normalized -> specialization.
+
+    A value stored under the diagram's key in the cache is served, and its
+    3^c states count as `ctx.stats["state_hits"]`; in debug mode it is
+    recomputed instead, and a difference raises InternalError."""
     ctx = ctx or EvalContext()
     if job.trace and ctx.trace is None:
         ctx.trace = []
-    loaded = 0
-    if job.cache_path:
-        loaded = cache_load(job.cache_path, ctx)
+    rows: dict = {}
+    loaded = cache_load(job.cache_path, rows) if job.cache_path else 0
     t0 = time.perf_counter()
     diagram, writhe = _parse_input(job)
     crossings = len(diagram.crossing_nodes())
@@ -188,22 +198,16 @@ def run(job: JobSpec, ctx: EvalContext | None = None) -> dict:
         diagram = mirror(diagram)
         if writhe is not None:
             writhe = -writhe
-    if job.n2_fast:
-        if crossings:
-            raise ValueError("--n2-fast requires a crossingless graph input")
-        qpoly = n2_closed_form(diagram)
-        doc = {
-            "input": job.text,
-            "value": None,
-            "specialized": qlaurent_text(qpoly),
-            "statesEvaluated": 0,
-            "source": "n2Closed",
-            "elapsedMs": round(1000 * (time.perf_counter() - t0), 3),
-        }
-        return doc
-    result = kauffman_state_sum(diagram, ctx)
-    result.writhe = writhe
-    value = result.value
+    key = diagram_job_key(diagram)
+    value = rows.get(key)
+    if value is not None and not debug_mode():
+        ctx.stats["state_hits"] += 3 ** crossings
+    else:
+        fresh = kauffman_state_sum(diagram, ctx).value
+        if value is not None and value != fresh:
+            raise InternalError("a stored diagram value differs from its "
+                                "recomputation")
+        value = rows[key] = fresh
     if job.oracle_check:
         oracle = kauffman_via_4valent(diagram)
         if oracle != value:
@@ -211,12 +215,11 @@ def run(job: JobSpec, ctx: EvalContext | None = None) -> dict:
                 "oracle mismatch:\n  trivalent: %s\n  4-valent:  %s"
                 % (to_canonical_text(value), to_canonical_text(oracle)))
     if job.normalized:
-        value = normalized(result)
+        value = normalized(InvariantResult(value, writhe, 3 ** crossings))
     doc = {
         "input": job.text,
         "value": _value_json(value),
-        "statesEvaluated": result.states_evaluated,
-        "source": result.source,
+        "statesEvaluated": 3 ** crossings,
     }
     if writhe is not None:
         doc["writhe"] = writhe
@@ -227,9 +230,8 @@ def run(job: JobSpec, ctx: EvalContext | None = None) -> dict:
     doc["elapsedMs"] = round(1000 * (time.perf_counter() - t0), 3)
     if job.trace:
         doc["trace"] = ctx.trace
-    if (job.cache_path and not debug_mode()
-            and len(ctx.results) != loaded):
-        cache_store(job.cache_path, ctx)
+    if job.cache_path and not debug_mode() and len(rows) != loaded:
+        cache_store(job.cache_path, rows)
     return doc
 
 
@@ -242,12 +244,10 @@ def _value_json(x: RingElem) -> dict:
 def _render(doc: dict, job: JobSpec) -> str:
     if job.fmt == "json":
         return json.dumps(doc, sort_keys=True)
-    lines = []
-    if doc.get("value") is not None:
-        terms = {(t["expa"], t["expA"], t["expB"]): t["coeff"]
-                 for t in doc["value"]["terms"]}
-        val = RingElem(LaurentPoly(terms), doc["value"]["denomPow"])
-        lines.append(to_canonical_text(val))
+    terms = {(t["expa"], t["expA"], t["expB"]): t["coeff"]
+             for t in doc["value"]["terms"]}
+    lines = [to_canonical_text(RingElem(LaurentPoly(terms),
+                                        doc["value"]["denomPow"]))]
     if "specialized" in doc:
         lines.append(doc["specialized"])
     return "\n".join(lines)
@@ -255,7 +255,7 @@ def _render(doc: dict, job: JobSpec) -> str:
 
 # -- argument parsing ----------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, graph: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("text", metavar="input", help="diagram text")
     p.add_argument("--so-n", type=int, default=None, metavar="N",
                    help="specialize to the SO(N) polynomial in q")
@@ -270,9 +270,6 @@ def _add_common(p: argparse.ArgumentParser, graph: bool = False) -> None:
                    help="JSON-lines evaluation cache")
     p.add_argument("--trace", action="store_true",
                    help="report the reduction trace (JSON, stderr)")
-    if graph:
-        p.add_argument("--n2-fast", action="store_true",
-                       help="use the N=2 closed form (crossingless input only)")
 
 
 def main(argv=None) -> int:
@@ -291,7 +288,7 @@ def main(argv=None) -> int:
     _add_common(pp)
 
     pg = sub.add_parser("eval-graph", help="evaluate a knotted-graph diagram")
-    _add_common(pg, graph=True)
+    _add_common(pg)
 
     pv = sub.add_parser("verify", help="run the self-verification suites")
     pv.add_argument("--suite", default=None,

@@ -23,7 +23,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .diagrams import PlanarTrivalentGraph
-from .maps import InvalidMap, PlanarMap, Surgery, canonical_signature
+from .maps import (InvalidMap, PlanarMap, Surgery, canonical_signature,
+                   splice)
 from .ring import RingElem, constants
 
 
@@ -231,14 +232,6 @@ class OracleContext:
 _ORACLE_CTX = OracleContext()
 
 
-def _extract4(g: PlanarMap, comp: list[int]) -> Planar4Graph:
-    comp_sorted = sorted(comp)
-    idmap = {h: i for i, h in enumerate(comp_sorted)}
-    return Planar4Graph._build([idmap[g.twin[h]] for h in comp_sorted],
-                               [idmap[g.nxt[h]] for h in comp_sorted],
-                               [False] * len(comp_sorted), frozenset(), 0)
-
-
 def evaluate4(g: PlanarMap, ctx: OracleContext | None = None) -> RingElem:
     """Graph polynomial of a planar 4-valent graph (1 on the unknot)."""
     ctx = ctx or _ORACLE_CTX
@@ -248,8 +241,11 @@ def evaluate4(g: PlanarMap, ctx: OracleContext | None = None) -> RingElem:
     if pieces == 0:
         return RingElem.one()
     value = alpha ** (pieces - 1)
+    every = set(range(g.n_half))
     for comp in comps:
-        value = value * _eval_component4(_extract4(g, comp), ctx)
+        piece = splice(g.twin, g.nxt, g.wide, (), 0, every.difference(comp),
+                       {}, Planar4Graph)[0]
+        value = value * _eval_component4(piece, ctx)
     return value
 
 

@@ -53,15 +53,6 @@ class InvariantResult:
     value: RingElem
     writhe: int | None
     states_evaluated: int
-    source: str       # always "stateSum"; cli.run writes "n2Closed" itself
-
-
-def diagram_job_key(d: PlanarMap) -> str:
-    """Short stable identifier of the literal diagram (not up to isomorphism)."""
-    import hashlib
-    payload = repr((tuple(d.twin), tuple(d.nxt), tuple(d.wide),
-                    sorted(d.over), d.free_loops)).encode()
-    return hashlib.sha256(payload).hexdigest()[:24]
 
 
 @reads_debug_once
@@ -91,22 +82,13 @@ def kauffman_state_sum(d: PlanarMap, ctx: EvalContext | None = None) -> Invarian
     of a diagram with no trivalent vertex (a link) that fails
     `ring.depends_on_z_only`.
 
-    The whole-diagram value is kept in `ctx.results` under
-    `diagram_job_key(d)`; a repeat of the same diagram in the same context
-    is served from there without enumerating states, and its 3^c states
-    count as `ctx.stats["state_hits"]`.  In debug mode a value found there
-    is recomputed instead, and a difference raises InternalError.  With no
-    context a fresh one is used.
+    Every call enumerates all 3^c states: whole-diagram values are kept
+    and served by `cli.run`, not here.  With no context a fresh one is
+    used.
     """
     ctx = ctx or EvalContext()
-    key = diagram_job_key(d)
     c = len(d.crossing_nodes())
-    count = 3 ** c
-    hit = ctx.results.get(key)
     debug = debug_mode()
-    if hit is not None and not debug:
-        ctx.stats["state_hits"] += count
-        return InvariantResult(hit, None, count, "stateSum")
     resolver = StateResolver(d)
     literal: dict[tuple, dict[tuple[int, int, int], int]] = {}
     shapes: dict[tuple, tuple] = {}
@@ -135,11 +117,7 @@ def kauffman_state_sum(d: PlanarMap, ctx: EvalContext | None = None) -> Invarian
                       for sig, (weight, shape) in by_sig.items()], ctx)
     if debug and d.vertex_count() == 0 and not depends_on_z_only(value):
         raise InternalError("a link value depends on more than z = A - B")
-    if hit is not None and hit != value:
-        raise InternalError("a stored diagram value differs from its "
-                            "recomputation")
-    ctx.results[key] = value
-    return InvariantResult(value, None, count, "stateSum")
+    return InvariantResult(value, None, 3 ** c)
 
 
 def eval_braid(b: BraidWord, ctx: EvalContext | None = None) -> InvariantResult:

@@ -164,22 +164,8 @@ class PlanarMap:
     def components(self) -> list[list[int]]:
         """Half-edge classes closed under twin and nxt (free loops excluded)."""
         seen = [False] * self.n_half
-        comps = []
-        for h0 in range(self.n_half):
-            if seen[h0]:
-                continue
-            stack = [h0]
-            seen[h0] = True
-            comp = []
-            while stack:
-                h = stack.pop()
-                comp.append(h)
-                for nb in (self.twin[h], self.nxt[h]):
-                    if not seen[nb]:
-                        seen[nb] = True
-                        stack.append(nb)
-            comps.append(comp)
-        return comps
+        return [_reach(self.twin, self.nxt, seen, [h])
+                for h in range(self.n_half) if not seen[h]]
 
     def validate(self) -> None:
         """Raise InvalidMap or NonPlanar unless the map is well formed."""

@@ -56,7 +56,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .maps import (PlanarMap, Surgery, debug_mode, reads_debug_once,
-                   signature_of_arrays)
+                   signature_of_arrays, splice)
 from .diagrams import PlanarTrivalentGraph, Tangle
 from .ring import RingElem, constants, sum_of_products
 
@@ -68,10 +68,10 @@ class InternalError(RuntimeError):
     checks: a signature served from `EvalContext.signatures` that differs
     from its recomputation (which also catches a literal state met with
     two signatures), a link value that depends on more than z = A - B, a
-    stored diagram value or memoized transition row that differs from its
-    recomputation, a square flip whose predicted wide digon is not what
-    its built term shows, and a braid twist region whose combination
-    leaves the identity, cup-cap and wide gadget.
+    cached diagram value (checked by `cli.run`) or memoized transition row
+    that differs from its recomputation, a square flip whose predicted
+    wide digon is not what its built term shows, and a braid twist region
+    whose combination leaves the identity, cup-cap and wide gadget.
     """
 
 
@@ -503,38 +503,36 @@ class EvalContext:
     `memo` maps the canonical signature of each graph valued alone -- one
     handed to `evaluate` by a caller, or a closed piece that fell away
     during a reduction -- to its value; the pieces inside one reduction are
-    not memoized, they merge by signature instead.  `results` maps
-    `invariants.diagram_job_key` of a literal diagram to its whole
-    state-sum value; debug mode recomputes a value found there instead of
-    serving it.  `rows` maps (tangle signature, generator maker, index) to
-    a reduced transition row of `invariants.bracket`, shared by every
-    `bracket` call in the context (not kept while `rng` is set; debug mode
-    recomputes a row found there and compares).  `signatures` maps literal
-    (twin, nxt, wide) arrays to their component encodings, so that
-    `signature` signs each literal array once per context: the state sum's
-    distinct states, every closed piece of the engine (the graph of each
-    move applied included) and the graphs valued by `evaluate`.  The move
-    search's candidates are signed outside it, so a search adds only what
-    the engine keeps.  A signature does not depend on the strategy, so the
-    table is kept under `rng` too; debug mode recomputes a signature found
-    there and compares.  In `stats`:
+    not memoized, they merge by signature instead.  Whole-diagram values
+    are not kept here: `cli.run` keeps and serves them.  `rows` maps
+    (tangle signature, generator maker, index) to a reduced transition row
+    of `invariants.bracket`, shared by every `bracket` call in the context
+    (not kept while `rng` is set; debug mode recomputes a row found there
+    and compares).  `signatures` maps literal (twin, nxt, wide) arrays to
+    their component encodings, so that `signature` signs each literal
+    array once per context: the state sum's distinct states, every closed
+    piece of the engine (the graph of each move applied included) and the
+    graphs valued by `evaluate`.  The move search's candidates are signed
+    outside it, so a search adds only what the engine keeps.  A signature
+    does not depend on the strategy, so the table is kept under `rng` too;
+    debug mode recomputes a signature found there and compares.  In
+    `stats`:
 
     * "components" counts the closed connected pieces the engine expanded
       (each distinct piece of one reduction once, and each move of the
       move search applied to a piece as one more expansion; open
       transition rows are not counted);
     * "memo_hits" the `evaluate` calls answered from `memo`;
-    * "state_hits" the states whose value came from `results` (all 3^c of
-      a diagram served from there);
+    * "state_hits" the states whose value came from the cache, counted by
+      `cli.run` (all 3^c of a diagram served from there);
     * "distinct_states" the distinct states (up to isomorphism, free loops
-      counted) that state sums handed to the engine, summed over the
-      diagrams they were not served from `results`.
+      counted) that state sums handed to the engine, summed over their
+      calls.
     """
 
     memo: dict = field(default_factory=dict)
     rng: object = None              # random.Random for randomized strategies
     trace: list | None = None       # reduction trace (rule, face) entries
-    results: dict = field(default_factory=dict)
     rows: dict = field(default_factory=dict)
     signatures: dict = field(default_factory=dict)
     stats: dict = field(default_factory=lambda: {
@@ -573,17 +571,6 @@ def store_memo(ctx: EvalContext, sig, value: RingElem) -> None:
     ctx.memo[sig] = value
 
 
-def _restrict(g: PlanarMap, halves) -> tuple[PlanarMap, dict[int, int]]:
-    """The map on `halves` (closed under twin and nxt), without free loops;
-    returns (map, old half-edge id -> new id)."""
-    halves = sorted(halves)
-    idmap = {h: i for i, h in enumerate(halves)}
-    twin = [idmap[g.twin[h]] for h in halves]
-    nxt = [idmap[g.nxt[h]] for h in halves]
-    wide = [g.wide[h] for h in halves]
-    return type(g)._build(twin, nxt, wide, frozenset(), 0), idmap
-
-
 def _split(t: Tangle, ctx: EvalContext
            ) -> tuple[RingElem | None, Tangle | None]:
     """What fell away from t, as a factor.
@@ -607,11 +594,15 @@ def _split(t: Tangle, ctx: EvalContext
     if not rest and not loops:
         return None, t
     factor = constants().alpha ** (len(rest) + loops)
+
+    def without(drop):                  # the map left, without free loops
+        return splice(g.twin, g.nxt, g.wide, (), 0, drop, {}, type(g))
+
+    every = set(range(g.n_half))
     for comp in rest:
-        factor = factor * evaluate(_restrict(g, comp)[0], ctx)
-    dropped = {h for comp in rest for h in comp}
-    kept, idmap = _restrict(g, [h for h in range(g.n_half) if h not in dropped])
-    return factor, Tangle(kept, [idmap[h] for h in t.ends])
+        factor = factor * evaluate(without(every.difference(comp))[0], ctx)
+    kept, new = without({h for comp in rest for h in comp})
+    return factor, Tangle(kept, [new[h] for h in t.ends])
 
 
 @reads_debug_once

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from dubrovnik.cli import (CACHE_VERSION, CacheCorrupt, CeilingExceeded,
-                           JobSpec, cache_load, cache_store, main, run)
+                           JobSpec, cache_load, cache_store, diagram_job_key,
+                           main, run)
 from dubrovnik.diagrams import braid_to_link, parse_braid, parse_regraph
 from dubrovnik.invariants import kauffman_state_sum
 from dubrovnik.maps import canonical_signature
@@ -66,13 +67,6 @@ def test_mirror_negates_the_writhe():
                  EvalContext())
     assert mirrored["writhe"] == direct["writhe"] == -3
     assert mirrored["value"] == direct["value"]
-
-
-def test_n2_fast_refuses_other_n():
-    with pytest.raises(ValueError):
-        JobSpec("regraph", "W(1,2;2,1)", n2_fast=True, so_n=5)
-    JobSpec("regraph", "W(1,2;2,1)", n2_fast=True, so_n=2)
-    assert main(["eval-graph", "W(1,2;2,1)", "--n2-fast", "--so-n", "3"]) == 1
 
 
 def test_so_n_below_two_is_refused_before_the_state_sum(monkeypatch):
@@ -140,27 +134,21 @@ def test_unreadable_cache_path_exit_code(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_n2_fast(capsys):
-    assert main(["eval-graph", "W(1,2;2,1)", "--n2-fast"]) == 0
-    assert capsys.readouterr().out.strip() == "-q - q^-1"
-    with pytest.raises(ValueError):
-        run(JobSpec("regraph", "W(1,2;3,4) X(4,3,5,6) X(6,5,1,2)", n2_fast=True))
-
-
 def test_cache_round_trip(no_debug_env, tmp_path):
     path = tmp_path / "cache.jsonl"
     ctx = EvalContext()
     # a closure whose reduction memoizes a piece that falls away
-    job = JobSpec("braid", "n=3; 1 2 1 2 1 2", cache_path=str(path))
+    text = "n=3; 1 2 1 2 1 2"
+    job = JobSpec("braid", text, cache_path=str(path))
     doc1 = run(job, ctx)
     assert path.exists()
-    ctx2 = EvalContext()
-    loaded = cache_load(str(path), ctx2)
-    assert loaded == len(ctx.results) > 0
+    rows = {}
+    assert cache_load(str(path), rows) == len(rows) == 1
     # whole-diagram values survive the text round trip exactly; the
     # reduction memo stays in the process
-    assert ctx2.results == ctx.results
-    assert ctx.memo and not ctx2.memo
+    d = braid_to_link(parse_braid(text))
+    assert rows == {diagram_job_key(d): kauffman_state_sum(d).value}
+    assert ctx.memo
     doc2 = run(job, EvalContext())
     assert doc1["value"] == doc2["value"]
 
@@ -196,27 +184,36 @@ def test_cache_hits_speed_repeat(no_debug_env, tmp_path, monkeypatch):
 def test_cache_corrupt(no_debug_env, tmp_path, capsys):
     path = tmp_path / "cache.jsonl"
     path.write_text('{"signature": "not base64!!", "value": "0"}\n')
-    ctx = EvalContext()
-    assert cache_load(str(path), ctx) == 0
+    rows = {}
+    assert cache_load(str(path), rows) == 0
     assert "corrupt" in capsys.readouterr().err
-    assert not ctx.memo
+    assert not rows
     # an empty cache file is all misses, not an error
     path.write_text("")
-    assert cache_load(str(path), ctx) == 0
-    # a row whose value is not text, or text that does not parse ("" once
-    # read as 1) or is not canonical ("B*A"), voids the whole file, and the
-    # next store replaces it
+    assert cache_load(str(path), rows) == 0
+    # a row whose key or value is not text, or whose value does not parse
+    # ("" once read as 1) or is not canonical ("B*A"), voids the whole
+    # file, and the next store replaces it
     good = json.dumps({"diagram": "good", "value": "A"})
-    for value in (5, None, "", "  ", "-", "/(A-B)^2", "*A", "B*A"):
-        bad = json.dumps({"diagram": "bad", "value": value})
-        path.write_text(f"{CACHE_VERSION}\n{good}\n{bad}\n")
-        assert cache_load(str(path), ctx) == 0
+    bad_rows = [{"diagram": "bad", "value": value}
+                for value in (5, None, "", "  ", "-", "/(A-B)^2", "*A", "B*A")]
+    bad_rows += [{"diagram": key, "value": "A"} for key in (5, None)]
+    for bad in bad_rows:
+        path.write_text(f"{CACHE_VERSION}\n{good}\n{json.dumps(bad)}\n")
+        assert cache_load(str(path), rows) == 0
         assert "corrupt" in capsys.readouterr().err
-        assert not ctx.results
+        assert not rows
         assert main(["eval-braid", "1 1", "--cache", str(path)]) == 0
         capsys.readouterr()
-        assert '"bad"' not in path.read_text()
-        assert cache_load(str(path), EvalContext()) > 0
+        stored = path.read_text().splitlines()
+        assert len(stored) == 2 and '"good"' not in stored[1]
+        assert cache_load(str(path), {}) == 1
+    # so does a file that is not UTF-8 text
+    path.write_bytes(b"\xff\xfe" + CACHE_VERSION.encode() + b"\n")
+    assert main(["eval-braid", "1 1", "--cache", str(path)]) == 0
+    assert "corrupt" in capsys.readouterr().err
+    assert path.read_text().startswith(CACHE_VERSION)
+    assert cache_load(str(path), {}) == 1
 
 
 def test_cache_rejects_old_format(no_debug_env, tmp_path, capsys):
@@ -232,17 +229,17 @@ def test_cache_rejects_old_format(no_debug_env, tmp_path, capsys):
                     "value": "1"}) + "\n"
         + json.dumps({"signature": b64("state|0123456789abcdef01234567|AB"),
                       "value": "A*B"}) + "\n")
-    ctx = EvalContext()
-    assert cache_load(str(path), ctx) == 0
+    rows = {}
+    assert cache_load(str(path), rows) == 0
     assert "stale or corrupt" in capsys.readouterr().err
-    assert not ctx.memo and not ctx.results
+    assert not rows
     job = JobSpec("braid", "1 1", cache_path=str(path))
     doc = run(job, EvalContext())
     assert "stale or corrupt" in capsys.readouterr().err
     assert path.read_text().splitlines()[0] == CACHE_VERSION
-    ctx2 = EvalContext()
-    assert cache_load(str(path), ctx2) == len(ctx2.memo) + len(ctx2.results) > 0
+    assert cache_load(str(path), rows) == len(rows) == 1
     assert capsys.readouterr().err == ""
+    ctx2 = EvalContext()
     assert run(job, ctx2)["value"] == doc["value"]
     assert ctx2.stats["state_hits"] == 3 ** 2
 
@@ -252,9 +249,7 @@ def test_cache_store_is_atomic(no_debug_env, tmp_path, monkeypatch):
     path = tmp_path / "cache.jsonl"
     run(JobSpec("braid", "1 1", cache_path=str(path)), EvalContext())
     before = path.read_text()
-    ctx = EvalContext()
-    run(JobSpec("braid", "n=3; 1 2 1 2"), ctx)
-    run(JobSpec("braid", "1 1 1"), ctx)
+    rows = {"first": C.alpha, "second": C.delta}
     written = []
 
     def failing(value):
@@ -265,13 +260,11 @@ def test_cache_store_is_atomic(no_debug_env, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "to_canonical_text", failing)
     with pytest.raises(RuntimeError):
-        cache_store(str(path), ctx)
+        cache_store(str(path), rows)
     assert path.read_text() == before
     assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
     monkeypatch.undo()
-    ctx2 = EvalContext()
-    assert cache_load(str(path), ctx2) > 0
-    assert ctx2.results
+    assert cache_load(str(path), {}) == 1
 
 
 def test_cache_store_keeps_the_original_error(no_debug_env, tmp_path,
@@ -280,8 +273,6 @@ def test_cache_store_keeps_the_original_error(no_debug_env, tmp_path,
     path = tmp_path / "cache.jsonl"
     run(JobSpec("braid", "1 1", cache_path=str(path)), EvalContext())
     before = path.read_text()
-    ctx = EvalContext()
-    run(JobSpec("braid", "n=3; 1 2 1 2"), ctx)
 
     def denied(file, *args, **kw):
         raise PermissionError(f"simulated: cannot open {file}")
@@ -289,13 +280,11 @@ def test_cache_store_keeps_the_original_error(no_debug_env, tmp_path,
     # the temporary file is never created, so there is nothing to clean up
     monkeypatch.setattr(cli, "open", denied, raising=False)
     with pytest.raises(PermissionError):
-        cache_store(str(path), ctx)
+        cache_store(str(path), {"first": C.alpha})
     monkeypatch.undo()
     assert path.read_text() == before
     assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
-    ctx2 = EvalContext()
-    assert cache_load(str(path), ctx2) > 0
-    assert ctx2.results
+    assert cache_load(str(path), {}) == 1
 
 
 def test_debug_mode_recomputes_diagram_rows(no_debug_env, tmp_path,
@@ -309,20 +298,16 @@ def test_debug_mode_recomputes_diagram_rows(no_debug_env, tmp_path,
     assert tampered != rows
     path.write_text("\n".join(tampered) + "\n")
     # outside debug mode the stored row is served as it is
-    assert run(job, EvalContext())["value"]["terms"] == [
+    ctx = EvalContext()
+    assert run(job, ctx)["value"]["terms"] == [
         {"coeff": 7, "expa": 0, "expA": 0, "expB": 0}]
+    assert ctx.stats["state_hits"] == 3 ** 4
     # in debug mode it is recomputed and the mismatch is an internal error
     monkeypatch.setenv("DUBROVNIK_DEBUG", "1")
     ctx = EvalContext()
-    with pytest.raises(InternalError):
+    with pytest.raises(InternalError, match="stored diagram value"):
         run(job, ctx)
     assert ctx.stats["state_hits"] == 0
-    # cache_load puts the rows in `results`, and the debug state sum
-    # recomputes the value found there
-    ctx = EvalContext()
-    assert cache_load(str(path), ctx) == len(ctx.results) == 1
-    with pytest.raises(InternalError):
-        kauffman_state_sum(braid_to_link(parse_braid("n=3; 1 2 1 2")), ctx)
 
 
 def test_debug_mode_never_writes_the_cache(no_debug_env, tmp_path,
@@ -349,10 +334,10 @@ def test_cache_replaces_the_memo_row_format(no_debug_env, tmp_path, capsys):
         + json.dumps({"memo": [1, []], "value": "1"}) + "\n"
         + json.dumps({"diagram": "0123456789abcdef01234567", "value": "7"})
         + "\n")
-    ctx = EvalContext()
-    assert cache_load(str(path), ctx) == 0
+    rows = {}
+    assert cache_load(str(path), rows) == 0
     assert "stale or corrupt" in capsys.readouterr().err
-    assert not ctx.results
+    assert not rows
     run(JobSpec("braid", "1 1", cache_path=str(path)), EvalContext())
     rows = path.read_text().splitlines()
     assert rows[0] == CACHE_VERSION and len(rows) == 2

@@ -12,8 +12,7 @@ from dubrovnik.diagrams import (PlanarTrivalentGraph, braid_to_link,
                                 c_tangle, close_tangle, disjoint_union,
                                 parse_braid, parse_pd, parse_regraph, stack)
 from dubrovnik.fourvalent import collapse, evaluate4
-from dubrovnik.invariants import (diagram_job_key, kauffman_state_sum,
-                                  n2_closed_form)
+from dubrovnik.invariants import n2_closed_form
 from dubrovnik.maps import PlanarMap, canonical_signature
 from dubrovnik.ring import R_A, R_B, R_ONE, RingElem, constants, specialize_soN
 import dubrovnik.skein as skein
@@ -226,20 +225,12 @@ def test_disjoint_union_law():
         assert evaluate(u) == C.alpha * evaluate(g1) * evaluate(g2)
 
 
-def test_memo_collision_guard(monkeypatch):
+def test_memo_collision_guard():
     ctx = EvalContext()
     g = theta()
     sig = canonical_signature(g)
     ctx.memo[sig] = C.alpha        # wrong on purpose
     assert evaluate(g, ctx) == C.alpha   # memo wins: lookup path
-    # a wrong whole-diagram value is served outside debug mode only
-    d = braid_to_link(parse_braid("1 1"))
-    ctx2 = EvalContext(results={diagram_job_key(d): C.alpha})
-    monkeypatch.delenv("DUBROVNIK_DEBUG", raising=False)
-    assert kauffman_state_sum(d, ctx2).value == C.alpha
-    monkeypatch.setenv("DUBROVNIK_DEBUG", "1")
-    with pytest.raises(InternalError):
-        kauffman_state_sum(d, ctx2)
 
 
 def test_open_terms_are_split_only_when_something_falls_away(monkeypatch):
