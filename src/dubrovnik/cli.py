@@ -32,9 +32,27 @@ the whole value of one literal diagram, keyed by `diagram_job_key`.  `run`
 alone reads and writes these rows: it looks the diagram up before the
 state sum and serves a stored value without enumerating states, so a
 repeated run on the same input skips the state sum.  The reduction memo
-is not persisted, so canonical signatures never leave the process.  Stores
-write a temporary file and rename it over the old one, so a crash
-mid-store leaves the previous file intact.
+is not persisted, so canonical signatures never leave the process.
+
+A load reads the whole file, and parses only what it has not parsed
+before: the process keeps, for each of its last few cache paths, the text
+a load last accepted and the rows parsed from it.  When the file still
+begins with that text, only the lines after it are parsed; after any other
+change (an edit in place, a shorter file) every row is parsed again.  So
+every row is checked once per process, a malformed row voids the whole
+file on every load, and no value is served from bytes no longer on disk.
+A last line with no newline is torn (a crash mid-append leaves one): it is
+reported and ignored, and the rows before it are still served.
+
+A store appends the job's new rows, each rendered before the file is
+touched and written as whole lines in one append, when the file holds
+exactly the text the last load accepted.  Otherwise (a torn last line, a
+corrupt or replaced file, no earlier load) it writes every row to a
+temporary file and renames it over the old one, so a crash mid-store
+leaves the previous file intact.  Processes that append to one file at
+the same time each add whole lines; a row appended while another process
+replaces the file may be lost, and is computed again by a later job.  A
+crash can cost at most the row being written, never a wrong value.
 """
 
 from __future__ import annotations
@@ -42,6 +60,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -105,16 +124,34 @@ def diagram_job_key(d: PlanarMap) -> str:
     return hashlib.sha256(payload).hexdigest()[:24]
 
 
-def cache_store(path: str, rows: dict) -> None:
-    """Write the whole-diagram rows, replacing `path` atomically."""
+# path -> (text, rows): the whole lines `cache_load` last accepted from the
+# file and the rows parsed from them; kept for the last `_LOADED_PATHS` paths
+_LOADED: dict[str, tuple[str, dict]] = {}
+_LOADED_PATHS = 4
+
+
+def _row_line(key: str, value: RingElem) -> str:
+    return json.dumps({"diagram": key, "value": to_canonical_text(value)}) + "\n"
+
+
+def cache_store(path: str, rows: dict, kept: int = 0) -> None:
+    """Write the whole-diagram rows to `path`.
+
+    The first `kept` rows are already in the file.  When the file holds
+    exactly the text `cache_load` last accepted from it, the rows after
+    them are appended; otherwise (always when `kept` is 0) every row
+    replaces the file atomically.
+    """
+    if kept:
+        new = itertools.islice(rows.items(), kept, None)
+        if _append(path, "".join(_row_line(key, value) for key, value in new)):
+            return
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as f:
             f.write(CACHE_VERSION + "\n")
             for key, value in rows.items():
-                f.write(json.dumps({"diagram": key,
-                                    "value": to_canonical_text(value)})
-                        + "\n")
+                f.write(_row_line(key, value))
         os.replace(tmp, path)
     except BaseException:
         # the temporary file may never have been created
@@ -123,30 +160,57 @@ def cache_store(path: str, rows: dict) -> None:
         raise
 
 
+def _append(path: str, lines: str) -> bool:
+    """Append `lines` if the file holds exactly the text last loaded from it."""
+    known = _LOADED.get(path, ("",))[0]
+    if not known:
+        return False
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+    except FileNotFoundError:
+        return False
+    try:
+        with open(path, encoding="utf-8") as f:
+            if f.read() != known:
+                return False
+        data = lines.encode()
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
+    return True
+
+
 def cache_load(path: str, rows: dict) -> int:
     """Add the file's diagram rows to `rows` and return their number.
 
     A file that is not UTF-8 text, has a missing or different version line,
-    or holds a malformed row is reported and ignored as a whole.
+    or holds a malformed row is reported and ignored as a whole; a torn
+    last line is reported and ignored alone.  Only the lines after the
+    text this process last accepted from `path` are parsed, when the file
+    still begins with that text.
     """
+    known, loaded = _LOADED.pop(path, ("", {}))
     try:
         with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
+            text = f.read()
     except FileNotFoundError:
         return 0
     except UnicodeDecodeError as e:
         print(f"cache file {path} is stale or corrupt ({e}); ignoring it",
               file=sys.stderr)
         return 0
-    if not lines:
+    if not text:
         return 0
-    if lines[0] != CACHE_VERSION:
-        print(f"cache file {path} is stale or corrupt (first line is not "
-              f"{CACHE_VERSION}); ignoring it", file=sys.stderr)
-        return 0
-    loaded: dict = {}
+    if not (known and text.startswith(known)):
+        if text.partition("\n")[0] != CACHE_VERSION:
+            print(f"cache file {path} is stale or corrupt (first line is not "
+                  f"{CACHE_VERSION}); ignoring it", file=sys.stderr)
+            return 0
+        known, loaded = CACHE_VERSION, {}    # parse after the version line
+    end = text.rfind("\n") + 1          # text[end:] is a torn last line
     try:
-        for line in lines[1:]:
+        for line in text[len(known):end].split("\n"):
             if not line:
                 continue
             row = json.loads(line)
@@ -156,10 +220,17 @@ def cache_load(path: str, rows: dict) -> int:
             if not (isinstance(key, str) and isinstance(value, str)):
                 raise CacheCorrupt(f"row {row!r} is not text")
             loaded[key] = parse_ring_text(value)
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, OverflowError,
+            RecursionError) as e:
         print(f"cache file {path} is corrupt ({e}); ignoring it",
               file=sys.stderr)
         return 0
+    if end < len(text):
+        print(f"cache file {path} ends in a torn line; ignoring that line",
+              file=sys.stderr)
+    _LOADED[path] = (text[:end], loaded)
+    if len(_LOADED) > _LOADED_PATHS:
+        del _LOADED[next(iter(_LOADED))]
     rows.update(loaded)
     return len(loaded)
 
@@ -231,7 +302,7 @@ def run(job: JobSpec, ctx: EvalContext | None = None) -> dict:
     if job.trace:
         doc["trace"] = ctx.trace
     if job.cache_path and not debug_mode() and len(rows) != loaded:
-        cache_store(job.cache_path, rows)
+        cache_store(job.cache_path, rows, kept=loaded)
     return doc
 
 

@@ -22,8 +22,8 @@ their own fixed corpora:
     criterion 3   check_hopf
     criterion 4   check_markov
     criterion 5   check_dubrovnik_axioms
-    criterion 6   check_path_agreement, check_oracle (link part) and
-                  check_link_z_dependence
+    criterion 6   check_path_agreement (which also checks each state-sum
+                  value's z = A - B dependence) and check_oracle (link part)
     criterion 7   check_mirror
     criterion 8   check_products
     criterion 9   check_confluence
@@ -277,6 +277,9 @@ def check_oracle(graphs=None, braids=None, diagrams=None,
 
 def check_path_agreement(braids=None, ctx: EvalContext | None = None
                          ) -> tuple[str, bool, str]:
+    """`bracket` times a^writhe equals the state sum of each braid closure,
+    and that value depends on A and B only through z = A - B
+    (`ring.depends_on_z_only`)."""
     if braids is None:
         rng = random.Random(71)
         braids = [random_braid(rng, max_strands=4, max_letters=6)
@@ -287,8 +290,12 @@ def check_path_agreement(braids=None, ctx: EvalContext | None = None
     ctx = ctx or EvalContext()
     for b in braids:
         lhs = RingElem.mono(b.writhe(), 0, 0) * bracket(b, ctx)
-        if lhs != eval_braid(b, ctx).value:
+        value = eval_braid(b, ctx).value
+        if lhs != value:
             return ("bracket/state-sum agreement", False, f"{b.letters}")
+        if not depends_on_z_only(value):
+            return ("bracket/state-sum agreement", False,
+                    f"{b.letters} depends on more than z = A - B")
     return ("bracket/state-sum agreement", True, f"{len(braids)} braids")
 
 

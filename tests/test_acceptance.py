@@ -18,7 +18,7 @@ from dubrovnik.cli import JobSpec, run
 from dubrovnik.corpus import (dodecahedral_graphs, n2_vanishing_diagrams,
                               random_braid, random_regraph,
                               random_trivalent_graph)
-from dubrovnik.diagrams import BraidWord, braid_to_link
+from dubrovnik.diagrams import BraidWord
 from dubrovnik.skein import EvalContext
 
 _SHARED = EvalContext()
@@ -93,10 +93,10 @@ def test_criterion_06_path_agreement():
     rng = random.Random(13)
     while len(small) < 30:
         small.append(random_braid(rng, max_strands=3, max_letters=6))
-    links = (braid_to_link(b) for b in braid_corpus())
+    # check_path_agreement also checks that each state-sum value depends on
+    # z = A - B only
     ok = holds(V.check_path_agreement(braid_corpus(), _SHARED),
-               V.check_oracle((), small, (), _SHARED),
-               V.check_link_z_dependence(links, _SHARED))
+               V.check_oracle((), small, (), _SHARED))
     report(6, ok, f"bracket vs state sum (100) and 4-valent oracle ({len(small)})",
            t0, 120)
 

@@ -191,15 +191,19 @@ def test_cache_corrupt(no_debug_env, tmp_path, capsys):
     # an empty cache file is all misses, not an error
     path.write_text("")
     assert cache_load(str(path), rows) == 0
-    # a row whose key or value is not text, or whose value does not parse
-    # ("" once read as 1) or is not canonical ("B*A"), voids the whole
-    # file, and the next store replaces it
+    # a row whose key or value is not text, whose value does not parse
+    # ("" once read as 1), is not canonical ("B*A") or has an exponent past
+    # ring.MAX_EXPONENT, or that is nested past the recursion limit, voids
+    # the whole file, and the next store replaces it
     good = json.dumps({"diagram": "good", "value": "A"})
-    bad_rows = [{"diagram": "bad", "value": value}
-                for value in (5, None, "", "  ", "-", "/(A-B)^2", "*A", "B*A")]
-    bad_rows += [{"diagram": key, "value": "A"} for key in (5, None)]
+    bad_rows = [json.dumps({"diagram": "bad", "value": value})
+                for value in (5, None, "", "  ", "-", "/(A-B)^2", "*A", "B*A",
+                              "a^99999999999999")]
+    bad_rows += [json.dumps({"diagram": key, "value": "A"})
+                 for key in (5, None)]
+    bad_rows.append("[" * 100_000 + "]" * 100_000)
     for bad in bad_rows:
-        path.write_text(f"{CACHE_VERSION}\n{good}\n{json.dumps(bad)}\n")
+        path.write_text(f"{CACHE_VERSION}\n{good}\n{bad}\n")
         assert cache_load(str(path), rows) == 0
         assert "corrupt" in capsys.readouterr().err
         assert not rows
@@ -214,6 +218,116 @@ def test_cache_corrupt(no_debug_env, tmp_path, capsys):
     assert "corrupt" in capsys.readouterr().err
     assert path.read_text().startswith(CACHE_VERSION)
     assert cache_load(str(path), {}) == 1
+
+
+def test_cache_load_parses_each_line_once(no_debug_env, tmp_path, capsys,
+                                          monkeypatch):
+    import dubrovnik.cli as cli
+    path = tmp_path / "cache.jsonl"
+    run(JobSpec("braid", "1 1", cache_path=str(path)), EvalContext())
+    parsed = []
+
+    def counting(text):
+        parsed.append(text)
+        return parse_ring_text(text)
+
+    monkeypatch.setattr(cli, "parse_ring_text", counting)
+    first, again = {}, {}
+    assert cache_load(str(path), first) == 1 and len(parsed) == 1
+    # an unchanged file parses no row, and serves the same rows
+    assert cache_load(str(path), again) == 1 and len(parsed) == 1
+    assert again == first
+    # a job that adds a row parses nothing; the next load parses that row
+    run(JobSpec("braid", "1 1 1", cache_path=str(path)), EvalContext())
+    assert len(parsed) == 1
+    rows = {}
+    assert cache_load(str(path), rows) == 2 and len(parsed) == 2
+    assert first.items() <= rows.items()
+    # a malformed row after the parsed text voids the file on every load
+    with path.open("a") as f:
+        f.write(json.dumps({"diagram": "bad", "value": "B*A"}) + "\n")
+    for _ in range(2):
+        assert cache_load(str(path), {}) == 0
+        assert "corrupt" in capsys.readouterr().err
+
+
+def test_cache_load_keeps_the_last_few_paths(no_debug_env, tmp_path):
+    import dubrovnik.cli as cli
+    for i in range(2 * cli._LOADED_PATHS):
+        path = tmp_path / f"cache-{i}.jsonl"
+        path.write_text(CACHE_VERSION + "\n")
+        assert cache_load(str(path), {}) == 0
+    assert len(cli._LOADED) == cli._LOADED_PATHS and str(path) in cli._LOADED
+
+
+def test_cache_load_sees_an_edit_in_place(no_debug_env, tmp_path):
+    path = tmp_path / "cache.jsonl"
+    rows = [json.dumps({"diagram": key, "value": value})
+            for key, value in (("k1", "A"), ("k2", "a"))]
+    path.write_text(CACHE_VERSION + "\n" + "\n".join(rows) + "\n")
+    loaded = {}
+    assert cache_load(str(path), loaded) == 2
+    assert loaded["k1"] == parse_ring_text("A")
+    # the same length, another valid value
+    path.write_text(path.read_text().replace('"A"', '"B"'))
+    loaded = {}
+    assert cache_load(str(path), loaded) == 2
+    assert loaded["k1"] == parse_ring_text("B")
+    assert loaded["k2"] == parse_ring_text("a")
+
+
+def test_cache_store_appends_one_line(no_debug_env, tmp_path):
+    path = tmp_path / "cache.jsonl"
+    for text in ("1 1", "n=3; 1 2 1 2"):
+        run(JobSpec("braid", text, cache_path=str(path)), EvalContext())
+    before, inode = path.read_bytes(), path.stat().st_ino
+    run(JobSpec("braid", "n=3; 1 -2 1", cache_path=str(path)), EvalContext())
+    after = path.read_bytes()
+    # appended in place: every earlier byte kept, one whole line added
+    assert path.stat().st_ino == inode
+    assert after.startswith(before) and after.endswith(b"\n")
+    assert after[len(before):].count(b"\n") == 1
+    rows = {}
+    assert cache_load(str(path), rows) == 3
+    d = braid_to_link(parse_braid("n=3; 1 -2 1"))
+    assert rows[diagram_job_key(d)] == kauffman_state_sum(d).value
+    # a cached job stores nothing
+    run(JobSpec("braid", "1 1", cache_path=str(path)), EvalContext())
+    assert path.read_bytes() == after
+
+
+def test_cache_torn_last_line(no_debug_env, tmp_path, capsys):
+    path = tmp_path / "cache.jsonl"
+    run(JobSpec("braid", "1 1", cache_path=str(path)), EvalContext())
+    whole = path.read_text()
+    # a crash mid-append leaves a last line with no newline
+    path.write_text(whole + '{"diagram": "torn", "val')
+    rows = {}
+    assert cache_load(str(path), rows) == 1
+    assert "torn" in capsys.readouterr().err
+    assert "torn" not in rows
+    # a complete row with no newline is torn all the same
+    path.write_text(whole + json.dumps({"diagram": "late", "value": "A"}))
+    assert cache_load(str(path), {}) == 1
+    assert "torn" in capsys.readouterr().err
+    # the earlier row is still served, so that job stores nothing
+    torn = path.read_text()
+    ctx = EvalContext()
+    run(JobSpec("braid", "1 1", cache_path=str(path)), ctx)
+    assert ctx.stats["state_hits"] == 3 ** 2
+    assert "torn" in capsys.readouterr().err
+    assert path.read_text() == torn
+    # the next store rewrites the file whole instead of appending onto the
+    # torn line
+    inode = path.stat().st_ino
+    assert main(["eval-braid", "1 1 1", "--cache", str(path)]) == 0
+    assert "torn" in capsys.readouterr().err
+    lines = path.read_text().splitlines()
+    assert path.stat().st_ino != inode
+    assert lines[0] == CACHE_VERSION and len(lines) == 3
+    assert path.read_text().startswith(whole)
+    assert cache_load(str(path), {}) == 2
+    assert capsys.readouterr().err == ""
 
 
 def test_cache_rejects_old_format(no_debug_env, tmp_path, capsys):
