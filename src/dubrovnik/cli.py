@@ -166,18 +166,16 @@ def _append(path: str, lines: str) -> bool:
     if not known:
         return False
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+        # reads start at the beginning; every write goes to the end
+        f = open(os.open(path, os.O_RDWR | os.O_APPEND), encoding="utf-8")
     except FileNotFoundError:
         return False
-    try:
-        with open(path, encoding="utf-8") as f:
-            if f.read() != known:
-                return False
+    with f:
+        if f.read() != known:
+            return False
         data = lines.encode()
         while data:
-            data = data[os.write(fd, data):]
-    finally:
-        os.close(fd)
+            data = data[os.write(f.fileno(), data):]
     return True
 
 
