@@ -35,8 +35,8 @@ repeated run on the same input skips the state sum.  The reduction memo
 is not persisted, so canonical signatures never leave the process.
 
 A load reads the whole file, and parses only what it has not parsed
-before: the process keeps, for each of its last few cache paths, the text
-a load last accepted and the rows parsed from it.  When the file still
+before: the process keeps, for the last cache path it loaded, the text
+the load accepted and the rows parsed from it.  When the file still
 begins with that text, only the lines after it are parsed; after any other
 change (an edit in place, a shorter file) every row is parsed again.  So
 every row is checked once per process, a malformed row voids the whole
@@ -47,7 +47,7 @@ reported and ignored, and the rows before it are still served.
 A store appends the job's new rows, each rendered before the file is
 touched and written as whole lines in one append, when the file holds
 exactly the text the last load accepted.  Otherwise (a torn last line, a
-corrupt or replaced file, no earlier load) it writes every row to a
+corrupt, replaced or read-only file, no earlier load of that path) it writes every row to a
 temporary file and renames it over the old one, so a crash mid-store
 leaves the previous file intact.  Processes that append to one file at
 the same time each add whole lines; a row appended while another process
@@ -124,10 +124,9 @@ def diagram_job_key(d: PlanarMap) -> str:
     return hashlib.sha256(payload).hexdigest()[:24]
 
 
-# path -> (text, rows): the whole lines `cache_load` last accepted from the
-# file and the rows parsed from them; kept for the last `_LOADED_PATHS` paths
-_LOADED: dict[str, tuple[str, dict]] = {}
-_LOADED_PATHS = 4
+# (path, text, rows): the last path `cache_load` read, the whole lines it
+# accepted from the file and the rows parsed from them
+_LOADED: tuple[str, str, dict] = ("", "", {})
 
 
 def _row_line(key: str, value: RingElem) -> str:
@@ -162,16 +161,17 @@ def cache_store(path: str, rows: dict, kept: int = 0) -> None:
 
 def _append(path: str, lines: str) -> bool:
     """Append `lines` if the file holds exactly the text last loaded from it."""
-    known = _LOADED.get(path, ("",))[0]
-    if not known:
+    last, known, _ = _LOADED
+    if last != path or not known:
         return False
     try:
         # reads start at the beginning; every write goes to the end
-        f = open(os.open(path, os.O_RDWR | os.O_APPEND), encoding="utf-8")
-    except FileNotFoundError:
+        f = open(os.open(path, os.O_RDWR | os.O_APPEND), "rb")
+    except OSError:
+        # missing or not writable: the caller replaces the file whole
         return False
     with f:
-        if f.read() != known:
+        if f.read() != known.encode():
             return False
         data = lines.encode()
         while data:
@@ -188,7 +188,11 @@ def cache_load(path: str, rows: dict) -> int:
     text this process last accepted from `path` are parsed, when the file
     still begins with that text.
     """
-    known, loaded = _LOADED.pop(path, ("", {}))
+    global _LOADED
+    last, known, loaded = _LOADED
+    if last != path:
+        known, loaded = "", {}
+    _LOADED = ("", "", {})      # `loaded` is extended below
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
@@ -226,9 +230,7 @@ def cache_load(path: str, rows: dict) -> int:
     if end < len(text):
         print(f"cache file {path} ends in a torn line; ignoring that line",
               file=sys.stderr)
-    _LOADED[path] = (text[:end], loaded)
-    if len(_LOADED) > _LOADED_PATHS:
-        del _LOADED[next(iter(_LOADED))]
+    _LOADED = (path, text[:end], loaded)
     rows.update(loaded)
     return len(loaded)
 

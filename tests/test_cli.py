@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -251,15 +252,6 @@ def test_cache_load_parses_each_line_once(no_debug_env, tmp_path, capsys,
         assert "corrupt" in capsys.readouterr().err
 
 
-def test_cache_load_keeps_the_last_few_paths(no_debug_env, tmp_path):
-    import dubrovnik.cli as cli
-    for i in range(2 * cli._LOADED_PATHS):
-        path = tmp_path / f"cache-{i}.jsonl"
-        path.write_text(CACHE_VERSION + "\n")
-        assert cache_load(str(path), {}) == 0
-    assert len(cli._LOADED) == cli._LOADED_PATHS and str(path) in cli._LOADED
-
-
 def test_cache_load_sees_an_edit_in_place(no_debug_env, tmp_path):
     path = tmp_path / "cache.jsonl"
     rows = [json.dumps({"diagram": key, "value": value})
@@ -294,6 +286,30 @@ def test_cache_store_appends_one_line(no_debug_env, tmp_path):
     # a cached job stores nothing
     run(JobSpec("braid", "1 1", cache_path=str(path)), EvalContext())
     assert path.read_bytes() == after
+
+
+def test_cache_store_replaces_a_read_only_file(no_debug_env, tmp_path,
+                                               capsys, monkeypatch):
+    import errno
+    path = tmp_path / "cache.jsonl"
+    assert main(["eval-braid", "1 1", "--cache", str(path)]) == 0
+    path.chmod(0o444)
+    # a user other than root cannot open the file for writing
+    real_open = os.open
+
+    def no_write(name, flags, *args, **kw):
+        if name == str(path) and flags & (os.O_WRONLY | os.O_RDWR):
+            raise PermissionError(errno.EACCES, "Permission denied", name)
+        return real_open(name, flags, *args, **kw)
+
+    monkeypatch.setattr(os, "open", no_write)
+    assert main(["eval-braid", "1 1 1", "--cache", str(path)]) == 0
+    assert "error" not in capsys.readouterr().err
+    # the store fell back to replacing the file whole
+    rows = {}
+    assert cache_load(str(path), rows) == 2
+    d = braid_to_link(parse_braid("1 1 1"))
+    assert rows[diagram_job_key(d)] == kauffman_state_sum(d).value
 
 
 def test_cache_torn_last_line(no_debug_env, tmp_path, capsys):
