@@ -3,7 +3,8 @@
 Evaluation repeatedly rewrites small faces: curls contribute beta, wide
 digons expand into three terms, and when no face is small enough (every
 face a pentagon or larger) a search over wide-edge rotations and square
-flips manufactures a reducible face first.  An independently written
+flips first reaches a graph with a small face, or with a square whose flip
+opens a wide digon.  An independently written
 4-valent calculus recomputes every value after contracting the wide edges.
 """
 
@@ -29,14 +30,15 @@ dodeca = dodecahedral_graphs(1)[0]
 print("\ndodecahedral graph, face lengths:",
       sorted(len(f) for f in dodeca.faces()))
 print("directly reducible face:", reducible_face(dodeca))
-# The move search returns the first move of a shortest script; the engine
-# applies it as a rule and looks again.
-g, kinds = dodeca, []
-while (move := alternating_walk_reduce(g)) is not None:
-    kind, face = move
-    kinds.append(kind)
+# The move search returns a shortest script of wide-edge rotations and
+# square flips, each on the graph the steps before it built, then the local
+# rule it reaches; the engine applies the whole script in one expansion.
+*moves, rule = alternating_walk_reduce(dodeca)
+g = dodeca
+for kind, face in moves:
     g = h_rotate(g, *face)[0] if kind == "rotate" else square_flip(g, face)[0]
-print("moves applied:", kinds, "-> reducible face:", reducible_face(g))
+print("moves applied:", [kind for kind, _ in moves],
+      "-> reducible face:", reducible_face(g), "-> local rule:", rule[0])
 
 # Confluence: randomized rule order cannot change the value.
 rng = random.Random(0)

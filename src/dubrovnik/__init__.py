@@ -9,7 +9,7 @@ computation routes (state sum over trivalent graphs, braid-algebra trace,
 
 from .ring import (Constants, DivisionFailure, LaurentPoly, QLaurent,
                    RingElem, constants, normalize, parse_ring_text,
-                   qlaurent_text, ring_sum, specialize_soN, to_canonical_text)
+                   qlaurent_text, specialize_soN, to_canonical_text)
 from .maps import (InvalidMap, MapBuilder, NonPlanar, PlanarMap, Surgery,
                    canonical_signature)
 from .diagrams import (BadEdge, BadIncidence, BraidWord, LinkDiagram,

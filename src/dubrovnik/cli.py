@@ -269,8 +269,8 @@ def run(job: JobSpec, ctx: EvalContext | None = None) -> dict:
         diagram = mirror(diagram)
         if writhe is not None:
             writhe = -writhe
-    key = diagram_job_key(diagram)
-    value = rows.get(key)
+    key = diagram_job_key(diagram) if job.cache_path else None
+    value = rows.get(key)           # rows is empty with no cache
     if value is not None and not debug_mode():
         ctx.stats["state_hits"] += 3 ** crossings
     else:
@@ -334,7 +334,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="switch every crossing before evaluating")
     p.add_argument("--oracle-check", action="store_true",
                    help="also run the 4-valent path and compare")
-    p.add_argument("--max-crossings", type=int, default=14)
+    p.add_argument("--max-crossings", type=int, default=14, metavar="N",
+                   help="cap on the crossings of the 3^c state sum (default "
+                        "14, 4,782,969 states); a larger input exits 1 with "
+                        "CeilingExceeded. Pass a larger N to raise the cap")
     p.add_argument("--format", dest="fmt", choices=("text", "json"),
                    default="text")
     p.add_argument("--cache", dest="cache_path", default=None, metavar="PATH",

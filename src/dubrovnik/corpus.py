@@ -117,11 +117,6 @@ def random_trivalent_graph(rng: random.Random, max_vertices: int = 12
             return g
 
 
-def trivalent_corpus(rng: random.Random, count: int,
-                     max_vertices: int = 12) -> list[PlanarTrivalentGraph]:
-    return [random_trivalent_graph(rng, max_vertices) for _ in range(count)]
-
-
 # -- girth-5 graphs -------------------------------------------------------------------
 
 def _perfect_matchings(g: nx.Graph, limit: int):

@@ -158,9 +158,6 @@ class LinkDiagram(PlanarMap):
         for cyc in self.nodes():
             _validate_crossing(self, cyc)
 
-    def crossings(self) -> int:
-        return self.n_nodes()
-
 
 class REGraphDiagram(PlanarMap):
     """Diagram of a knotted rigid-edge trivalent graph: crossings + vertices."""

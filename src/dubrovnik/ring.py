@@ -38,8 +38,7 @@ D can divide; three shortcuts skip the rest:
   divided, never the product.
 * Sum of products.  `sum_of_products` multiplies the terms of every pair
   straight into buckets per denominator power and normalizes the whole
-  sum once, so no product is normalized on its own; `ring_sum` is its
-  case with every second factor 1.
+  sum once, so no product is normalized on its own.
 
 The test groups the terms by (ea, eA + eB), the monomial left by A = B: D
 divides p exactly when every group's coefficients sum to zero.  Aligning
@@ -134,10 +133,6 @@ class LaurentPoly:
     @property
     def terms(self) -> Mapping[Mono, int]:
         return _Terms(self._t)
-
-    @staticmethod
-    def const(n: int) -> "LaurentPoly":
-        return _poly({0: n} if n else {}, 0)
 
     @staticmethod
     def mono(ea: int, eA: int, eB: int, coeff: int = 1) -> "LaurentPoly":
@@ -288,10 +283,6 @@ class RingElem:
     @staticmethod
     def one() -> "RingElem":
         return _elem(_poly({0: 1}, 0), 0)
-
-    @staticmethod
-    def const(n: int) -> "RingElem":
-        return _elem(LaurentPoly.const(n), 0)
 
     @staticmethod
     def mono(ea: int, eA: int, eB: int, coeff: int = 1) -> "RingElem":
@@ -465,12 +456,6 @@ def sum_of_products(pairs) -> RingElem:
     if 0 in total.values():
         total = {k: c for k, c in total.items() if c}
     return _elem(*_normalize(_poly(total, bound), top))
-
-
-def ring_sum(values) -> RingElem:
-    """Sum of many elements, normalized once: `sum_of_products` with every
-    second factor 1."""
-    return sum_of_products((x, R_ONE) for x in values)
 
 
 def depends_on_z_only(x: RingElem) -> bool:

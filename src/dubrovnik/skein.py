@@ -28,14 +28,14 @@ rewritten by the square relation when flipping one of its six-vertex
 squares opens a wide digon, so an alternating c1 c2 c1 c2 ... gadget chain
 shortens instead of growing with every letter of a braid sweep.  The
 flipped term keeps its size, but its next rule is that digon; the other
-eight terms have at least four vertices fewer.  An open tangle with no
-such square is reduced.  A closed graph with none (e.g. a dodecahedral
-pattern, all faces of length 5) takes one move, a wide-edge rotation or a
-square flip, chosen by a breadth-first search as the first move of a
-shortest sequence ending in a reducible graph; such a sequence exists for
-every connected planar trivalent graph.  The move is applied like any
-other rule, and it leaves a graph whose shortest sequence is one move
-shorter.
+eight terms have at least four vertices fewer.  A reducible face or such a
+square is the engine's local rule (`_local_rule`).  An open tangle with
+none is reduced.  A closed graph with none (e.g. a dodecahedral pattern,
+all faces of length 5) takes a script: a breadth-first search finds a
+shortest sequence of wide-edge rotations and square flips that reaches a
+graph with a local rule (such a sequence exists for every connected planar
+trivalent graph), and the engine applies the whole script in one
+expansion, each move by its rule and then the local rule it reaches.
 
 One engine, `reduce_terms`, reduces every input: link states, knotted-graph
 states, closed braid tangles and the open tangles of the braid sweep.  A
@@ -322,10 +322,6 @@ def _match_square(g: PlanarMap, face: tuple[int, ...]):
     return (T1, T2, T3, B1, B2, B3), nodes
 
 
-def is_square_face(g: PlanarMap, face: tuple[int, ...]) -> bool:
-    return _match_square(g, face) is not None
-
-
 def square_flip(g: PlanarMap, face: tuple[int, ...]
                 ) -> tuple[PlanarTrivalentGraph, list[int]]:
     """The flipped square alone (the c2 c1 c2 stack), with the new id of
@@ -392,19 +388,15 @@ def _opens_digon(g: PlanarMap, strands, nodes) -> bool:
     return False
 
 
-def _digon_square(g: PlanarMap, rng=None) -> tuple[int, ...] | None:
-    """A six-vertex square whose flip opens a wide digon (`_opens_digon`),
-    or None.  The first one found is taken; with a `random.Random`, one of
-    them is drawn.
+def _squares(g: PlanarMap):
+    """(face, `_match_square` match) of every six-vertex square of g.
 
     Each square face has exactly one wide half-edge, so the faces are
-    walked from the wide half-edges only.  A square face, like a digon,
-    has a trivalent node at every corner, so neither ever meets a
-    tangle's endpoints.  Debug mode builds every candidate's flip and
-    checks the prediction against its faces.
+    walked from the wide half-edges only.  A square face, like a digon, has
+    a trivalent node at every corner, so neither ever meets a tangle's
+    endpoints.
     """
     twin, nxt, wide = g.twin, g.nxt, g.wide
-    found = []
     for w in range(len(wide)):
         if not wide[w]:
             continue
@@ -414,22 +406,38 @@ def _digon_square(g: PlanarMap, rng=None) -> tuple[int, ...] | None:
         if nxt[twin[f1]] != w:
             continue
         face = (f1, w, f3, f4)
-        m = _match_square(g, face)
-        if m is None:
-            continue
+        if (m := _match_square(g, face)) is not None:
+            yield face, m
+
+
+def _local_rule(g: PlanarMap, ends=(), rng=None
+                ) -> tuple[str, tuple[int, ...]] | None:
+    """The engine's local step on g, as (kind, face), or None: a reducible
+    face away from `ends` (`reducible_face`), else a six-vertex square
+    whose flip opens a wide digon (`_opens_digon`), as ("square", face).
+
+    The first square found is taken; with a `random.Random`, the face or
+    square is drawn.  Debug mode builds every square's flip and checks the
+    prediction against its faces.
+    """
+    found = reducible_face(g, ends, rng)
+    if found is not None:
+        return found
+    debug = debug_mode()
+    squares = []
+    for face, m in _squares(g):
         opens = _opens_digon(g, *m)
-        debug = debug_mode()
         if debug and opens != any(kind == "digon" for kind, _ in
                                   _reducible_faces(square_flip(g, face)[0])):
             raise InternalError("a square flip's predicted digon differs "
                                 "from its faces")
         if opens:
-            found.append(face)
+            squares.append(("square", face))
             if rng is None and not debug:
                 break
-    if not found:
-        return None
-    return found[0] if rng is None else rng.choice(found)
+    if squares:
+        return squares[0] if rng is None else rng.choice(squares)
+    return None
 
 
 # -- fallback search ------------------------------------------------------------
@@ -439,59 +447,57 @@ def _search_moves(g: PlanarMap):
     for w in range(g.n_half):
         if g.wide[w] and w < g.twin[w]:
             yield ("rotate", (w,))
-    for face in g.faces():
-        if is_square_face(g, face):
-            yield ("square", face)
+    for face, _ in _squares(g):
+        yield ("square", face)
 
 
 # Graphs the move search may queue before it gives up.
 SEARCH_BUDGET = 50000
 
 
-def alternating_walk_reduce(g: PlanarTrivalentGraph, rng=None
-                            ) -> tuple[str, tuple[int, ...]] | None:
-    """The first move, as (kind, face), of a shortest script of wide-edge
-    rotations ("rotate", (w,)) and square flips ("square", face) that
-    turns g into a graph with a reducible face; None when g has one.
+def alternating_walk_reduce(g: PlanarTrivalentGraph, rng=None) -> list | None:
+    """A shortest script that turns g into a graph with a local rule
+    (`_local_rule`), as a list of (kind, face): wide-edge rotations
+    ("rotate", (w,)) and square flips ("square", face), each on the graph
+    the steps before it built, then the local rule they reach; None when g
+    has one.
 
     Breadth-first search, with graphs deduplicated by canonical signature.
     Alternating strands switch sides at every wide edge, which forces a
     region bounded by at most two strands; clearing it with these moves
     always succeeds, so the search terminates (`SEARCH_BUDGET` is an
-    implementation-bug guard, not a mathematical limit).  The script is a
-    shortest one whatever order a `random.Random` `rng` shuffles the moves
-    into, so applying its first move leaves a graph whose shortest script
-    is one move shorter.  The search keeps its own set of signatures
+    implementation-bug guard, not a mathematical limit).  A `random.Random`
+    `rng` shuffles the moves and draws the final rule; the goal test draws
+    nothing.  The search keeps its own set of signatures
     (`signature_of_arrays`) and writes nothing into a context's table.
     """
-    if reducible_face(g) is not None:
+    if _local_rule(g) is not None:
         return None
     seen = {signature_of_arrays(g.twin, g.nxt, g.wide, g.free_loops)}
-    frontier = deque([(g, None)])
+    frontier = deque([(g, [])])
     explored = 0
     while frontier:
-        cur, first = frontier.popleft()
+        cur, script = frontier.popleft()
         moves = list(_search_moves(cur))
         if rng is not None:
             rng.shuffle(moves)
-        for move in moves:
-            kind, face = move
-            if kind == "rotate":
-                nxt_g, _ = h_rotate(cur, face[0])
-            else:
-                nxt_g, _ = square_flip(cur, face)
+        for kind, face in moves:
+            nxt_g = (h_rotate(cur, face[0]) if kind == "rotate"
+                     else square_flip(cur, face))[0]
             sig = signature_of_arrays(nxt_g.twin, nxt_g.nxt, nxt_g.wide,
                                       nxt_g.free_loops)
             if sig in seen:
                 continue
             seen.add(sig)
-            if reducible_face(nxt_g) is not None:
-                return first or move
-            frontier.append((nxt_g, first or move))
+            rule = _local_rule(nxt_g)
+            if rule is not None:
+                return script + [(kind, face), rule if rng is None
+                                 else _local_rule(nxt_g, (), rng)]
+            frontier.append((nxt_g, script + [(kind, face)]))
             explored += 1
             if explored > SEARCH_BUDGET:
                 raise InternalError("fallback search budget exhausted")
-    raise InternalError("fallback search space exhausted without a reducible graph")
+    raise InternalError("fallback search space exhausted without a local rule")
 
 
 # -- evaluation ------------------------------------------------------------------
@@ -511,17 +517,15 @@ class EvalContext:
     and compares).  `signatures` maps literal (twin, nxt, wide) arrays to
     their component encodings, so that `signature` signs each literal
     array once per context: the state sum's distinct states, every closed
-    piece of the engine (the graph of each move applied included) and the
-    graphs valued by `evaluate`.  The move search's candidates are signed
-    outside it, so a search adds only what the engine keeps.  A signature
-    does not depend on the strategy, so the table is kept under `rng` too;
-    debug mode recomputes a signature found there and compares.  In
-    `stats`:
+    piece of the engine and the graphs valued by `evaluate`.  The move
+    search's candidates are signed outside it, so a search adds only what
+    the engine keeps.  A signature does not depend on the strategy, so the
+    table is kept under `rng` too; debug mode recomputes a signature found
+    there and compares.  In `stats`:
 
     * "components" counts the closed connected pieces the engine expanded
-      (each distinct piece of one reduction once, and each move of the
-      move search applied to a piece as one more expansion; open
-      transition rows are not counted);
+      (each distinct piece of one reduction once, a piece that takes a
+      script of moves included; open transition rows are not counted);
     * "memo_hits" the `evaluate` calls answered from `memo`;
     * "state_hits" the states whose value came from the cache, counted by
       `cli.run` (all 3^c of a diagram served from there);
@@ -611,8 +615,8 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
 
     Returns (value, reduced): `value` sums what reduced to scalars -- all
     of it when every tangle is closed -- and `reduced` holds (coefficient,
-    signature, tangle) triples of distinct open tangles with no reducible
-    face away from their boundary.
+    signature, tangle) triples of distinct open tangles with no local rule
+    (`_local_rule`) away from their boundary.
 
     The engine signs every term itself.  A closed term whose literal
     arrays the caller has signed already through `EvalContext.signature`
@@ -632,18 +636,19 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
     A level holds factor pairs (the parent's coefficient, the rule's
     coefficient times what fell away), and a piece's coefficient is formed
     by one `ring.sum_of_products` only when the piece is expanded; `value`
-    is one more.  The largest level is expanded first.  A piece's
-    reducible face (`reducible_face`) is rewritten by its rule.  A piece
-    with none takes one branch: it is rewritten by the square relation when
-    a square flip opens a wide digon (`_digon_square`); otherwise an open
-    tangle is emitted as reduced, and a closed piece takes the first move
-    that `alternating_walk_reduce` finds, a rotation or a square relation,
-    as its rule.  Every other rule removes half-edges, so all paths into a
-    piece have added their coefficients by the time its level is expanded.
-    A flipped or rotated term keeps its size and re-enters a level of its
-    own size, which is expanded next.  A flipped term has a digon, so it is
-    rewritten there and never emitted, and no signature is emitted twice; a
-    moved closed term is one move nearer a reducible face.
+    is one more.  The largest level is expanded first.  A piece's local
+    rule (`_local_rule`: a reducible face, else a square flip that opens a
+    wide digon) is applied (`apply_rule`).  An open tangle with none is
+    emitted as reduced.  A closed piece with none takes the script that
+    `alternating_walk_reduce` finds, in the same expansion: each move, a
+    rotation or a square relation, goes on with its first term (the moved
+    graph, coefficient 1) and puts the others, and the local rule the
+    script reaches puts all of its terms.  Every term put has fewer
+    half-edges than the piece, except a flipped square, which keeps its
+    size and re-enters a level of its own size, expanded next; it has a
+    digon, so it is rewritten there and never emitted.  So all paths into
+    a piece have added their coefficients by the time its level is
+    expanded, and no signature is emitted twice.
     """
     one = RingElem.one()
     scalars: list[tuple[RingElem, RingElem]] = []
@@ -687,22 +692,22 @@ def reduce_terms(terms, ctx: EvalContext) -> tuple[RingElem, list]:
             if c.is_zero():
                 continue
             g = t.g
-            found = reducible_face(g, t.ends, ctx.rng)
-            if found is None:
-                face = _digon_square(g, ctx.rng)
-                if face is not None:
-                    found = ("square", face)
-                elif t.ends:
+            script = [_local_rule(g, t.ends, ctx.rng)]
+            if script[0] is None:
+                if t.ends:
                     reduced.append((c, key, t))
                     continue
-                else:
-                    found = alternating_walk_reduce(g, ctx.rng)
+                script = alternating_walk_reduce(g, ctx.rng)
             if not t.ends:
                 ctx.stats["components"] += 1
-            kind, face = found
-            ctx.record(kind, face)
-            for coeff, g2, idmap in apply_rule(g, kind, face):
-                put(c, coeff, Tangle(g2, [idmap[h] for h in t.ends]))
+            last = len(script) - 1
+            for i, (kind, face) in enumerate(script):
+                ctx.record(kind, face)
+                out = apply_rule(g, kind, face)
+                if i < last:        # a move goes on with its first term
+                    g = out.pop(0)[1]
+                for coeff, g2, idmap in out:
+                    put(c, coeff, Tangle(g2, [idmap[h] for h in t.ends]))
     return sum_of_products(scalars), reduced
 
 

@@ -154,6 +154,18 @@ def test_cache_round_trip(no_debug_env, tmp_path):
     assert doc1["value"] == doc2["value"]
 
 
+def test_no_cache_hashes_no_key(monkeypatch):
+    import dubrovnik.cli as cli
+
+    def unused(d):
+        raise AssertionError("a job with no cache computed a cache key")
+
+    monkeypatch.setattr(cli, "diagram_job_key", unused)
+    doc = run(JobSpec("braid", "n=3; 1 2 1 2"))
+    d = braid_to_link(parse_braid("n=3; 1 2 1 2"))
+    assert doc["value"] == cli._value_json(kauffman_state_sum(d).value)
+
+
 def test_cache_hits_speed_repeat(no_debug_env, tmp_path, monkeypatch):
     import dubrovnik.diagrams as D
     import dubrovnik.invariants as I

@@ -44,9 +44,9 @@ def test_writhe():
 def test_braid_to_link():
     assert braid_to_link(parse_braid("n=1;")).free_loops == 1
     d = braid_to_link(parse_braid("1 1"))
-    assert d.crossings() == 2 and d.free_loops == 0
+    assert d.n_nodes() == 2 and d.free_loops == 0
     d2 = braid_to_link(parse_braid("1 -1"))
-    assert d2.crossings() == 2
+    assert d2.n_nodes() == 2
 
 
 def test_closure_numbering_is_pinned():
@@ -83,7 +83,7 @@ def test_closure_component_count():
 
 def test_parse_pd():
     d = parse_pd("X(1,3,2,4) X(3,1,4,2)")
-    assert d.crossings() == 2
+    assert d.n_nodes() == 2
     assert link_components(d) == 2
     assert parse_pd("").free_loops == 0
     with pytest.raises(BadIncidence):
@@ -115,7 +115,7 @@ def test_vertex_count_always_even():
     for _ in range(20):
         d = random_regraph(rng)
         assert sum(1 for cyc in d.nodes() if len(cyc) == 3) % 2 == 0
-    assert parse_pd("X(1,1,2,2)").crossings() == 1
+    assert parse_pd("X(1,1,2,2)").n_nodes() == 1
 
 
 def test_mirror_involution():
@@ -147,10 +147,10 @@ def _states(d):
 def test_states_count_and_partition():
     d = braid_to_link(parse_braid("1 1"))
     sts = _states(d)
-    assert len(sts) == 9 == 3 ** d.crossings()
+    assert len(sts) == 9 == 3 ** d.n_nodes()
     for g, na, nb in sts.values():
         wide_edges = sum(g.wide) // 2
-        assert na + nb + wide_edges == d.crossings()
+        assert na + nb + wide_edges == d.n_nodes()
         assert g.vertex_count() % 2 == 0
 
 

@@ -95,9 +95,10 @@ def reflect(g: PlanarMap) -> PlanarMap:
 
 
 def test_signature_classes_match_the_brute_force_oracle():
-    from dubrovnik.corpus import dodecahedral_graphs, trivalent_corpus
+    from dubrovnik.corpus import dodecahedral_graphs, random_trivalent_graph
     rng = random.Random(5)
-    base = trivalent_corpus(rng, 40) + dodecahedral_graphs()
+    base = ([random_trivalent_graph(rng) for _ in range(40)]
+            + dodecahedral_graphs())
     maps = []
     for g in base:
         maps += [g, relabel(g, rng), reflect(g), relabel(reflect(g), rng)]
@@ -133,10 +134,11 @@ def _tuple_encode_from(twin, nxt, wide, roots, best=None):
 def test_packed_signatures_agree_with_tuple_encodings(monkeypatch):
     import networkx as nx
     from dubrovnik.corpus import (dodecahedral_graphs, matching_graphs,
-                                  trivalent_corpus)
+                                  random_trivalent_graph)
     from dubrovnik.diagrams import c_tangle, close_tangle, stack
     rng = random.Random(17)
-    base = (trivalent_corpus(rng, 40) + dodecahedral_graphs(4)
+    base = ([random_trivalent_graph(rng) for _ in range(40)]
+            + dodecahedral_graphs(4)
             + matching_graphs(nx.truncated_cube_graph(), 3))
     for k in (6, 7, 40, 41):              # gadget chains c1 c2 c1 ...
         t = c_tangle(3, 1)

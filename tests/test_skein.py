@@ -19,8 +19,7 @@ import dubrovnik.skein as skein
 from dubrovnik.skein import (EvalContext, InternalError,
                              alternating_walk_reduce, apply_lollipop,
                              apply_rule, apply_wide_digon, evaluate, h_rotate,
-                             is_square_face, reducible_face, square_flip,
-                             square_move)
+                             reducible_face, square_flip, square_move)
 from dubrovnik.verify import check_confluence
 
 C = constants()
@@ -41,6 +40,11 @@ def necklace() -> PlanarTrivalentGraph:
 
 def circles(k: int) -> PlanarMap:
     return PlanarMap([], [], [], frozenset(), k)
+
+
+def square_faces(g: PlanarMap) -> list:
+    """The six-vertex square faces of g, in `g.faces()` order."""
+    return [f for f in g.faces() if skein._match_square(g, f) is not None]
 
 
 def test_base_cases():
@@ -125,7 +129,7 @@ def test_h_rotate_involution_and_invariance():
 
 def test_square_move_telescopes():
     g = close_tangle(stack(stack(c_tangle(3, 1), c_tangle(3, 2)), c_tangle(3, 1)))
-    face = [f for f in g.faces() if is_square_face(g, f)][0]
+    face = square_faces(g)[0]
     combo = square_move(g, face)
     assert len(combo) == 9
     ref = evaluate(g, EvalContext())
@@ -138,7 +142,7 @@ def test_square_move_telescopes():
     assert canonical_signature(flipped) == canonical_signature(combo[0][1])
     assert idmap == combo[0][2]
     # applying the move to the flipped term telescopes back
-    face2 = [f for f in flipped.faces() if is_square_face(flipped, f)][0]
+    face2 = square_faces(flipped)[0]
     back = square_move(flipped, face2)
     assert canonical_signature(back[0][1]) == canonical_signature(g)
 
@@ -146,7 +150,7 @@ def test_square_move_telescopes():
 def test_square_move_n2_coefficients():
     # with A = q, B = q^-1, a = q the nine coefficients are 1, +-1 and -+(q+q^-1)
     g = close_tangle(stack(stack(c_tangle(3, 1), c_tangle(3, 2)), c_tangle(3, 1)))
-    face = [f for f in g.faces() if is_square_face(g, f)][0]
+    face = square_faces(g)[0]
     coeffs = [specialize_soN(c, 2) for c, _, _ in square_move(g, face)]
     assert coeffs[0] == {0: 1}
     assert coeffs[1:7] == [{0: -1}, {0: 1}, {0: -1}, {0: 1}, {0: -1}, {0: 1}]
@@ -154,34 +158,37 @@ def test_square_move_n2_coefficients():
     assert coeffs[8] == {1: -1, -1: -1}
 
 
-def _first_moves(g):
-    """Apply the move search's first move by its rule, keeping the moved
-    term, until g has a reducible face; return the kinds applied and the
-    final graph."""
-    kinds = []
-    while (move := alternating_walk_reduce(g)) is not None:
-        kinds.append(move[0])
-        g = apply_rule(g, *move)[0][1]
-    return kinds, g
+def _walk_script(g):
+    """Apply the moves of the move search's script by their rules, keeping
+    the moved term, and check that only the last graph has a local rule,
+    the script's last step; return the kinds of the script's steps and
+    that graph."""
+    script = alternating_walk_reduce(g)
+    for kind, face in script[:-1]:
+        assert skein._local_rule(g) is None
+        g = apply_rule(g, kind, face)[0][1]
+    assert skein._local_rule(g) == script[-1]
+    return [kind for kind, _ in script], g
 
 
 def test_fallback_script():
     g = dodecahedral_graphs(1)[0]
-    kinds, moved = _first_moves(g)
-    assert kinds == ["rotate", "square"]
-    assert reducible_face(moved) is not None
+    kinds, moved = _walk_script(g)
+    # two rotations reach a square whose flip opens a wide digon
+    assert kinds == ["rotate", "rotate", "square"]
+    assert reducible_face(moved) is None
     # rotations preserve the value, squares are rewritten by their relation
     assert specialize_soN(evaluate(g, EvalContext()), 2) == n2_closed_form(g)
 
 
 def test_fallback_searches_deeper_than_two_moves():
     # the truncated cube with wide edges on its first perfect matching has
-    # no reducible face, and no script of one or two moves gives it one
+    # no local rule, and no script of one or two moves reaches one: the
+    # search returns three moves, then the rule
     g = matching_graphs(nx.truncated_cube_graph(), 1)[0]
     assert reducible_face(g) is None
-    kinds, moved = _first_moves(g)
+    kinds, moved = _walk_script(g)
     assert kinds == ["rotate", "rotate", "square", "square"]
-    assert reducible_face(moved) is not None
     value = evaluate(g, EvalContext())
     assert value == evaluate4(collapse(g))
     assert specialize_soN(value, 2) == n2_closed_form(g)
@@ -191,11 +198,17 @@ def test_fallback_searches_deeper_than_two_moves():
 
 def test_fallback_not_called_when_reducible():
     assert alternating_walk_reduce(theta()) is None
+    # nor when a square flip opens a wide digon, as on the dodecahedral
+    # graph after the two rotations of its script
+    g = _walk_script(dodecahedral_graphs(1)[0])[1]
+    assert reducible_face(g) is None and skein._local_rule(g)[0] == "square"
+    assert alternating_walk_reduce(g) is None
 
 
 def test_dodecahedral_graphs_take_few_move_searches(monkeypatch):
-    # each search returns one move, applied as a rule; a closed piece tries
-    # a digon-opening square flip before it searches
+    # each search returns a whole script, applied in one expansion; its
+    # goal, like the engine's step, is a reducible face or a square flip
+    # that opens a wide digon
     calls = []
     real = skein.alternating_walk_reduce
 
@@ -362,9 +375,8 @@ def test_rewrite_numbering_is_pinned():
         for w in range(g.n_half):
             if g.wide[w] and w < g.twin[w]:
                 outs.append(h_rotate(g, w)[0])
-        for face in g.faces():
-            if is_square_face(g, face):
-                outs += [m for _, m, _ in square_move(g, face)]
+        for face in square_faces(g):
+            outs += [m for _, m, _ in square_move(g, face)]
         g4 = collapse(g)
         for face in g4.faces():
             kind = _face_kind4(g4, face)
