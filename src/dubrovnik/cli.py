@@ -343,7 +343,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cache", dest="cache_path", default=None, metavar="PATH",
                    help="JSON-lines evaluation cache")
     p.add_argument("--trace", action="store_true",
-                   help="report the reduction trace (JSON, stderr)")
+                   help="report the reduction trace (JSON, stderr): one "
+                        "{rule, face} entry per rule applied, the rule "
+                        "lollipop or curl2 (curls), digon, triangle or "
+                        "square4 (a wide digon with none, one or both of "
+                        "its wide edges on the face), square (the "
+                        "six-vertex square relation) or rotate (a wide-edge "
+                        "rotation of a move-search script)")
 
 
 def main(argv=None) -> int:

@@ -12,14 +12,21 @@ and the six-vertex square relation used here in the form
                                 - delta*(t1 - t2)
 
 written multiplicatively in the wide-edge (c) and cup-cap (t) patterns on
-three strands.  Reducible configurations are recognized on faces:
+three strands.  A wide edge is a rigid 4-valent vertex, its four strands
+read counterclockwise (`_strands`), and the wide-digon relation joins two
+such vertices however each is rotated.  Reducible configurations are
+recognized on faces:
 
     1-gon                          curl, factor beta
     2-gon (std, wide)              curl around a wide-edge end, factor beta
-    2-gon (std, std)               wide digon
-    3-gon (std, std, wide)         digon after one wide-edge rotation
-    4-gon (std, wide, std, wide)   digon after two rotations
+    2-gon (std, std)               wide digon, "digon"
+    3-gon (std, std, wide)         wide digon, "triangle"
+    4-gon (std, wide, std, wide)   wide digon, "square4"
 
+A wide digon is a face with two standard half-edges on two distinct wide
+edges; none, one or both of those wide edges lie on the face.  The 3-gon
+and 4-gon are the same relation on the same two rigid vertices as the
+2-gon: `apply_wide_digon` rewrites them in one step, with no rotation.
 Every one of these removes at least two vertices net, so reduction
 terminates.
 
@@ -78,33 +85,32 @@ class InternalError(RuntimeError):
 _PRIORITY = {"lollipop": 0, "curl2": 1, "digon": 2, "triangle": 3, "square4": 4}
 
 
+def _wide_at(g: PlanarMap, e: int) -> int:
+    """The wide half-edge at the node of the standard half-edge e: with its
+    twin, the rigid vertex that e is a strand of."""
+    nxt = g.nxt
+    return nxt[e] if g.wide[nxt[e]] else nxt[nxt[e]]
+
+
+def _strands(g: PlanarMap, w: int) -> list[int]:
+    """The four strands of the rigid vertex (wide edge) at half-edge w,
+    read counterclockwise around it."""
+    nxt, tw = g.nxt, g.twin[w]
+    return [nxt[w], nxt[nxt[w]], nxt[tw], nxt[nxt[tw]]]
+
+
 def _classify_face(g: PlanarMap, face: tuple[int, ...]) -> str | None:
-    n = len(face)
-    wides = [h for h in face if g.wide[h]]
-    if n == 1:
-        return "lollipop"
-    if n == 2:
-        if len(wides) == 1:
-            return "curl2"
-        if wides:
-            return None
-        h1, h2 = face
-        v1, v2 = g.node_of(h1), g.node_of(h2)
-        # corners joined by a wide edge form a theta component: not a digon
-        if g.node_of(g.twin[g.nxt[h1]]) == v2:
-            return None
-        return "digon"
-    if n == 3 and len(wides) == 1:
-        nodes = {g.node_of(h) for h in face}
-        if len(nodes) == 3:
-            return "triangle"
-        return None
-    if n == 4 and len(wides) == 2:
-        i = face.index(wides[0])
-        # the two wide halves must be opposite and on distinct edges
-        if face[(i + 2) % 4] == wides[1] and g.twin[wides[0]] != wides[1]:
-            return "square4"
-        return None
+    """A face with one standard half-edge is a curl; one with two, on two
+    distinct wide edges, is a wide digon, named by its length.  (Two wide
+    halves are never consecutive on a face, so no other face has one or
+    two standard half-edges.)"""
+    std = [h for h in face if not g.wide[h]]
+    if len(std) == 1:
+        return "lollipop" if len(face) == 1 else "curl2"
+    if len(std) == 2:
+        w1, w2 = (_wide_at(g, e) for e in std)
+        if w2 != w1 and w2 != g.twin[w1]:
+            return ("digon", "triangle", "square4")[len(face) - 2]
     return None
 
 
@@ -146,15 +152,10 @@ def h_rotate(g: PlanarMap, w: int) -> tuple[PlanarTrivalentGraph, list[int]]:
     """
     if not g.wide[w]:
         raise ValueError("h_rotate needs a wide half-edge")
-    wt = g.twin[w]
-    p, q = g.node_of(w), g.node_of(wt)
-    x1 = g.nxt[w]
-    x2 = g.nxt[x1]
-    y1 = g.nxt[wt]
-    y2 = g.nxt[y1]
+    x1, x2, y1, y2 = _strands(g, w)
     s = Surgery(g)
-    s.kill(p)
-    s.kill(q)
+    s.kill(g.node_of(w))
+    s.kill(g.node_of(g.twin[w]))
     _new_gadget(s, x2, y1, y2, x1)
     return s.finish()
 
@@ -211,54 +212,42 @@ def _rewrite(g: PlanarMap, nodes, terms) -> list:
     return out
 
 
-def _digon_terms(g: PlanarMap, h1: int, h2: int) -> list:
-    """Expand the 2-gon (std,std) face (h1, h2) by the wide-digon relation."""
-    v1, v2 = g.node_of(h1), g.node_of(h2)
-    w1 = g.nxt[h1]
-    w2 = g.nxt[h2]
-    if not (g.wide[w1] and g.wide[w2]):
-        raise ValueError("digon corners must carry outward wide edges")
-    p2 = g.node_of(g.twin[w1])
-    q2 = g.node_of(g.twin[w2])
-    if len({v1, v2, p2, q2}) != 4:
-        raise ValueError("degenerate digon")
-    a1 = g.nxt[g.twin[w1]]
-    a2 = g.nxt[a1]
-    b1 = g.nxt[g.twin[w2]]
-    b2 = g.nxt[b1]
-    AB = RingElem.mono(0, 1, 1)
-    A_plus_B = RingElem.mono(0, 1, 0) + RingElem.mono(0, 0, 1)
-    return _rewrite(g, (v1, v2, p2, q2), [
-        (RingElem.one() - AB, None, [(a2, b1), (a1, b2)]),  # through-strands
-        (constants().gamma, None, [(a1, a2), (b1, b2)]),    # across-arcs
-        (-A_plus_B, (a1, a2, b1, b2), []),                  # one gadget
-    ])
-
-
-def _compose(m1: list[int], m2: list[int]) -> list[int]:
-    return [v if v < 0 else m2[v] for v in m1]
-
-
 def apply_wide_digon(g: PlanarMap, face: tuple[int, ...]) -> list:
-    """Expand a wide digon in any of its rotational guises.
+    """Expand a wide digon (a "digon", "triangle" or "square4" face) by the
+    wide-digon relation on its two rigid vertices.
 
-    The 3-gon and 4-gon variants are first straightened by rotating their
-    boundary wide edges, which shortens the face without changing the value.
-    Returns (coefficient, graph, new id of each half-edge of g) triples.
+    Let e1 be the face's standard half-edge that follows the other, e2
+    (on a 4-gon, where neither does, the first), P the rigid vertex of e1
+    and Q that of e2.  The outer strands o1, o2 follow twin[e2], e1 around
+    P, and o3, o4 follow twin[e1], e2 around Q.  The four nodes are removed
+    and the terms are (1-AB) times the through-strands (o2 o3)(o1 o4),
+    gamma times the across-arcs (o1 o2)(o3 o4), and -(A+B) times one gadget
+    on (o1 o2 o3 o4).  Returns (coefficient, graph, new id of each
+    half-edge of g) triples; any other face raises ValueError.
     """
     kind = _classify_face(g, face)
-    if kind == "digon":
-        return _digon_terms(g, face[0], face[1])
-    if kind in ("triangle", "square4"):
-        w = [h for h in face if g.wide[h]][0]
-        killed = {g.node_of(w), g.node_of(g.twin[w])}
-        anchor = [h for h in face
-                  if not g.wide[h] and g.node_of(h) not in killed][0]
-        g2, rot_map = h_rotate(g, w)
-        new_face = _face_of(g2, rot_map[anchor])
-        return [(coeff, piece, _compose(rot_map, m))
-                for coeff, piece, m in apply_wide_digon(g2, new_face)]
-    raise ValueError(f"not a wide-digon face: {kind}")
+    if kind not in ("digon", "triangle", "square4"):
+        raise ValueError(f"not a wide-digon face: {kind}")
+    wide = g.wide
+    std = [h for h in face if not wide[h]]
+    e1 = next((h for i, h in enumerate(face)
+               if not wide[h] and not wide[face[i - 1]]), std[0])
+    e2 = std[1] if e1 == std[0] else std[0]
+    nodes, outer = [], []
+    for e in (e1, e2):
+        w = _wide_at(g, e)
+        s = _strands(g, w)
+        i = s.index(e)
+        nodes += [g.node_of(w), g.node_of(g.twin[w])]
+        outer += [s[(i + 1) % 4], s[(i + 2) % 4]]
+    o1, o2, o3, o4 = outer
+    AB = RingElem.mono(0, 1, 1)
+    A_plus_B = RingElem.mono(0, 1, 0) + RingElem.mono(0, 0, 1)
+    return _rewrite(g, nodes, [
+        (RingElem.one() - AB, None, [(o2, o3), (o1, o4)]),  # through-strands
+        (constants().gamma, None, [(o1, o2), (o3, o4)]),    # across-arcs
+        (-A_plus_B, (o1, o2, o3, o4), []),                  # one gadget
+    ])
 
 
 def apply_rule(g: PlanarMap, kind: str, face: tuple[int, ...]) -> list:
@@ -274,15 +263,6 @@ def apply_rule(g: PlanarMap, kind: str, face: tuple[int, ...]) -> list:
     if kind == "rotate":
         return [(RingElem.one(), *h_rotate(g, face[0]))]
     return apply_wide_digon(g, face)
-
-
-def _face_of(g: PlanarMap, h: int) -> tuple[int, ...]:
-    face = [h]
-    cur = g.nxt[g.twin[h]]
-    while cur != h:
-        face.append(cur)
-        cur = g.nxt[g.twin[cur]]
-    return tuple(face)
 
 
 # -- the six-vertex square relation ----------------------------------------------
@@ -546,7 +526,11 @@ class EvalContext:
     def record(self, rule: str, face) -> None:
         """Append {"rule", "face"} to `trace`: the half-edges of the face
         rewritten (a square's for "square"), or for "rotate" the one
-        half-edge of the wide edge rotated."""
+        half-edge of the wide edge rotated.  The rules are "lollipop" and
+        "curl2" (curls); "digon", "triangle" and "square4" (a wide digon
+        with none, one or both of its wide edges on the face); "square"
+        (the six-vertex square relation); and "rotate" (a wide-edge
+        rotation, met only in move-search scripts)."""
         if self.trace is not None:
             self.trace.append({"rule": rule, "face": list(face)})
 

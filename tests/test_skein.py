@@ -111,6 +111,34 @@ def test_digon_vertex_counts():
     assert drops == [2, 4, 4]       # gadget term keeps one wide edge
 
 
+def test_degenerate_wide_digons_are_not_rewritten():
+    # two standard half-edges make a wide digon only on two distinct wide
+    # edges: theta's standard 2-gon has both corners on its one wide edge,
+    # and a 4-gon whose two wide halves are one edge (the dumbbell's outer
+    # face, and 23 faces of these random graphs) closes on itself
+    g = theta()
+    cases = [(g, f) for f in g.faces()
+             if len(f) == 2 and not any(g.wide[h] for h in f)]
+    rng = random.Random(3)
+    graphs = [as_graph(parse_regraph("W(1,1;2,2)"))]        # the dumbbell
+    graphs += [random_trivalent_graph(rng, 14) for _ in range(400)]
+    for g in graphs:
+        for f in g.faces():
+            wides = [h for h in f if g.wide[h]]
+            if (len(f) == 4 and len(wides) == 2
+                    and g.twin[wides[0]] == wides[1]):
+                cases.append((g, f))
+    assert len(cases) == 1 + 1 + 23
+    for g, f in cases:
+        assert skein._classify_face(g, f) is None
+        with pytest.raises(ValueError, match="not a wide-digon face"):
+            apply_wide_digon(g, f)
+    # the necklace's standard 2-gon joins two distinct wide edges
+    g = necklace()
+    assert {skein._classify_face(g, f) for f in g.faces()
+            if not any(g.wide[h] for h in f)} == {"digon"}
+
+
 def test_h_rotate_involution_and_invariance():
     rng = random.Random(2)
     for _ in range(25):
@@ -220,6 +248,20 @@ def test_dodecahedral_graphs_take_few_move_searches(monkeypatch):
     for g in dodecahedral_graphs(10):
         evaluate(g, EvalContext())
     assert 0 < len(calls) <= 64
+
+
+def test_crossingless_values_are_mirror_symmetric():
+    # a crossingless graph is its own mirror, so its value is fixed by the
+    # mirror substitution A <-> B, a <-> 1/a; the last three graphs take
+    # the move search
+    rng = random.Random(17)
+    graphs = [random_trivalent_graph(rng) for _ in range(40)]
+    graphs += dodecahedral_graphs(2)
+    graphs += matching_graphs(nx.truncated_cube_graph(), 1)
+    ctx = EvalContext()
+    for g in graphs:
+        value = evaluate(g, ctx)
+        assert value.swap_AB_invert_a() == value
 
 
 def test_confluence_small():
