@@ -12,14 +12,17 @@ Exit codes: 0 success, 1 computation error, 2 verification failure.
 
 DUBROVNIK_DEBUG=1 turns on debug mode: every map the program derives is
 validated like an input map, a state sum signs every state and checks that
-a link's value depends on z = A - B only, every signature served from the
-context's table of literal arrays (`skein.EvalContext.signature`) is
-recomputed, every memoized transition row of the braid sweep is
-recomputed, and a diagram value found in the cache is recomputed and
-compared instead of served.  A mismatch raises `skein.InternalError`.
-Debug mode reads the cache to check it and never writes it.  The variable
-is read once per job, and once per call of an engine entry point
-(`maps.reads_debug_once`), not once per map built.
+a link's value depends on z = A - B only, the value of a crossingless
+diagram (a state sum with no crossing, or a graph valued alone by
+`skein.evaluate`), being its own mirror image, is checked to be fixed by
+`RingElem.swap_AB_invert_a`, every signature served from the context's
+table of literal arrays (`skein.EvalContext.signature`) is recomputed,
+every memoized transition row of the braid sweep is recomputed, and a
+diagram value found in the cache is recomputed and compared instead of
+served.  A mismatch raises `skein.InternalError`.  Debug mode reads the
+cache to check it and never writes it.  The variable is read once per job,
+and once per call of an engine entry point (`maps.reads_debug_once`), not
+once per map built.
 
 The optional cache is a JSON-lines file.  Its first line names the file
 format; a file whose first line is missing or different, or that is not

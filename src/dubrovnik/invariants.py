@@ -80,7 +80,8 @@ def kauffman_state_sum(d: PlanarMap, ctx: EvalContext | None = None) -> Invarian
     signed as well, and the table recomputes each repeat, so a literal
     state met with two signatures raises InternalError, as does the value
     of a diagram with no trivalent vertex (a link) that fails
-    `ring.depends_on_z_only`.
+    `ring.depends_on_z_only`, or of a diagram with no crossing (its own
+    mirror image) that `RingElem.swap_AB_invert_a` moves.
 
     Every call enumerates all 3^c states: whole-diagram values are kept
     and served by `cli.run`, not here.  With no context a fresh one is
@@ -117,6 +118,9 @@ def kauffman_state_sum(d: PlanarMap, ctx: EvalContext | None = None) -> Invarian
                       for sig, (weight, shape) in by_sig.items()], ctx)
     if debug and d.vertex_count() == 0 and not depends_on_z_only(value):
         raise InternalError("a link value depends on more than z = A - B")
+    if debug and c == 0 and value.swap_AB_invert_a() != value:
+        raise InternalError("a crossingless diagram's value is not its own "
+                            "mirror image")
     return InvariantResult(value, None, 3 ** c)
 
 

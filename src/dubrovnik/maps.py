@@ -197,12 +197,6 @@ class PlanarMap:
 
     # -- derived data ----------------------------------------------------------
 
-    def node_wide_slot(self, node_idx: int) -> int | None:
-        for h in self.nodes()[node_idx]:
-            if self.wide[h]:
-                return h
-        return None
-
     def crossing_nodes(self) -> list[int]:
         return [i for i, cyc in enumerate(self.nodes())
                 if any(h in self.over for h in cyc)]

@@ -13,22 +13,28 @@ and the six-vertex square relation used here in the form
 
 written multiplicatively in the wide-edge (c) and cup-cap (t) patterns on
 three strands.  A wide edge is a rigid 4-valent vertex, its four strands
-read counterclockwise (`_strands`), and the wide-digon relation joins two
-such vertices however each is rotated.  Reducible configurations are
-recognized on faces:
+read counterclockwise (`_strands`).  Every relation names the rigid
+vertices it removes, each by one of its wide half-edges, and joins their
+loose strands by arcs and fresh rigid vertices (`_rewrite`; the flipped
+square, `square_flip`, builds its own three), however each removed vertex
+is rotated.  Reducible configurations are recognized on
+faces:
 
-    1-gon                          curl, factor beta
-    2-gon (std, wide)              curl around a wide-edge end, factor beta
-    2-gon (std, std)               wide digon, "digon"
-    3-gon (std, std, wide)         wide digon, "triangle"
-    4-gon (std, wide, std, wide)   wide digon, "square4"
+    face                           rule                       removes
+    1-gon                          curl, factor beta          one vertex
+    2-gon (std, wide)              curl, factor beta          one vertex
+    2-gon (std, std)               wide digon, "digon"        two vertices
+    3-gon (std, std, wide)         wide digon, "triangle"     two vertices
+    4-gon (std, wide, std, wide)   wide digon, "square4"      two vertices
 
-A wide digon is a face with two standard half-edges on two distinct wide
-edges; none, one or both of those wide edges lie on the face.  The 3-gon
-and 4-gon are the same relation on the same two rigid vertices as the
-2-gon: `apply_wide_digon` rewrites them in one step, with no rotation.
-Every one of these removes at least two vertices net, so reduction
-terminates.
+A curl is a face whose one standard half-edge joins two strands of one
+rigid vertex.  A wide digon is a face with two standard half-edges on two
+distinct rigid vertices; none, one or both of their wide edges lie on the
+face, and `apply_wide_digon` rewrites all three faces in one step, with no
+rotation.  Each of these removes at least one rigid vertex net (the wide
+digon's gadget term puts one back), so reduction terminates.  The square
+relation removes three rigid vertices, the six trivalent vertices around
+a 4-gon with one wide half-edge (`_match_square`).
 
 A piece with no reducible face (away from a tangle's boundary) is first
 rewritten by the square relation when flipping one of its six-vertex
@@ -75,6 +81,7 @@ class InternalError(RuntimeError):
     checks: a signature served from `EvalContext.signatures` that differs
     from its recomputation (which also catches a literal state met with
     two signatures), a link value that depends on more than z = A - B, a
+    crossingless graph's value that the mirror substitution moves, a
     cached diagram value (checked by `cli.run`) or memoized transition row
     that differs from its recomputation, a square flip whose predicted
     wide digon is not what its built term shows, and a braid twist region
@@ -153,59 +160,43 @@ def h_rotate(g: PlanarMap, w: int) -> tuple[PlanarTrivalentGraph, list[int]]:
     if not g.wide[w]:
         raise ValueError("h_rotate needs a wide half-edge")
     x1, x2, y1, y2 = _strands(g, w)
-    s = Surgery(g)
-    s.kill(g.node_of(w))
-    s.kill(g.node_of(g.twin[w]))
-    _new_gadget(s, x2, y1, y2, x1)
-    return s.finish()
+    return _rewrite(g, [w], [(None, (x2, y1, y2, x1), [])])[0][1:]
 
 
 def apply_lollipop(g: PlanarMap, face: tuple[int, ...]
                    ) -> tuple[PlanarTrivalentGraph, list[int]]:
-    """Remove a curl (1-gon, or 2-gon through a wide edge); factor beta."""
-    if len(face) == 1:
-        h = face[0]
-        v = g.node_of(h)
-        wv = g.node_wide_slot(v)
-        wu = g.twin[wv]
-        u = g.node_of(wu)
-        p1 = g.nxt[wu]
-        p2 = g.nxt[p1]
-    else:
-        hw = [h for h in face if g.wide[h]][0]
-        hs = [h for h in face if not g.wide[h]][0]
-        v = g.node_of(hw)
-        u = g.node_of(g.twin[hw])
-        p1 = g.nxt[hw]          # third slot at v
-        p2 = g.nxt[hs]          # third slot at u
-    s = Surgery(g)
-    s.kill(v)
-    s.kill(u)
-    s.pair(p1, p2)
-    return s.finish()
+    """Remove a curl (a "lollipop" or "curl2" face); factor beta.
+
+    The face's standard half-edge and its twin are two strands of one rigid
+    vertex, whether the face is a 1-gon or a 2-gon: the vertex is removed
+    and its other two strands are joined.  Any other face raises ValueError.
+    """
+    kind = _classify_face(g, face)
+    if kind not in ("lollipop", "curl2"):
+        raise ValueError(f"not a curl face: {kind}")
+    e = next(h for h in face if not g.wide[h])
+    w = _wide_at(g, e)
+    arc = [x for x in _strands(g, w) if x != e and x != g.twin[e]]
+    return _rewrite(g, [w], [(None, None, [arc])])[0][1:]
 
 
-def _new_gadget(s: Surgery, b1: int, b2: int, b3: int, b4: int) -> None:
-    """Fresh wide edge whose ends carry the slots (b1 b2 b3 b4), read CCW
-    around it."""
-    w1, w2 = s.edge(wide=True)
-    s.node([w1, b1, b2])
-    s.node([w2, b3, b4])
-
-
-def _rewrite(g: PlanarMap, nodes, terms) -> list:
-    """A local relation that removes `nodes`, as (coefficient, graph, new id
-    of each half-edge of g) triples, one per (coefficient, gadget, arcs)
-    entry of `terms`: the term joins the four slots of `gadget` by a fresh
-    wide edge (`_new_gadget`) unless it is None, and pairs the slots of
-    each arc."""
+def _rewrite(g: PlanarMap, vertices, terms) -> list:
+    """A local relation that removes the rigid vertices at the wide
+    half-edges `vertices`, as (coefficient, graph, new id of each half-edge
+    of g) triples, one per (coefficient, gadget, arcs) entry of `terms`:
+    the term joins the four strands of `gadget`, read CCW, by a fresh rigid
+    vertex unless it is None, and pairs the strands of each arc."""
+    nodes = [g.node_of(h) for w in vertices for h in (w, g.twin[w])]
     out = []
     for coeff, gadget, arcs in terms:
         s = Surgery(g)
         for v in nodes:
             s.kill(v)
         if gadget:
-            _new_gadget(s, *gadget)
+            b1, b2, b3, b4 = gadget
+            w1, w2 = s.edge(wide=True)
+            s.node([w1, b1, b2])
+            s.node([w2, b3, b4])
         for x, y in arcs:
             s.pair(x, y)
         out.append((coeff, *s.finish()))
@@ -233,17 +224,17 @@ def apply_wide_digon(g: PlanarMap, face: tuple[int, ...]) -> list:
     e1 = next((h for i, h in enumerate(face)
                if not wide[h] and not wide[face[i - 1]]), std[0])
     e2 = std[1] if e1 == std[0] else std[0]
-    nodes, outer = [], []
+    vertices, outer = [], []
     for e in (e1, e2):
         w = _wide_at(g, e)
         s = _strands(g, w)
         i = s.index(e)
-        nodes += [g.node_of(w), g.node_of(g.twin[w])]
+        vertices.append(w)
         outer += [s[(i + 1) % 4], s[(i + 2) % 4]]
     o1, o2, o3, o4 = outer
     AB = RingElem.mono(0, 1, 1)
     A_plus_B = RingElem.mono(0, 1, 0) + RingElem.mono(0, 0, 1)
-    return _rewrite(g, nodes, [
+    return _rewrite(g, vertices, [
         (RingElem.one() - AB, None, [(o2, o3), (o1, o4)]),  # through-strands
         (constants().gamma, None, [(o1, o2), (o3, o4)]),    # across-arcs
         (-A_plus_B, (o1, o2, o3, o4), []),                  # one gadget
@@ -268,38 +259,30 @@ def apply_rule(g: PlanarMap, kind: str, face: tuple[int, ...]) -> list:
 # -- the six-vertex square relation ----------------------------------------------
 
 def _match_square(g: PlanarMap, face: tuple[int, ...]):
-    """Locate the six-vertex configuration around a 4-gon with one wide edge.
+    """The six-vertex square on a 4-gon with one wide half-edge, or None.
 
-    Returns the boundary strands (T1,T2,T3,B1,B2,B3) as slots on the removed
-    nodes, plus the node set, or None when the face is degenerate.
+    Q is the face's wide half-edge; P and R are the wide half-edges next
+    (counterclockwise) to the face's standard half-edges just before Q and
+    two after it.  The face is a square when P, Q and R are three distinct
+    wide edges.  Returns the boundary strands (T1,T2,T3,B1,B2,B3), read by
+    `_strands` -- (T2, T1) P's far pair, T3 and B3 Q's strands 0 and 3,
+    (B1, B2) R's far pair -- and the three rigid vertices (p, q, r).
     """
     if len(face) != 4:
         return None
-    wides = [i for i, h in enumerate(face) if g.wide[h]]
+    twin, nxt, wide = g.twin, g.nxt, g.wide
+    wides = [i for i, h in enumerate(face) if wide[h]]
     if len(wides) != 1:
         return None
     i = wides[0]
-    f1 = face[(i - 1) % 4]     # std edge into the wide edge's near end
-    f2 = face[i]               # the wide half on the face
-    f3 = face[(i + 1) % 4]
-    f4 = face[(i + 2) % 4]
-    b, c, d, e = (g.node_of(f1), g.node_of(f2), g.node_of(f3), g.node_of(f4))
-    w_b = g.nxt[f1]
-    w_e = g.nxt[f4]
-    if not (g.wide[w_b] and g.wide[w_e]):
+    q, p, r = face[i], nxt[face[i - 1]], nxt[face[(i + 2) % 4]]
+    halves = {p, q, r, twin[p], twin[q], twin[r]}
+    if not (wide[p] and wide[r]) or len(halves) != 6:
         return None
-    a = g.node_of(g.twin[w_b])
-    f = g.node_of(g.twin[w_e])
-    nodes = (a, b, c, d, e, f)
-    if len(set(nodes)) != 6:
-        return None
-    T3 = g.nxt[f2]
-    B3 = g.nxt[f3]
-    T2 = g.nxt[g.twin[w_b]]
-    T1 = g.nxt[T2]
-    B1 = g.nxt[g.twin[w_e]]
-    B2 = g.nxt[B1]
-    return (T1, T2, T3, B1, B2, B3), nodes
+    T2, T1 = _strands(g, p)[2:]
+    B1, B2 = _strands(g, r)[2:]
+    sq = _strands(g, q)
+    return (T1, T2, sq[0], B1, B2, sq[3]), (p, q, r)
 
 
 def square_flip(g: PlanarMap, face: tuple[int, ...]
@@ -309,10 +292,11 @@ def square_flip(g: PlanarMap, face: tuple[int, ...]
     m = _match_square(g, face)
     if m is None:
         raise ValueError("face does not match the square configuration")
-    (T1, T2, T3, B1, B2, B3), nodes = m
+    (T1, T2, T3, B1, B2, B3), vertices = m
     s = Surgery(g)
-    for v in nodes:
-        s.kill(v)
+    for w in vertices:
+        s.kill(g.node_of(w))
+        s.kill(g.node_of(g.twin[w]))
     wa1, wa2 = s.edge(wide=True)
     wc1, wc2 = s.edge(wide=True)
     we1, we2 = s.edge(wide=True)
@@ -337,10 +321,10 @@ def square_move(g: PlanarMap, face: tuple[int, ...]) -> list:
     vertices, so only the flipped term can postpone reduction.
     """
     flipped = (RingElem.one(), *square_flip(g, face))
-    (T1, T2, T3, B1, B2, B3), nodes = _match_square(g, face)
+    (T1, T2, T3, B1, B2, B3), vertices = _match_square(g, face)
     delta = constants().delta
     AB = RingElem.mono(0, 1, 1)
-    return [flipped] + _rewrite(g, nodes, [
+    return [flipped] + _rewrite(g, vertices, [
         # - AB (c2 - c1 + t2 c1 - t1 c2 + c1 t2 - c2 t1)
         (-AB, (T3, T2, B2, B3), [(T1, B1)]),              # c2
         (AB, (T2, T1, B1, B2), [(T3, B3)]),               # c1
@@ -354,16 +338,18 @@ def square_move(g: PlanarMap, face: tuple[int, ...]) -> list:
     ])
 
 
-def _opens_digon(g: PlanarMap, strands, nodes) -> bool:
+def _opens_digon(g: PlanarMap, strands, vertices) -> bool:
     """Whether flipping the square with boundary strands `strands` on the
-    six `nodes` closes a wide digon, read off g without building the flip:
-    the flipped stack's new top gadget (on T2, T3) or bottom gadget (on B3,
-    B2) meets a gadget of g, off the six nodes, on the same two strands."""
+    rigid vertices `vertices` closes a wide digon, read off g without
+    building the flip: the flipped stack's new top gadget (on T2, T3) or
+    bottom gadget (on B3, B2) meets a rigid vertex of g, not one of
+    `vertices`, on the same two strands."""
     T1, T2, T3, B1, B2, B3 = strands
     twin, nxt, wide = g.twin, g.nxt, g.wide
     for x, y in ((T2, T3), (B3, B2)):
         hx, hy = twin[x], twin[y]
-        if nxt[hx] == hy and wide[nxt[hy]] and g.node_of(hx) not in nodes:
+        if (nxt[hx] == hy and wide[m := nxt[hy]]
+                and m not in vertices and twin[m] not in vertices):
             return True
     return False
 
@@ -705,8 +691,9 @@ def evaluate(g, ctx: EvalContext | None = None) -> RingElem:
     terms, returns the sum of coefficient times value, all terms reduced
     together in one run of the engine, so pieces they share are expanded
     once; the sum is not memoized.  With no context a fresh one is used.
-    A single map with a crossing or a node of degree other than 3 raises
-    ValueError.
+    Debug mode checks that a graph valued alone, being its own mirror
+    image, has a value fixed by `RingElem.swap_AB_invert_a`.  A single map
+    with a crossing or a node of degree other than 3 raises ValueError.
     """
     ctx = ctx or EvalContext()
     if not isinstance(g, PlanarMap):
@@ -722,5 +709,8 @@ def evaluate(g, ctx: EvalContext | None = None) -> RingElem:
         ctx.stats["memo_hits"] += 1
         return hit
     value = reduce_terms([(RingElem.one(), Tangle(g, []))], ctx)[0]
+    if debug_mode() and value.swap_AB_invert_a() != value:
+        raise InternalError("a crossingless graph's value is not its own "
+                            "mirror image")
     store_memo(ctx, sig, value)
     return value

@@ -403,6 +403,36 @@ def test_debug_state_sum_asserts_z_dependence(monkeypatch):
     assert kauffman_state_sum(link, EvalContext()).value == value + R_A
 
 
+def test_debug_mode_checks_crossingless_values_are_their_own_mirror(
+        monkeypatch):
+    # a crossingless diagram is its own mirror image, so its value is fixed
+    # by the mirror substitution: a value perturbed by A is caught where a
+    # state sum has no crossing and where a graph is valued alone
+    import dubrovnik.invariants as inv
+    import dubrovnik.skein as sk
+    theta = parse_regraph("W(1,2;2,1)")
+    graph = random_trivalent_graph(random.Random(17))
+    monkeypatch.setenv("DUBROVNIK_DEBUG", "1")
+    value = kauffman_state_sum(theta, EvalContext()).value
+    graph_value = evaluate(graph, EvalContext())
+    real_evaluate, real_reduce = inv.evaluate, sk.reduce_terms
+    monkeypatch.setattr(inv, "evaluate",
+                        lambda terms, ctx: real_evaluate(terms, ctx) + R_A)
+    with pytest.raises(sk.InternalError, match="mirror"):
+        kauffman_state_sum(theta, EvalContext())
+    # a diagram with a crossing is not its own mirror and is not checked
+    kauffman_state_sum(clasped_handcuff(), EvalContext())
+    monkeypatch.delenv("DUBROVNIK_DEBUG")
+    assert kauffman_state_sum(theta, EvalContext()).value == value + R_A
+    monkeypatch.setattr(inv, "evaluate", real_evaluate)
+    monkeypatch.setattr(sk, "reduce_terms", lambda terms, ctx: (
+        real_reduce(terms, ctx)[0] + R_A, []))
+    assert evaluate(graph, EvalContext()) == graph_value + R_A
+    monkeypatch.setenv("DUBROVNIK_DEBUG", "1")
+    with pytest.raises(sk.InternalError, match="mirror"):
+        evaluate(graph, EvalContext())
+
+
 def test_so_n():
     assert so_n(eval_braid(parse_braid("n=1;")), 5) == {0: 1}
     hopf = eval_braid(parse_braid("1 1"))

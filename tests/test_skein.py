@@ -14,7 +14,8 @@ from dubrovnik.diagrams import (PlanarTrivalentGraph, braid_to_link,
 from dubrovnik.fourvalent import collapse, evaluate4
 from dubrovnik.invariants import n2_closed_form
 from dubrovnik.maps import PlanarMap, canonical_signature
-from dubrovnik.ring import R_A, R_B, R_ONE, RingElem, constants, specialize_soN
+from dubrovnik.ring import (R_A, R_B, R_ONE, RingElem, constants,
+                            specialize_soN, to_canonical_text)
 import dubrovnik.skein as skein
 from dubrovnik.skein import (EvalContext, InternalError,
                              alternating_walk_reduce, apply_lollipop,
@@ -98,6 +99,62 @@ def test_lollipop_one_gon():
     reduced, _ = apply_lollipop(g, face)
     assert reduced.vertex_count() == 0
     assert reduced.free_loops == 1
+
+
+def test_curl_removes_one_rigid_vertex_and_refuses_other_faces():
+    # the dumbbell's 1-gon and theta's 2-gon are the two guises of a curl
+    dumbbell = as_graph(parse_regraph("W(1,1;2,2)"))
+    curl = ("lollipop", "curl2")
+    curls = [(g, f) for g in (dumbbell, theta()) for f in g.faces()
+             if skein._classify_face(g, f) in curl]
+    assert {len(f) for _, f in curls} == {1, 2}
+    for g, f in curls:
+        reduced, _ = apply_lollipop(g, f)
+        assert sum(reduced.wide) == sum(g.wide) - 2
+        assert reduced.vertex_count() == g.vertex_count() - 2
+    rng = random.Random(3)
+    refused = 0
+    for _ in range(200):
+        g = random_trivalent_graph(rng, 14)
+        for f in g.faces():
+            if len(f) <= 4 and skein._classify_face(g, f) not in curl:
+                with pytest.raises(ValueError, match="not a curl"):
+                    apply_lollipop(g, f)
+                refused += 1
+    assert refused == 499
+
+
+def test_degenerate_squares_are_refused():
+    # a 4-gon with one wide half-edge Q is a square when the wide edges P
+    # and R next to its standard half-edges just before Q and two after it
+    # are distinct from each other and from Q; P and R are one wide edge on
+    # 73 of these faces, and the 53 squares give 477 terms, pinned as
+    # numbered
+    rng = random.Random(3)
+    graphs = [random_trivalent_graph(rng, 14) for _ in range(400)]
+    degenerate, outs = 0, []
+    for g in graphs:
+        for f in g.faces():
+            wides = [i for i, h in enumerate(f) if g.wide[h]]
+            if len(f) != 4 or len(wides) != 1:
+                continue
+            i = wides[0]
+            p, r = g.nxt[f[i - 1]], g.nxt[f[(i + 2) % 4]]
+            if r in (p, g.twin[p]):
+                degenerate += 1
+                assert skein._match_square(g, f) is None
+                with pytest.raises(ValueError,
+                                   match="does not match the square"):
+                    square_flip(g, f)
+            else:
+                outs += square_move(g, f)
+    assert degenerate == 73 and len(outs) == 477
+    digest = hashlib.sha256()
+    for c, m, ids in outs:
+        digest.update(repr((to_canonical_text(c), m.twin, m.nxt, m.wide,
+                            m.free_loops, ids)).encode())
+    assert digest.hexdigest() == ("ad6e70c00c25920c6e9efc8558646613"
+                                  "6aff3b97da635c9cd51e37f34d911bff")
 
 
 def test_digon_vertex_counts():
