@@ -171,10 +171,8 @@ def trace(combo: list[tuple[RingElem, Tangle]],
     arities = {t.n for _, t in combo}
     if len(arities) > 1:
         raise MixedArity(f"strand counts {sorted(arities)}")
-    total = RingElem.zero()
-    for coeff, t in combo:
-        total = total + coeff * evaluate(close_tangle(t), ctx)
-    return total
+    return sum_of_products((coeff, evaluate(close_tangle(t), ctx))
+                           for coeff, t in combo)
 
 
 def _merge(table: dict, sig, x: RingElem, y: RingElem, t: Tangle) -> None:

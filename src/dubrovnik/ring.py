@@ -27,18 +27,16 @@ a digit wrap into its neighbour.  `LaurentPoly.terms` shows the numerator as
 {(ea, eA, eB): coeff}.
 
 Write D = A - B.  D is prime in this UFD, and normalization runs only where
-D can divide; three shortcuts skip the rest:
+D can divide; two shortcuts skip the rest:
 
-* Sum.  x/D^d1 + y/D^d2 with d1 > d2 is canonical at d1: its numerator
-  x + y D^(d1-d2) is x mod D, and D does not divide x.  Only sums of equal
-  powers are tested.
 * Product.  It needs no test when both powers are 0, or both positive: D
   divides neither numerator then, so, being prime, not their product.
   When exactly one power is 0, only that factor can carry D, so only it is
   divided, never the product.
 * Sum of products.  `sum_of_products` multiplies the terms of every pair
   straight into buckets per denominator power and normalizes the whole
-  sum once, so no product is normalized on its own.
+  sum once, so no product is normalized on its own.  `+` and `-` are
+  sums of products with unit factors: x + y is the sum of x * 1 and y * 1.
 
 The test groups the terms by (ea, eA + eB), the monomial left by A = B: D
 divides p exactly when every group's coefficients sum to zero.  Aligning
@@ -165,20 +163,6 @@ def _poly(t: dict[int, int], deg: int) -> LaurentPoly:
     return p
 
 
-def _add(t1: dict[int, int], t2: dict[int, int]) -> dict[int, int]:
-    if len(t1) < len(t2):
-        t1, t2 = t2, t1
-    r = t1.copy()
-    get = r.get
-    for k, c in t2.items():
-        s = get(k, 0) + c
-        if s:
-            r[k] = s
-        else:
-            del r[k]
-    return r
-
-
 def _mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     t1, t2 = p._t, q._t
     if len(t1) > len(t2):
@@ -291,21 +275,7 @@ class RingElem:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "RingElem") -> "RingElem":
-        x, y = self.num, other.num
-        d, d2 = self.dpow, other.dpow
-        if d == d2:
-            t = _add(x._t, y._t)
-            if not t:
-                return _elem(_poly(t, 0), 0)
-            num = _poly(t, max(x._deg, y._deg))
-            if d:
-                num, d = _normalize(num, d)
-            return _elem(num, d)
-        if d < d2:
-            x, y, d, d2 = y, x, d2, d
-        # x is not divisible by (A - B), so neither is x + y (A - B)^(d - d2).
-        y = _mul(y, _d_power(d - d2))
-        return _elem(_poly(_add(x._t, y._t), max(x._deg, y._deg)), d)
+        return sum_of_products([(self, R_ONE), (other, R_ONE)])
 
     def __neg__(self) -> "RingElem":
         return _elem(-self.num, self.dpow)
@@ -406,13 +376,15 @@ def normalize(num: LaurentPoly, dpow: int) -> RingElem:
 def sum_of_products(pairs) -> RingElem:
     """The sum of x * y over the (x, y) pairs, normalized once.
 
-    The kernel of every sum of products: each product's packed terms go
-    straight into one mutable bucket per denominator power
-    x.dpow + y.dpow, with no product formed or normalized on its own; the
-    buckets are brought to the common power once and the sum is divided
-    by (A - B) once.  A pair whose degree bound could leave the packable
-    range is multiplied by `_mul` first, which checks it exactly and
-    raises OverflowError as `x * y` does.  A lone pair is `x * y` itself.
+    The kernel of every sum, `+` and `-` included, and the one place that
+    aligns powers of (A - B) and decides when to divide by it: each
+    product's packed terms go straight into one mutable bucket per
+    denominator power x.dpow + y.dpow, with no product formed or normalized
+    on its own; the buckets are brought to the common power once and the
+    sum is divided by (A - B) once.  A pair whose degree bound could leave
+    the packable range is multiplied by `_mul` first, which checks it
+    exactly and raises OverflowError as `x * y` does.  A lone pair is
+    `x * y` itself.
     """
     pairs = list(pairs)
     if len(pairs) == 1:

@@ -289,7 +289,11 @@ def square_flip(g: PlanarMap, face: tuple[int, ...]
                 ) -> tuple[PlanarTrivalentGraph, list[int]]:
     """The flipped square alone (the c2 c1 c2 stack), with the new id of
     each half-edge of g."""
-    m = _match_square(g, face)
+    return _flip(g, _match_square(g, face))
+
+
+def _flip(g: PlanarMap, m) -> tuple[PlanarTrivalentGraph, list[int]]:
+    """`square_flip` on the `_match_square` result m; a None m raises."""
     if m is None:
         raise ValueError("face does not match the square configuration")
     (T1, T2, T3, B1, B2, B3), vertices = m
@@ -320,8 +324,9 @@ def square_move(g: PlanarMap, face: tuple[int, ...]) -> list:
     keeps the vertex count; the other eight terms drop at least four
     vertices, so only the flipped term can postpone reduction.
     """
-    flipped = (RingElem.one(), *square_flip(g, face))
-    (T1, T2, T3, B1, B2, B3), vertices = _match_square(g, face)
+    m = _match_square(g, face)
+    flipped = (RingElem.one(), *_flip(g, m))
+    (T1, T2, T3, B1, B2, B3), vertices = m
     delta = constants().delta
     AB = RingElem.mono(0, 1, 1)
     return [flipped] + _rewrite(g, vertices, [
@@ -338,18 +343,28 @@ def square_move(g: PlanarMap, face: tuple[int, ...]) -> list:
     ])
 
 
-def _opens_digon(g: PlanarMap, strands, vertices) -> bool:
-    """Whether flipping the square with boundary strands `strands` on the
-    rigid vertices `vertices` closes a wide digon, read off g without
-    building the flip: the flipped stack's new top gadget (on T2, T3) or
-    bottom gadget (on B3, B2) meets a rigid vertex of g, not one of
-    `vertices`, on the same two strands."""
+def _opens_digon(g: PlanarMap, strands) -> bool:
+    """Whether flipping the square with boundary strands `strands` closes a
+    wide digon, read off g without building the flip: the flipped stack's
+    new top gadget (on T2, T3) or bottom gadget (on B3, B2) meets a rigid
+    vertex of g on the same two strands.
+
+    That vertex is never one of the square's own three.  Of the square's
+    six nodes only P's far node (T2, T1) and R's far node (B1, B2) have two
+    strands off the square's own edges, so a gadget on (T2, T3) is R only
+    when twin[T2] = B1 and twin[T3] = B2, and one on (B3, B2) is P only
+    when twin[B3] = T2 and twin[B2] = T1.  The two strands left then lie on
+    different faces, and joined to each other they break V - E + F = 2.
+    Nothing else can complete them: a closed piece hanging from one
+    standard edge would hold an odd number of half-edges, though its nodes
+    pair up by their wide edges; and a tangle has its endpoints on one
+    face.
+    """
     T1, T2, T3, B1, B2, B3 = strands
     twin, nxt, wide = g.twin, g.nxt, g.wide
     for x, y in ((T2, T3), (B3, B2)):
         hx, hy = twin[x], twin[y]
-        if (nxt[hx] == hy and wide[m := nxt[hy]]
-                and m not in vertices and twin[m] not in vertices):
+        if nxt[hx] == hy and wide[nxt[hy]]:
             return True
     return False
 
@@ -392,9 +407,9 @@ def _local_rule(g: PlanarMap, ends=(), rng=None
     debug = debug_mode()
     squares = []
     for face, m in _squares(g):
-        opens = _opens_digon(g, *m)
+        opens = _opens_digon(g, m[0])
         if debug and opens != any(kind == "digon" for kind, _ in
-                                  _reducible_faces(square_flip(g, face)[0])):
+                                  _reducible_faces(_flip(g, m)[0])):
             raise InternalError("a square flip's predicted digon differs "
                                 "from its faces")
         if opens:

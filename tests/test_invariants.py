@@ -314,7 +314,7 @@ def test_debug_mode_checks_the_predicted_digon(monkeypatch):
     monkeypatch.setenv("DUBROVNIK_DEBUG", "1")
     value = bracket(b, EvalContext())
     # a prediction that never sees the digon is caught against the flip
-    monkeypatch.setattr(sk, "_opens_digon", lambda g, strands, nodes: False)
+    monkeypatch.setattr(sk, "_opens_digon", lambda g, strands: False)
     with pytest.raises(sk.InternalError, match="predicted digon"):
         bracket(b, EvalContext())
     monkeypatch.delenv("DUBROVNIK_DEBUG")

@@ -13,7 +13,8 @@ from dubrovnik.diagrams import (PlanarTrivalentGraph, braid_to_link,
                                 parse_braid, parse_pd, parse_regraph, stack)
 from dubrovnik.fourvalent import collapse, evaluate4
 from dubrovnik.invariants import n2_closed_form
-from dubrovnik.maps import PlanarMap, canonical_signature
+from dubrovnik.maps import (MapBuilder, NonPlanar, PlanarMap,
+                            canonical_signature)
 from dubrovnik.ring import (R_A, R_B, R_ONE, RingElem, constants,
                             specialize_soN, to_canonical_text)
 import dubrovnik.skein as skein
@@ -146,6 +147,9 @@ def test_degenerate_squares_are_refused():
                 with pytest.raises(ValueError,
                                    match="does not match the square"):
                     square_flip(g, f)
+                with pytest.raises(ValueError,
+                                   match="does not match the square"):
+                    square_move(g, f)
             else:
                 outs += square_move(g, f)
     assert degenerate == 73 and len(outs) == 477
@@ -155,6 +159,57 @@ def test_degenerate_squares_are_refused():
                             m.free_loops, ids)).encode())
     assert digest.hexdigest() == ("ad6e70c00c25920c6e9efc8558646613"
                                   "6aff3b97da635c9cd51e37f34d911bff")
+
+
+def _square_c1_c2_c1(welds):
+    """The six-vertex square of c1 c2 c1 on three strands, built alone: its
+    strands T1..B3 are welded in the pairs `welds`, the rest end alone on
+    their nodes.  Returns the builder and the endpoints."""
+    b = MapBuilder()
+    p1, p2 = b.edge(wide=True)
+    q1, q2 = b.edge(wide=True)
+    r1, r2 = b.edge(wide=True)
+    pr1, pr2 = b.edge()
+    pq1, pq2 = b.edge()
+    qr1, qr2 = b.edge()
+    s = {k: b.half() for k in ("T1", "T2", "T3", "B1", "B2", "B3")}
+    b.node([p1, s["T2"], s["T1"]])          # P's far node
+    b.node([p2, pr1, pq1])
+    b.node([q1, s["T3"], pq2])
+    b.node([q2, qr1, s["B3"]])
+    b.node([r1, qr2, pr2])
+    b.node([r2, s["B1"], s["B2"]])          # R's far node
+    for x, y in welds:
+        b.weld(s[x], s[y])
+    ends = []
+    for k, h in s.items():
+        if not any(k in pair for pair in welds):
+            ends.append(b.half())
+            b.node([ends[-1]])
+            b.weld(h, ends[-1])
+    return b, ends
+
+
+def test_a_square_flip_never_meets_its_own_square():
+    # the only two ways a flipped gadget on (T2, T3) or (B3, B2) meets one of
+    # the square's own rigid vertices (R's and P's far nodes); the two
+    # strands left lie on different faces and cannot be joined
+    face = (8, 2, 10, 7)
+    b, _ = _square_c1_c2_c1([])
+    assert skein._match_square(b.finish(), face) == (
+        (12, 13, 14, 15, 16, 17), (1, 2, 4))
+    for welds, loose, (x, y), w in (
+            ([("T2", "B1"), ("T3", "B2")], ("T1", "B3"), (13, 14), 4),
+            ([("B3", "T2"), ("B2", "T1")], ("T3", "B1"), (17, 16), 1)):
+        b, _ = _square_c1_c2_c1(welds + [loose])
+        with pytest.raises(NonPlanar, match="V-E\\+F = 0"):
+            b.finish()
+        b, ends = _square_c1_c2_c1(welds)
+        g = b.finish()
+        twin, nxt = g.twin, g.nxt
+        assert nxt[twin[x]] == twin[y] and nxt[twin[y]] == twin[w]
+        face_of = {h: i for i, f in enumerate(g.faces()) for h in f}
+        assert face_of[ends[0]] != face_of[ends[1]]
 
 
 def test_digon_vertex_counts():
