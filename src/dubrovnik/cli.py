@@ -264,7 +264,7 @@ def run(job: JobSpec, ctx: EvalContext | None = None) -> dict:
     loaded = cache_load(job.cache_path, rows) if job.cache_path else 0
     t0 = time.perf_counter()
     diagram, writhe = _parse_input(job)
-    crossings = len(diagram.crossing_nodes())
+    crossings = len(diagram.crossings())
     if crossings > job.max_crossings:
         raise CeilingExceeded(
             f"{crossings} crossings exceed the ceiling {job.max_crossings}")

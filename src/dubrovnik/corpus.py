@@ -90,7 +90,7 @@ def n2_vanishing_diagrams(rng: random.Random, count: int):
         word.insert(rng.randrange(len(word) + 1),
                     rng.choice([i for i in range(-(n - 1), n) if i]))
         d = regraph_from_word(n, word)
-        if len(d.crossing_nodes()) != 1:
+        if len(d.crossings()) != 1:
             continue
         resolver = StateResolver(d)
         pieces = set()
@@ -110,7 +110,7 @@ def random_trivalent_graph(rng: random.Random, max_vertices: int = 12
     while True:
         d = random_regraph(rng, max_strands=4,
                            max_crossings=rng.randint(0, 4), max_wide=3)
-        cross = len(d.crossing_nodes())
+        cross = len(d.crossings())
         choices = [rng.choice("ABW") for _ in range(cross)]
         g = _state(StateResolver(d), choices)
         if 0 < g.vertex_count() <= max_vertices:

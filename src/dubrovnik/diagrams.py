@@ -2,9 +2,9 @@
 
 Input grammars (bit-exact; this docstring is their reference):
 
-* Braids: optional ``n=<int>;`` prefix, then whitespace-separated nonzero
-  integers; letter ``i`` is the positive generator on strands (i, i+1) and
-  ``-i`` its inverse.
+* Braids: optional ``n=<digits>;`` prefix, then whitespace-separated
+  nonzero integers, each ASCII digits with an optional sign; letter ``i``
+  is the positive generator on strands (i, i+1) and ``-i`` its inverse.
 
 * PD records ``X(a,b,c,d)``: the four edge labels counterclockwise around
   the crossing starting at a half-edge of the under-strand, so the
@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 
 from .maps import (InvalidMap, MapBuilder, NonPlanar, PlanarMap, Surgery,
-                   disjoint_union, signature_of_arrays, splice)
+                   _orbits, disjoint_union, signature_of_arrays, splice)
 
 
 class ParseError(ValueError):
@@ -93,41 +93,29 @@ class BraidWord:
         return perm
 
 
+# a braid letter or strand count: ASCII digits with an optional sign
+_INT = r"[+-]?[0-9]+"
+
+
 def parse_braid(text: str) -> BraidWord:
+    """The braid word of `text`; `BraidWord` checks the letters' range."""
     text = text.strip()
     declared = None
-    m = re.match(r"^n\s*=\s*(\d+)\s*;", text)
+    m = re.match(rf"n\s*=\s*({_INT})\s*;", text)
     if m:
         declared = int(m.group(1))
         text = text[m.end():]
     letters = []
     for tok in text.split():
-        try:
-            v = int(tok)
-        except ValueError:
+        if not re.fullmatch(_INT, tok):
             raise ParseError(f"bad braid letter {tok!r}")
-        if v == 0:
-            raise ParseError("0 is not a braid letter")
-        letters.append(v)
-    if declared is not None:
-        n = declared
-        for v in letters:
-            if abs(v) >= n:
-                raise RangeError(f"letter {v} needs more than {n} strands")
-    else:
-        n = 1 + max((abs(v) for v in letters), default=0)
-    return BraidWord(n, tuple(letters))
+        letters.append(int(tok))
+    if declared is None:
+        declared = 1 + max((abs(v) for v in letters), default=0)
+    return BraidWord(declared, tuple(letters))
 
 
 # -- diagram classes -----------------------------------------------------------
-
-def _crossing_rotation(g: PlanarMap, node: int) -> tuple[int, int, int, int]:
-    """Rotation cycle of a crossing starting at its smallest over half-edge."""
-    cyc = g.nodes()[node]
-    overs = [i for i, h in enumerate(cyc) if h in g.over]
-    k = min(overs, key=lambda i: cyc[i])
-    return tuple(cyc[(k + j) % 4] for j in range(4))
-
 
 def _validate_crossing(g: PlanarMap, cyc: tuple[int, ...]) -> None:
     if len(cyc) != 4:
@@ -139,14 +127,13 @@ def _validate_crossing(g: PlanarMap, cyc: tuple[int, ...]) -> None:
         raise InvalidMap("over-strand pair is not rotation-opposite")
 
 
-def _validate_trivalent_vertex(g: PlanarMap, node: int, cyc: tuple[int, ...]) -> None:
+def _validate_trivalent_vertex(g: PlanarMap, cyc: tuple[int, ...]) -> None:
     if len(cyc) != 3:
         raise InvalidMap(f"vertex of degree {len(cyc)}")
     wides = [h for h in cyc if g.wide[h]]
     if len(wides) != 1:
         raise InvalidMap("vertex must carry exactly one wide half-edge")
-    w = wides[0]
-    if g.node_of(g.twin[w]) == node:
+    if g.twin[wides[0]] in cyc:
         raise InvalidMap("wide edge may not be a loop")
 
 
@@ -165,11 +152,11 @@ class REGraphDiagram(PlanarMap):
     def validate(self) -> None:
         super().validate()
         n_vert = 0
-        for i, cyc in enumerate(self.nodes()):
+        for cyc in self.nodes():
             if any(h in self.over for h in cyc):
                 _validate_crossing(self, cyc)
             else:
-                _validate_trivalent_vertex(self, i, cyc)
+                _validate_trivalent_vertex(self, cyc)
                 n_vert += 1
         if n_vert % 2:
             raise OddVertexCount(f"{n_vert} trivalent vertices")
@@ -320,28 +307,16 @@ def link_components(d: PlanarMap) -> int:
     """Closed strands of a crossings-only diagram (plus free loops).
 
     Strands go straight through every crossing; each undirected strand is
-    covered by exactly two orbits of the directed walk.
+    covered by exactly two orbits of the directed walk h -> nxt[nxt[twin[h]]].
     """
-    n = d.n_half
-    seen = [False] * n
-    orbits = 0
-    for h0 in range(n):
-        if seen[h0]:
-            continue
-        orbits += 1
-        h = h0
-        while not seen[h]:
-            seen[h] = True
-            t = d.twin[h]
-            h = d.nxt[d.nxt[t]]
-    return d.free_loops + orbits // 2
+    nxt = d.nxt
+    return d.free_loops + len(_orbits([nxt[nxt[t]] for t in d.twin])) // 2
 
 
 def mirror(d: PlanarMap) -> PlanarMap:
     """Swap over- and under-strands at every crossing."""
-    nodes = d.nodes()
     over = d.over.symmetric_difference(
-        h for i in d.crossing_nodes() for h in nodes[i])
+        h for rot in d.crossings() for h in rot)
     return type(d)._build(d.twin, d.nxt, d.wide, over, d.free_loops)
 
 
@@ -362,25 +337,34 @@ def connected_sum(d1: PlanarMap, h1: int, d2: PlanarMap, h2: int
     return type(d1)(twin, g.nxt, g.wide, g.over, g.free_loops)
 
 
-def switch_crossing(d: PlanarMap, node: int) -> PlanarMap:
-    """Exchange over- and under-strand at a single crossing."""
-    cyc = d.nodes()[node]
-    if not any(h in d.over for h in cyc):
-        raise ValueError("node is not a crossing")
+def switch_crossing(d: PlanarMap, h: int) -> PlanarMap:
+    """Exchange over- and under-strand at the crossing of half-edge h, any
+    of its four; a half-edge at no crossing raises ValueError."""
+    nxt = d.nxt
+    cyc = [h, nxt[h], nxt[nxt[h]], nxt[nxt[nxt[h]]]]
+    if d.over.isdisjoint(cyc):
+        raise ValueError("half-edge is not at a crossing")
     over = d.over.symmetric_difference(cyc)
     return type(d)._build(d.twin, d.nxt, d.wide, over, d.free_loops)
 
 
-def smooth_crossing(d: PlanarMap, node: int, kind: str) -> PlanarMap:
-    """Replace one crossing by its A- or B-smoothing."""
-    r0, r1, r2, r3 = _crossing_rotation(d, node)
+def smooth_crossing(d: PlanarMap, h: int, kind: str) -> PlanarMap:
+    """Replace the crossing of the over half-edge h by its A- or
+    B-smoothing.  Its rotation r0 r1 r2 r3 is read from r0 = h; A pairs
+    (r0 r1)(r2 r3) and B (r0 r3)(r2 r1), the same pairings from either
+    over half-edge.  A half-edge that is not over raises ValueError."""
+    if h not in d.over:
+        raise ValueError("half-edge is not the over-strand of a crossing")
+    r1 = d.nxt[h]
+    r2 = d.nxt[r1]
+    r3 = d.nxt[r2]
     s = Surgery(d)
-    s.kill(node)
+    s.kill(h)
     if kind == "A":
-        s.pair(r0, r1)
+        s.pair(h, r1)
         s.pair(r2, r3)
     elif kind == "B":
-        s.pair(r0, r3)
+        s.pair(h, r3)
         s.pair(r2, r1)
     else:
         raise ValueError("smoothing kind must be 'A' or 'B'")
@@ -407,8 +391,7 @@ class StateResolver:
 
     def __init__(self, d: PlanarMap):
         self.d = d
-        self.cnodes = d.crossing_nodes()
-        self.rots = [_crossing_rotation(d, n) for n in self.cnodes]
+        self.rots = d.crossings()
         n = d.n_half
         twin = d.twin
         # crossing index and rotation position of each crossing half-edge
@@ -461,7 +444,7 @@ class StateResolver:
 
     def resolve_arrays(self, choices):
         """Raw (twin, nxt, wide, free_loops, na, nb) arrays for the state
-        with `choices` ('A', 'B' or 'W' per crossing, in `cnodes` order).
+        with `choices` ('A', 'B' or 'W' per crossing, in `rots` order).
 
         twin is the state's own list; nxt and wide are shared with every
         state of the same wide-edge count.

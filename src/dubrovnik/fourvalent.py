@@ -19,6 +19,7 @@ and sum the weighted evaluations (Kauffman-Vogel's rigid-vertex calculus).
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -73,15 +74,21 @@ def collapse(g: PlanarTrivalentGraph) -> Planar4Graph:
 
 # -- local patterns -----------------------------------------------------------------
 
+def _vertex4(g: PlanarMap, h: int) -> int:
+    """The least half-edge of h's 4-valent vertex, which names it."""
+    nxt = g.nxt
+    return min(h, nxt[h], nxt[nxt[h]], nxt[nxt[nxt[h]]])
+
+
 def _face_kind4(g: PlanarMap, face: tuple[int, ...]) -> str | None:
     if len(face) == 1:
         return "curl"
     if len(face) == 2:
-        if g.node_of(face[0]) != g.node_of(face[1]):
+        if _vertex4(g, face[0]) != _vertex4(g, face[1]):
             return "digon"
         return None
     if len(face) == 3:
-        if len({g.node_of(h) for h in face}) == 3:
+        if len({_vertex4(g, h) for h in face}) == 3:
             return "triangle"
         return None
     return None
@@ -100,11 +107,10 @@ def _configs4(g: PlanarMap) -> list[tuple[str, tuple[int, ...]]]:
 
 def _apply_curl4(g: PlanarMap, face: tuple[int, ...]) -> PlanarMap:
     h = face[0]
-    v = g.node_of(h)
     s1 = g.nxt[h]
     s2 = g.nxt[s1]
     s = Surgery(g)
-    s.kill(v)
+    s.kill(h)
     s.pair(s1, s2)
     out, _ = s.finish(cls=Planar4Graph)
     return out
@@ -112,9 +118,9 @@ def _apply_curl4(g: PlanarMap, face: tuple[int, ...]) -> PlanarMap:
 
 def _terms4(g: PlanarMap, nodes, terms) -> list:
     """(coefficient, graph) per (coefficient, vertex, arcs) entry of
-    `terms`, each with `nodes` removed: a fresh rigid vertex whose strands
-    read `vertex` CCW, unless that is None, and the slots of each arc
-    paired."""
+    `terms`, each with the vertices of the half-edges `nodes` removed: a
+    fresh rigid vertex whose strands read `vertex` CCW, unless that is
+    None, and the slots of each arc paired."""
     out = []
     for coeff, vertex, arcs in terms:
         s = Surgery(g)
@@ -136,7 +142,7 @@ def _apply_digon4(g: PlanarMap, face: tuple[int, ...]) -> list:
     b2 = g.nxt[b1]
     AB = RingElem.mono(0, 1, 1)
     A_plus_B = RingElem.mono(0, 1, 0) + RingElem.mono(0, 0, 1)
-    return _terms4(g, (g.node_of(h1), g.node_of(h2)), [
+    return _terms4(g, face, [
         (RingElem.one() - AB, None, [(a2, b1), (a1, b2)]),
         (constants().gamma, None, [(a1, a2), (b1, b2)]),
         (-A_plus_B, (a1, a2, b1, b2), []),
@@ -144,19 +150,16 @@ def _apply_digon4(g: PlanarMap, face: tuple[int, ...]) -> list:
 
 
 def _match_triangle4(g: PlanarMap, face: tuple[int, ...]):
-    if len(face) != 3:
+    if _face_kind4(g, face) != "triangle":
         return None
     g1, g2, g3 = face
-    nodes = (g.node_of(g1), g.node_of(g2), g.node_of(g3))
-    if len(set(nodes)) != 3:
-        return None
     T2 = g.nxt[g1]
     T1 = g.nxt[T2]
     B3 = g.nxt[g2]
     T3 = g.nxt[B3]
     B1 = g.nxt[g3]
     B2 = g.nxt[B1]
-    return (T1, T2, T3, B1, B2, B3), nodes
+    return (T1, T2, T3, B1, B2, B3), face
 
 
 def triangle_flip4(g: PlanarMap, face: tuple[int, ...]) -> list:
@@ -283,24 +286,21 @@ def _eval_component4(g: Planar4Graph, ctx: OracleContext) -> RingElem:
 def kauffman_via_4valent(d: PlanarMap, ctx: OracleContext | None = None) -> RingElem:
     """State sum with a rigid 4-valent vertex as the third resolution; the
     diagram's wide edges are contracted to rigid vertices in every state."""
-    from .diagrams import _crossing_rotation
     ctx = ctx or _ORACLE_CTX
-    import itertools
-    cnodes = d.crossing_nodes()
+    rots = d.crossings()
     wides = [w for w in range(d.n_half) if d.wide[w] and w < d.twin[w]]
     total = RingElem.zero()
-    for choices in itertools.product("ABW", repeat=len(cnodes)):
+    for choices in itertools.product("ABW", repeat=len(rots)):
         s = Surgery(d)
         for w in wides:
             # the diagram's own wide edges contract as in `collapse`
             x1, y1 = d.nxt[w], d.nxt[d.twin[w]]
-            s.kill(d.node_of(w))
-            s.kill(d.node_of(d.twin[w]))
+            s.kill(w)
+            s.kill(d.twin[w])
             s.node([x1, d.nxt[x1], y1, d.nxt[y1]])
         na = nb = 0
-        for node, ch in zip(cnodes, choices):
-            r0, r1, r2, r3 = _crossing_rotation(d, node)
-            s.kill(node)
+        for (r0, r1, r2, r3), ch in zip(rots, choices):
+            s.kill(r0)
             if ch == "A":
                 na += 1
                 s.pair(r0, r1)

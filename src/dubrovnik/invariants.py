@@ -88,7 +88,7 @@ def kauffman_state_sum(d: PlanarMap, ctx: EvalContext | None = None) -> Invarian
     used.
     """
     ctx = ctx or EvalContext()
-    c = len(d.crossing_nodes())
+    c = len(d.crossings())
     debug = debug_mode()
     resolver = StateResolver(d)
     literal: dict[tuple, dict[tuple[int, int, int], int]] = {}
@@ -308,7 +308,7 @@ def n2_closed_form(g: PlanarMap) -> QLaurent:
     The empty graph evaluates to 1.  A map with crossings raises
     ValueError: the formula holds for planar graphs only.
     """
-    if g.crossing_nodes():
+    if g.crossings():
         raise ValueError("the N=2 closed form needs a crossingless graph")
     c = len(g.components()) + g.free_loops
     n = g.vertex_count()

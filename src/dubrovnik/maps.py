@@ -8,9 +8,11 @@ A planar object is stored as a rotation system on half-edges:
     over     -- set of half-edges lying on the over-strand at their crossing
     free_loops -- number of closed curves that meet no node at all
 
-Faces are the orbits of h -> nxt[twin[h]]; a component is planar exactly when
-V - E + F = 2.  Circles carry no half-edges, so they are held in the
-free_loops counter.
+A node is named by any of its half-edges: its rotation is the orbit of nxt
+through it.  Nodes are the orbits of h -> nxt[h] and faces those of
+h -> nxt[twin[h]], both found by one walker (`_orbits`); a component is
+planar exactly when V - E + F = 2.  Circles carry no half-edges, so they
+are held in the free_loops counter.
 
 A map is validated (`validate`) where it enters the program: a class
 constructor or `MapBuilder.finish`.  A map the program builds itself
@@ -23,11 +25,11 @@ No map is changed in place.  Every rewrite is one `splice`: it removes a
 set of half-edges, follows each kept strand across the arcs that join
 removed ones, folds cycles of arcs alone into free_loops, and returns a
 new map with the new id of each old half-edge.  :class:`Surgery` builds
-the local rules on it in `MapBuilder`'s terms: it removes nodes, pairs
-their loose slots by arcs, and puts slots straight onto new nodes joined
-by fresh edges.  `diagrams.stack` and `diagrams.close_tangle` splice
-tangle endpoints.  Rewrites are therefore pure functions from maps to
-maps.
+the local rules on it in `MapBuilder`'s terms: it removes nodes, each
+named by one of its half-edges, pairs their loose slots by arcs, and puts
+slots straight onto new nodes joined by fresh edges.  `diagrams.stack` and
+`diagrams.close_tangle` splice tangle endpoints.  Rewrites are therefore
+pure functions from maps to maps.
 
 One encoder signs closed graphs and open tangles alike
 (`signature_of_arrays`): a closed component is walked from canonically
@@ -84,8 +86,7 @@ class InvalidMap(ValueError):
 
 
 class PlanarMap:
-    __slots__ = ("twin", "nxt", "wide", "over", "free_loops",
-                 "_node_of", "_nodes")
+    __slots__ = ("twin", "nxt", "wide", "over", "free_loops", "_nodes")
 
     def __init__(self, twin: list[int], nxt: list[int], wide: list[bool],
                  over: frozenset[int] = frozenset(), free_loops: int = 0):
@@ -107,7 +108,7 @@ class PlanarMap:
     def _adopt(self, twin, nxt, wide, over, free_loops) -> None:
         self.twin, self.nxt, self.wide = twin, nxt, wide
         self.over, self.free_loops = over, free_loops
-        self._nodes = self._node_of = None
+        self._nodes = None
 
     # -- basic structure -----------------------------------------------------
 
@@ -118,48 +119,16 @@ class PlanarMap:
     def nodes(self) -> list[tuple[int, ...]]:
         """Rotation cycles; each node is its half-edges in CCW order."""
         if self._nodes is None:
-            seen = [False] * self.n_half
-            out = []
-            for h0 in range(self.n_half):
-                if seen[h0]:
-                    continue
-                cyc = []
-                h = h0
-                while not seen[h]:
-                    seen[h] = True
-                    cyc.append(h)
-                    h = self.nxt[h]
-                out.append(tuple(cyc))
-            self._nodes = out
+            self._nodes = _orbits(self.nxt)
         return self._nodes
-
-    def node_of(self, h: int) -> int:
-        if self._node_of is None:
-            no = [0] * self.n_half
-            for i, cyc in enumerate(self.nodes()):
-                for h2 in cyc:
-                    no[h2] = i
-            self._node_of = no
-        return self._node_of[h]
 
     def n_nodes(self) -> int:
         return len(self.nodes())
 
     def faces(self) -> list[tuple[int, ...]]:
         """Orbits of h -> nxt[twin[h]]."""
-        seen = [False] * self.n_half
-        out = []
-        for h0 in range(self.n_half):
-            if seen[h0]:
-                continue
-            cyc = []
-            h = h0
-            while not seen[h]:
-                seen[h] = True
-                cyc.append(h)
-                h = self.nxt[self.twin[h]]
-            out.append(tuple(cyc))
-        return out
+        nxt = self.nxt
+        return _orbits([nxt[t] for t in self.twin])
 
     def components(self) -> list[list[int]]:
         """Half-edge classes closed under twin and nxt (free loops excluded)."""
@@ -172,34 +141,45 @@ class PlanarMap:
         n = self.n_half
         if not (len(self.nxt) == len(self.wide) == n):
             raise InvalidMap("array length mismatch")
+        hit = [False] * n
         for h in range(n):
             t = self.twin[h]
             if t == h or not (0 <= t < n) or self.twin[t] != h:
                 raise InvalidMap(f"twin is not a fixed-point-free involution at {h}")
             if self.wide[t] != self.wide[h]:
                 raise InvalidMap(f"edge kind mismatch on edge {h}-{t}")
-            if not (0 <= self.nxt[h] < n):
-                raise InvalidMap(f"bad rotation successor at {h}")
+            x = self.nxt[h]
+            if not (0 <= x < n) or hit[x]:
+                raise InvalidMap(f"rotation is not a permutation at {h}")
+            hit[x] = True
         self.euler_check()
 
     def euler_check(self) -> None:
         """Raise NonPlanar unless every component satisfies V - E + F = 2."""
-        face_of = {}
-        for i, f in enumerate(self.faces()):
-            for h in f:
-                face_of[h] = i
-        for comp in self.components():
-            nodes = {self.node_of(h) for h in comp}
-            faces = {face_of[h] for h in comp}
-            v, e, f = len(nodes), len(comp) // 2, len(faces)
-            if v - e + f != 2:
-                raise NonPlanar(f"component has V-E+F = {v - e + f}")
+        comps = self.components()
+        comp_of = [0] * self.n_half
+        for i, comp in enumerate(comps):
+            for h in comp:
+                comp_of[h] = i
+        chi = [-(len(comp) // 2) for comp in comps]
+        for cyc in self.nodes() + self.faces():
+            chi[comp_of[cyc[0]]] += 1
+        for x in chi:
+            if x != 2:
+                raise NonPlanar(f"component has V-E+F = {x}")
 
     # -- derived data ----------------------------------------------------------
 
-    def crossing_nodes(self) -> list[int]:
-        return [i for i, cyc in enumerate(self.nodes())
-                if any(h in self.over for h in cyc)]
+    def crossings(self) -> list[tuple[int, ...]]:
+        """Each crossing's rotation, counterclockwise from its least over
+        half-edge, in node order."""
+        out = []
+        for cyc in self.nodes():
+            overs = [i for i, h in enumerate(cyc) if h in self.over]
+            if overs:
+                k = min(overs, key=cyc.__getitem__)
+                out.append(cyc[k:] + cyc[:k])
+        return out
 
     def vertex_count(self) -> int:
         """Trivalent vertices (degree-3 nodes)."""
@@ -259,6 +239,24 @@ def _encode_from(twin: list[int], nxt: list[int], wide: list[bool],
             tied = False
         out.append(code)
     return tuple(out)
+
+
+def _orbits(step: list[int]) -> list[tuple[int, ...]]:
+    """The orbits of the permutation `step` of the half-edges, in the order
+    of their least half-edges, each walked from that one."""
+    seen = [False] * len(step)
+    out = []
+    for h0 in range(len(step)):
+        if seen[h0]:
+            continue
+        cyc = []
+        h = h0
+        while not seen[h]:
+            seen[h] = True
+            cyc.append(h)
+            h = step[h]
+        out.append(tuple(cyc))
+    return out
 
 
 def _reach(twin: list[int], nxt: list[int], seen: list[bool], roots
@@ -440,7 +438,8 @@ class MapBuilder:
 class Surgery:
     """Remove nodes and write what replaces them, in `MapBuilder`'s terms.
 
-    A slot is a half-edge of a removed node.  Each slot is used at most
+    A node is removed (`kill`) by naming any one of its half-edges.  A slot
+    is a half-edge of a removed node.  Each slot is used at most
     once: paired with another slot (an arc through the removed region, by
     `pair`), put on a new node (by `node`, where it keeps its edge), or
     left void (its edge disappears entirely).  `edge` makes fresh twinned
@@ -455,8 +454,12 @@ class Surgery:
         self.wide: list[bool] = []           # of fresh half-edge n_half + i
         self.new_nodes: list[list[int]] = []
 
-    def kill(self, node_idx: int) -> None:
-        self.dead_slots.update(self.g.nodes()[node_idx])
+    def kill(self, h: int) -> None:
+        """Remove the node of half-edge h: its slots are h's rotation."""
+        nxt, dead = self.g.nxt, self.dead_slots
+        while h not in dead:
+            dead.add(h)
+            h = nxt[h]
 
     def _use(self, h: int) -> None:
         if h in self.used:

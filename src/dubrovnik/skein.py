@@ -186,12 +186,12 @@ def _rewrite(g: PlanarMap, vertices, terms) -> list:
     of g) triples, one per (coefficient, gadget, arcs) entry of `terms`:
     the term joins the four strands of `gadget`, read CCW, by a fresh rigid
     vertex unless it is None, and pairs the strands of each arc."""
-    nodes = [g.node_of(h) for w in vertices for h in (w, g.twin[w])]
     out = []
     for coeff, gadget, arcs in terms:
         s = Surgery(g)
-        for v in nodes:
-            s.kill(v)
+        for w in vertices:
+            s.kill(w)
+            s.kill(g.twin[w])
         if gadget:
             b1, b2, b3, b4 = gadget
             w1, w2 = s.edge(wide=True)
@@ -299,8 +299,8 @@ def _flip(g: PlanarMap, m) -> tuple[PlanarTrivalentGraph, list[int]]:
     (T1, T2, T3, B1, B2, B3), vertices = m
     s = Surgery(g)
     for w in vertices:
-        s.kill(g.node_of(w))
-        s.kill(g.node_of(g.twin[w]))
+        s.kill(w)
+        s.kill(g.twin[w])
     wa1, wa2 = s.edge(wide=True)
     wc1, wc2 = s.edge(wide=True)
     we1, we2 = s.edge(wide=True)
@@ -708,15 +708,18 @@ def evaluate(g, ctx: EvalContext | None = None) -> RingElem:
     once; the sum is not memoized.  With no context a fresh one is used.
     Debug mode checks that a graph valued alone, being its own mirror
     image, has a value fixed by `RingElem.swap_AB_invert_a`.  A single map
-    with a crossing or a node of degree other than 3 raises ValueError.
+    that is not a state raises ValueError: one with a crossing, a node of
+    degree other than 3, or a vertex with no wide half-edge or more than one.
     """
     ctx = ctx or EvalContext()
     if not isinstance(g, PlanarMap):
         return reduce_terms([(c, Tangle(x, [])) for c, x in g], ctx)[0]
-    nxt = g.nxt
+    nxt, wide = g.nxt, g.wide
     if g.over or any(nxt[h] == h or nxt[nxt[nxt[h]]] != h
+                     or wide[h] + wide[nxt[h]] + wide[nxt[nxt[h]]] != 1
                      for h in range(len(nxt))):
-        raise ValueError("evaluate takes a crossingless trivalent graph; "
+        raise ValueError("evaluate takes a state, a crossingless trivalent "
+                         "graph with one wide half-edge at every vertex; "
                          "value a diagram with invariants.kauffman_state_sum")
     sig = ctx.signature(g.twin, nxt, g.wide, g.free_loops)
     hit = ctx.memo.get(sig)

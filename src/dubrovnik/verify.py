@@ -129,10 +129,10 @@ def check_dubrovnik_axioms(braids=None, rng: random.Random | None = None,
     n = 0
     for n, b in enumerate(braids, 1):
         d = braid_to_link(b)
-        node = rng.choice(d.crossing_nodes())
-        p_pos, p_neg = value(d), value(switch_crossing(d, node))
-        if p_pos - p_neg != z * (value(smooth_crossing(d, node, "A"))
-                                 - value(smooth_crossing(d, node, "B"))):
+        h = rng.choice(d.crossings())[0]
+        p_pos, p_neg = value(d), value(switch_crossing(d, h))
+        if p_pos - p_neg != z * (value(smooth_crossing(d, h, "A"))
+                                 - value(smooth_crossing(d, h, "B"))):
             return ("Dubrovnik skein axiom", False, f"{b.letters}")
         # kink factors via Markov stabilization
         if value(braid_to_link(b.stabilized(1))) != R_a * p_pos \

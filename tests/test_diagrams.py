@@ -31,6 +31,11 @@ def test_parse_braid():
         parse_braid("0")
     with pytest.raises(RangeError):
         parse_braid("n=2; 2")
+    # letters and the strand count are ASCII digits with an optional sign
+    for text in ("1_0", "\u0663", "n=\u0663; 1"):
+        with pytest.raises(ParseError):
+            parse_braid(text)
+    assert parse_braid("+1 -1") == BraidWord(2, (1, -1))
 
 
 def test_writhe():
@@ -127,17 +132,56 @@ def test_mirror_involution():
 
 def test_switch_crossing():
     d = braid_to_link(parse_braid("1 1"))
-    node = d.crossing_nodes()[0]
-    ds = switch_crossing(d, node)
+    rot = d.crossings()[0]
+    ds = switch_crossing(d, rot[0])
     assert ds.over != d.over
-    assert switch_crossing(ds, node).over == d.over
+    assert switch_crossing(ds, rot[0]).over == d.over
+
+
+def test_crossings_start_at_the_least_over_half_edge():
+    rng = random.Random(31)
+    for _ in range(30):
+        d = random_regraph(rng, max_crossings=4, max_wide=3)
+        rots = d.crossings()
+        assert {frozenset(r) for r in rots} == {
+            frozenset(cyc) for cyc in d.nodes() if not d.over.isdisjoint(cyc)}
+        for r in rots:
+            assert r[0] == min(h for h in r if h in d.over)
+            assert [d.nxt[h] for h in r] == list(r[1:] + r[:1])
+        # in node order: nodes are ordered by their least half-edges
+        assert [min(r) for r in rots] == sorted(min(r) for r in rots)
+
+
+def test_crossing_moves_take_a_half_edge_of_the_crossing():
+    rng = random.Random(37)
+    seen = 0
+    for _ in range(20):
+        d = random_regraph(rng, max_crossings=4, max_wide=3)
+        for r in d.crossings():
+            switched = [switch_crossing(d, h) for h in r]
+            assert all(x.over == switched[0].over != d.over for x in switched)
+            for kind in "AB":
+                a, b = (smooth_crossing(d, h, kind) for h in (r[0], r[2]))
+                assert (a.twin, a.nxt, a.wide, a.over, a.free_loops) == \
+                    (b.twin, b.nxt, b.wide, b.over, b.free_loops)
+                for h in (r[1], r[3]):
+                    with pytest.raises(ValueError):
+                        smooth_crossing(d, h, kind)
+        for h in range(d.n_half):
+            if d.wide[h]:               # on a trivalent vertex
+                seen += 1
+                with pytest.raises(ValueError):
+                    switch_crossing(d, h)
+                with pytest.raises(ValueError):
+                    smooth_crossing(d, h, "A")
+    assert seen
 
 
 def _states(d):
     """{choices: (state graph, na, nb)} over all 3^c resolutions of d."""
     resolver = StateResolver(d)
     out = {}
-    for choices in itertools.product("ABW", repeat=len(resolver.cnodes)):
+    for choices in itertools.product("ABW", repeat=len(resolver.rots)):
         twin, nxt, wide, loops, na, nb = resolver.resolve_arrays(choices)
         g = PlanarTrivalentGraph._build(twin, nxt, wide, frozenset(), loops)
         out["".join(choices)] = g, na, nb
@@ -174,14 +218,17 @@ def test_kink_states():
     assert recs["W"][1:] == (0, 0)
 
 
-def _widen(g, node):
-    """Replace one crossing by a wide edge whose ends carry the strands in
-    the crossing's rotation order, read from an over half-edge."""
-    cyc = g.nodes()[node]
-    k = next(i for i, h in enumerate(cyc) if h in g.over)
-    slots = [cyc[(k + j) % 4] for j in range(4)]
+def _rotation(g, h):
+    """The crossing of h, read counterclockwise from h."""
+    return [h, g.nxt[h], g.nxt[g.nxt[h]], g.nxt[g.nxt[g.nxt[h]]]]
+
+
+def _widen(g, h):
+    """Replace the crossing of h by a wide edge whose ends carry the strands
+    in the crossing's rotation order, read from h, an over half-edge."""
+    slots = _rotation(g, h)
     s = Surgery(g)
-    s.kill(node)
+    s.kill(h)
     w1, w2 = s.edge(wide=True)
     s.node([w1, slots[0], slots[1]])
     s.node([w2, slots[2], slots[3]])
@@ -192,16 +239,16 @@ def _resolve_one_by_one(d, choices):
     """The state of d for choices, one crossing at a time: smooth_crossing
     for A and B, `_widen` for W."""
     g = REGraphDiagram(d.twin, d.nxt, d.wide, d.over, d.free_loops)
-    marks = [d.nodes()[n][0] for n in d.crossing_nodes()]
+    marks = [rot[0] for rot in d.crossings()]        # over half-edges
     for ch in choices:
-        node = g.node_of(marks.pop(0))
+        mark = marks.pop(0)
         if ch == "W":
-            g, ids = _widen(g, node)
+            g, ids = _widen(g, mark)
         else:
-            dead = set(g.nodes()[node])
+            dead = set(_rotation(g, mark))
             ids = {h: j for j, h in enumerate(
                 h for h in range(g.n_half) if h not in dead)}
-            g = smooth_crossing(g, node, ch)
+            g = smooth_crossing(g, mark, ch)
         marks = [ids[h] for h in marks]
     return g
 
@@ -211,7 +258,7 @@ def test_resolve_arrays_matches_crossing_by_crossing_resolution(monkeypatch):
     diagrams = [braid_to_link(parse_braid("n=3; 1 -2 1 2"))]
     while len(diagrams) < 10:
         d = random_regraph(rng, max_crossings=4, max_wide=3)
-        if d.crossing_nodes():
+        if d.crossings():
             diagrams.append(d)
     resolvers = []
 
@@ -223,7 +270,7 @@ def test_resolve_arrays_matches_crossing_by_crossing_resolution(monkeypatch):
     monkeypatch.setattr(inv, "StateResolver", Recording)
     for d in diagrams:
         resolver = StateResolver(d)
-        for choices in itertools.product("ABW", repeat=len(resolver.cnodes)):
+        for choices in itertools.product("ABW", repeat=len(resolver.rots)):
             twin, nxt, wide, loops, na, nb = resolver.resolve_arrays(choices)
             g = _resolve_one_by_one(d, choices)
             assert signature_of_arrays(twin, nxt, wide, loops) \
@@ -272,8 +319,8 @@ def _surgery_stack(upper, lower):
     g = disjoint_union(upper.g, lower.g)
     s = Surgery(g)
     for hb, ht in zip(upper.ends[n:], lower.ends[:n]):
-        s.kill(g.node_of(hb))
-        s.kill(g.node_of(ht + off))
+        s.kill(hb)
+        s.kill(ht + off)
         s.pair(hb, ht + off)
     out, idmap = s.finish()
     return Tangle(out, [idmap[h] for h in upper.ends[:n]]
@@ -344,9 +391,7 @@ def test_joined_endpoints_must_be_alone_on_their_nodes():
     # the first top endpoint moved onto the gadget's upper vertex
     t = c_tangle(2, 1)
     g, ends = t.g, t.ends
-    on_vertex = next(h for h in g.nodes()[g.node_of(g.twin[ends[0]])]
-                     if not g.wide[h])
-    bad = Tangle(g, [on_vertex] + ends[1:])
+    bad = Tangle(g, [g.twin[ends[0]]] + ends[1:])
     with pytest.raises(InvalidMap):
         close_tangle(bad)
     with pytest.raises(InvalidMap):

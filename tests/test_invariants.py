@@ -485,7 +485,7 @@ def _crossed_regraphs(seed: int, count: int):
     out = []
     while len(out) < count:
         d = random_regraph(rng, max_crossings=4, max_wide=3)
-        if d.crossing_nodes():
+        if d.crossings():
             out.append(d)
     return out
 
@@ -516,7 +516,7 @@ def test_state_sum_signs_each_literal_state_once(monkeypatch):
         plain = RingElem.zero()
         literal = set()
         resolver = StateResolver(d)
-        for choices in itertools.product("ABW", repeat=len(resolver.cnodes)):
+        for choices in itertools.product("ABW", repeat=len(resolver.rots)):
             twin, nxt, wide, loops, na, nb = resolver.resolve_arrays(choices)
             g = PlanarTrivalentGraph._build(twin, nxt, wide, frozenset(), loops)
             plain = plain + RingElem.mono(0, na, nb) * evaluate(g, ctx)
@@ -528,7 +528,7 @@ def test_state_sum_signs_each_literal_state_once(monkeypatch):
         # the engine's own pieces are signed too; a piece that repeats a
         # state's arrays is served from the table, not signed again
         assert Counter(c for c in calls if c in literal) == Counter(literal)
-        shared += len(literal) < 3 ** len(d.crossing_nodes())
+        shared += len(literal) < 3 ** len(d.crossings())
     assert shared
 
 
@@ -540,7 +540,7 @@ def test_debug_state_sum_signs_every_state(monkeypatch):
     for d, value in zip(diagrams, expected):
         calls.clear()
         assert kauffman_state_sum(d, EvalContext()).value == value
-        assert len(calls) > 3 ** len(d.crossing_nodes())
+        assert len(calls) > 3 ** len(d.crossings())
     # a signature that is not a function of the arrays is caught
     import dubrovnik.skein as sk
     from dubrovnik.skein import InternalError
@@ -566,7 +566,7 @@ def test_state_sum_makes_one_evaluate_call_per_diagram(monkeypatch):
     for d in diagrams:
         resolver = StateResolver(d)
         sigs = {signature_of_arrays(*resolver.resolve_arrays(ch)[:4])
-                for ch in itertools.product("ABW", repeat=len(resolver.cnodes))}
+                for ch in itertools.product("ABW", repeat=len(resolver.rots))}
         assert len(sigs) > 1
         calls.clear()
         before = ctx.stats["distinct_states"]

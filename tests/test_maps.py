@@ -7,13 +7,18 @@ from dubrovnik.maps import (InvalidMap, MapBuilder, NonPlanar, PlanarMap,
                             Surgery, canonical_signature, signature_of_arrays)
 
 
-def build_theta():
-    b = MapBuilder()
+def _theta(b: MapBuilder, torus: bool = False) -> None:
+    """A theta graph on `b`, planar or embedded in the torus."""
     w1, w2 = b.edge(wide=True)
     a1, b1 = b.edge()
     a2, b2 = b.edge()
     b.node([w1, a1, a2])
-    b.node([w2, b2, b1])
+    b.node([w2, b1, b2] if torus else [w2, b2, b1])
+
+
+def build_theta():
+    b = MapBuilder()
+    _theta(b)
     return b.finish()
 
 
@@ -24,19 +29,53 @@ def test_theta_faces():
 
 
 def test_torus_embedding_rejected():
-    b = MapBuilder()
-    w1, w2 = b.edge(wide=True)
-    a1, b1 = b.edge()
-    a2, b2 = b.edge()
-    b.node([w1, a1, a2])
-    b.node([w2, b1, b2])
-    with pytest.raises(NonPlanar):
-        b.finish()
+    # alone, and beside a planar theta in either order: V - E + F sums to
+    # 2 over the two, but is checked per component
+    for tori in ([True], [False, True], [True, False]):
+        b = MapBuilder()
+        for torus in tori:
+            _theta(b, torus)
+        with pytest.raises(NonPlanar, match="V-E\\+F = 0"):
+            b.finish()
 
 
 def test_twin_validation():
     with pytest.raises(InvalidMap):
         PlanarMap([0, 1], [1, 0], [False, False])   # fixed points
+
+
+def test_rotation_must_be_a_permutation():
+    # a successor given to two half-edges leaves a third with none, which
+    # no node rotation allows, whatever the Euler count
+    from dubrovnik.corpus import random_trivalent_graph
+    from dubrovnik.diagrams import PlanarTrivalentGraph
+    rng = random.Random(3)
+    tried = 0
+    for _ in range(300):
+        g = random_trivalent_graph(rng, max_vertices=8)
+        a, b = rng.randrange(g.n_half), rng.randrange(g.n_half)
+        if g.nxt[a] == g.nxt[b]:
+            continue
+        nxt = list(g.nxt)
+        nxt[a] = nxt[b]
+        for cls in (PlanarMap, PlanarTrivalentGraph):
+            with pytest.raises(InvalidMap, match="not a permutation"):
+                cls(g.twin, nxt, g.wide, g.over, g.free_loops)
+        tried += 1
+    assert tried > 200
+
+
+def test_kill_names_a_node_by_any_half_edge():
+    from dubrovnik.corpus import random_regraph
+    rng = random.Random(9)
+    for _ in range(20):
+        d = random_regraph(rng, max_crossings=4, max_wide=3)
+        for cyc in d.nodes():
+            for h in cyc:
+                s = Surgery(d)
+                s.kill(h)
+                s.kill(cyc[-1])         # killing a node again changes nothing
+                assert s.dead_slots == set(cyc)
 
 
 def relabel(g: PlanarMap, rng: random.Random) -> PlanarMap:
@@ -186,8 +225,8 @@ def test_surgery_free_loop():
     hs = [h for h in f if not th.wide[h]][0]
     hw = [h for h in f if th.wide[h]][0]
     s = Surgery(th)
-    s.kill(th.node_of(hw))
-    s.kill(th.node_of(th.twin[hw]))
+    s.kill(hw)
+    s.kill(th.twin[hw])
     s.pair(th.nxt[hw], th.nxt[hs])
     g, _ = s.finish()
     assert g.n_half == 0 and g.free_loops == 1

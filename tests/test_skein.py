@@ -13,7 +13,7 @@ from dubrovnik.diagrams import (PlanarTrivalentGraph, braid_to_link,
                                 parse_braid, parse_pd, parse_regraph, stack)
 from dubrovnik.fourvalent import collapse, evaluate4
 from dubrovnik.invariants import n2_closed_form
-from dubrovnik.maps import (MapBuilder, NonPlanar, PlanarMap,
+from dubrovnik.maps import (InvalidMap, MapBuilder, NonPlanar, PlanarMap,
                             canonical_signature)
 from dubrovnik.ring import (R_A, R_B, R_ONE, RingElem, constants,
                             specialize_soN, to_canonical_text)
@@ -91,6 +91,24 @@ def test_reducible_face():
 def test_evaluate_rejects_a_map_that_is_not_a_trivalent_graph(bad):
     with pytest.raises(ValueError, match="kauffman_state_sum"):
         evaluate(bad())
+
+
+def test_evaluate_refuses_a_map_that_is_not_a_state():
+    # a state's vertices each carry one wide half-edge; flipping the kind
+    # of one edge leaves two vertices with none or two, though the map is
+    # still planar and trivalent
+    rng = random.Random(5)
+    for _ in range(300):
+        g = random_trivalent_graph(rng, max_vertices=10)
+        h = rng.randrange(g.n_half)
+        wide = list(g.wide)
+        wide[h] = wide[g.twin[h]] = not wide[h]
+        with pytest.raises(InvalidMap):
+            PlanarTrivalentGraph(g.twin, g.nxt, wide, g.over, g.free_loops)
+        bad = PlanarMap(g.twin, g.nxt, wide, g.over, g.free_loops)
+        with pytest.raises(ValueError, match="one wide half-edge at every "
+                                             "vertex"):
+            evaluate(bad, EvalContext())
 
 
 def test_lollipop_one_gon():
